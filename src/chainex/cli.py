@@ -127,6 +127,8 @@ def cmd_series(args) -> int:
         raise CliError(f"series {args.name!r} requires --r")
     if needs_j and args.j is None:
         raise CliError(f"series {args.name!r} requires --j")
+    if args.order < 0:
+        raise CliError(f"--order must be >= 0, got {args.order}")
     series = builder(args.r, args.j, args.order)
     if args.format == "json":
         _emit(json.dumps(series.to_json()), args.out)

@@ -6,6 +6,20 @@ check in this project is an exact coefficient-by-coefficient equality.
 Binary operations carry the minimum truncation order of their operands;
 reading a coefficient beyond the truncation order raises instead of
 silently returning zero.
+
+Every product side of the paper's identities is a ratio of q-Pochhammer
+products, so the builders run a sparse kernel over coefficient lists:
+multiplying by one factor (1 + s*q^e) is one O(order) pass, and dividing
+by it is a strided prefix sum, also O(order).  A builder that sums over n
+grows the n-th term from the (n-1)-th with one or two such steps.  The
+dense ``PowerSeries.__mul__`` and ``invert`` remain for products of two
+general series.
+
+The verifier compares pairs of builders as two routes to one series:
+``series_chain_maex_sum`` / ``series_chain_maex_product``,
+``q_binomial_sum`` / ``q_binomial_product`` and ``maex_bivariate`` /
+``maex_bivariate_double_sum``.  They stay distinct formulas that share
+only the arithmetic primitives; neither side is defined through the other.
 """
 
 from __future__ import annotations
@@ -28,20 +42,14 @@ class PowerSeries:
             order = len(coeffs) - 1
             if order < 0:
                 raise SeriesError("a series needs at least a constant term")
+        elif order < 0:
+            raise SeriesError(f"truncation order must be >= 0, got {order}")
         if len(coeffs) > order + 1:
             coeffs = coeffs[: order + 1]
         elif len(coeffs) < order + 1:
             coeffs.extend([0] * (order + 1 - len(coeffs)))
         self.coeffs = coeffs
         self.order = order
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls([1], order)
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([0], order)
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient: int = 1) -> "PowerSeries":
@@ -112,7 +120,9 @@ class PowerSeries:
         return PowerSeries(self.coeffs[: order + 1], order)
 
     def shift(self, exponent: int) -> "PowerSeries":
-        """Multiply by q**exponent."""
+        """Multiply by q**exponent (exponent >= 0)."""
+        if exponent < 0:
+            raise SeriesError(f"shift exponent must be >= 0, got {exponent}")
         return PowerSeries([0] * exponent + self.coeffs, self.order)
 
     def matches(self, other: "PowerSeries") -> bool:
@@ -124,7 +134,9 @@ class PowerSeries:
         return isinstance(other, PowerSeries) and self.matches(other)
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        # equality ignores everything past the shorter truncation, so only
+        # the constant term is shared by every pair of equal series
+        return hash(self.coeffs[0])
 
     def __repr__(self):
         return f"PowerSeries(order={self.order}, coeffs={self.coeffs[:8]}...)"
@@ -177,27 +189,73 @@ def exact_divide(numerator: List[int], denominator: List[int]) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer products
+# Sparse Pochhammer kernel: in-place passes over a coefficient list
 # ---------------------------------------------------------------------------
 
-def _factor(e: int, order: int, negate: bool) -> PowerSeries:
-    c = [0] * (order + 1)
-    c[0] = 1
-    if e <= order:
-        c[e] = 1 if negate else -1
-    return PowerSeries(c, order)
+def _const(order: int, value: int) -> List[int]:
+    """Coefficients of the constant series ``value`` truncated at ``order``."""
+    if order < 0:
+        raise SeriesError(f"truncation order must be >= 0, got {order}")
+    return [value] + [0] * order
 
+
+def _mul_factor(c: List[int], e: int, sign: int) -> None:
+    """c *= (1 + sign*q^e) in place.  Every read sees the old coefficient,
+    as in a loop over descending n; e = 0 scales by the constant 1 + sign."""
+    if e < 0:
+        raise SeriesError(f"factor exponent must be >= 0, got {e}")
+    if e == 0:
+        c[:] = [(1 + sign) * a for a in c]
+    elif e < len(c):
+        c[e:] = [a + sign * b for a, b in zip(c[e:], c)]
+
+
+def _div_factor(c: List[int], e: int, sign: int) -> None:
+    """c /= (1 + sign*q^e) in place: c[n] -= sign*c[n-e] over ascending n,
+    one block of e coefficients at a time, each from the one before.  The
+    factor is a unit only for e >= 1."""
+    if e < 1:
+        raise SeriesError(f"dividing needs a factor exponent >= 1, got {e}")
+    for k in range(e, len(c), e):
+        c[k:k + e] = [a - sign * b for a, b in zip(c[k:k + e], c[k - e:k])]
+
+
+def _add_shifted(acc: List[int], c: List[int], shift: int) -> None:
+    """acc += q^shift * c in place, truncated at the length of acc."""
+    n = min(len(c), len(acc) - shift)
+    if n > 0:
+        acc[shift:shift + n] = [a + b for a, b in zip(acc[shift:shift + n], c)]
+
+
+def _poch(c: List[int], first: int, step: int, count=None, sign: int = -1,
+          divide: bool = False) -> List[int]:
+    """c *= prod (1 + sign*q^e), or c /= it when ``divide``, in place, over
+    e = first, first+step, ...: ``count`` factors, or every e up to the
+    order when None (later factors are 1 + O(q^(order+1)))."""
+    if first < 0 or step < 1 or (count is not None and count < 0):
+        raise SeriesError("need first exponent >= 0, step >= 1 and count >= 0, "
+                          f"got {first}, {step}, {count}")
+    stop = len(c) if count is None else min(len(c), first + count * step)
+    for e in range(first, stop, step):
+        (_div_factor if divide else _mul_factor)(c, e, sign)
+    return c
+
+
+def _check_r(r: int) -> None:
+    if r < 1:
+        raise SeriesError(f"r must be >= 1, got {r}")
+
+
+# ---------------------------------------------------------------------------
+# Pochhammer products
+# ---------------------------------------------------------------------------
 
 def poch_finite(first: int, step: int, count: int, order: int,
                 negate: bool = False) -> PowerSeries:
     """Finite Pochhammer product: prod_{i<count} (1 - q^(first+i*step)),
     or with plus signs when ``negate``."""
-    if step < 1:
-        raise SeriesError("step must be >= 1")
-    out = PowerSeries.one(order)
-    for i in range(count):
-        out = out * _factor(first + i * step, order, negate)
-    return out
+    return PowerSeries(_poch(_const(order, 1), first, step, count,
+                             1 if negate else -1), order)
 
 
 def poch_inf(first: int, step: int, order: int, negate: bool = False) -> PowerSeries:
@@ -205,14 +263,14 @@ def poch_inf(first: int, step: int, order: int, negate: bool = False) -> PowerSe
     exceeds the order (later factors are 1 + O(q^(order+1)))."""
     if first < 1:
         raise SeriesError("the infinite product needs first exponent >= 1")
-    if step < 1:
-        raise SeriesError("step must be >= 1")
-    out = PowerSeries.one(order)
-    e = first
-    while e <= order:
-        out = out * _factor(e, order, negate)
-        e += step
-    return out
+    return PowerSeries(_poch(_const(order, 1), first, step, None,
+                             1 if negate else -1), order)
+
+
+def poch_inverse(first: int, step: int, order: int) -> PowerSeries:
+    """Inverse infinite product 1/prod_{i>=0} (1 - q^(first+i*step)).
+    Needs first >= 1."""
+    return PowerSeries(_poch(_const(order, 1), first, step, divide=True), order)
 
 
 def gaussian_binomial(n: int, m: int) -> PowerSeries:
@@ -220,49 +278,46 @@ def gaussian_binomial(n: int, m: int) -> PowerSeries:
     division of finite Pochhammer products."""
     if not n >= m >= 0:
         raise SeriesError(f"need n >= m >= 0, got n={n}, m={m}")
-    degree = m * (n - m)
-    order = max(degree, 0)
-
-    def poly(count):
-        return poch_finite(1, 1, count, n * (n + 1) // 2).coeffs
-
-    num = poly(n)
-    den_series = poch_finite(1, 1, m, n * (n + 1) // 2) * poch_finite(1, 1, n - m, n * (n + 1) // 2)
-    quotient = exact_divide(num, den_series.coeffs)
-    return PowerSeries(quotient, order)
+    top = n * (n + 1) // 2
+    num = poch_finite(1, 1, n, top).coeffs
+    den = _poch(_poch(_const(top, 1), 1, 1, m), 1, 1, n - m)
+    return PowerSeries(exact_divide(num, den), m * (n - m))
 
 
 # ---------------------------------------------------------------------------
 # q-binomial theorem specializations
 # ---------------------------------------------------------------------------
 
+def _check_q_binomial(a_exp, z_exp: int) -> None:
+    if z_exp < 1:
+        raise SeriesError("z must specialize to a positive power of q")
+    if a_exp is not None and a_exp < 0:
+        raise SeriesError(f"a must specialize to a power q^k with k >= 0, got k={a_exp}")
+
+
 def q_binomial_sum(a_exp, z_exp: int, order: int, a_negate: bool = False) -> PowerSeries:
     """Left side of the q-binomial theorem with a = (-)q^a_exp and
     z = q^z_exp: sum_n (a;q)_n / (q;q)_n * z^n.  Pass a_exp=None for a=0."""
-    if z_exp < 1:
-        raise SeriesError("z must specialize to a positive power of q")
-    total = PowerSeries.zero(order)
+    _check_q_binomial(a_exp, z_exp)
+    total, term = _const(order, 0), _const(order, 1)   # term: (a;q)_n/(q;q)_n
     n = 0
     while n * z_exp <= order:
-        if a_exp is None:
-            num = PowerSeries.one(order)
-        else:
-            num = poch_finite(a_exp, 1, n, order, negate=a_negate)
-        term = num * poch_finite(1, 1, n, order).invert()
-        total = total + term.shift(n * z_exp)
+        _add_shifted(total, term, n * z_exp)
         n += 1
-    return total
+        if a_exp is not None:
+            _mul_factor(term, a_exp + n - 1, 1 if a_negate else -1)
+        _div_factor(term, n, -1)
+    return PowerSeries(total, order)
 
 
 def q_binomial_product(a_exp, z_exp: int, order: int, a_negate: bool = False) -> PowerSeries:
     """Right side of the q-binomial theorem under the same specialization:
     (az;q)_inf / (z;q)_inf."""
-    if z_exp < 1:
-        raise SeriesError("z must specialize to a positive power of q")
-    den_inv = poch_inf(z_exp, 1, order).invert()
-    if a_exp is None:
-        return den_inv
-    return poch_inf(a_exp + z_exp, 1, order, negate=a_negate) * den_inv
+    _check_q_binomial(a_exp, z_exp)
+    c = _const(order, 1)
+    if a_exp is not None:
+        _poch(c, a_exp + z_exp, 1, None, 1 if a_negate else -1)
+    return PowerSeries(_poch(c, z_exp, 1, divide=True), order)
 
 
 # ---------------------------------------------------------------------------
@@ -274,25 +329,26 @@ DEFAULT_ORDER = 60
 
 def series_partition_count(order: int = DEFAULT_ORDER) -> PowerSeries:
     """1/(q;q)_inf: coefficients are the partition numbers p(n)."""
-    return poch_inf(1, 1, order).invert()
+    return poch_inverse(1, 1, order)
 
 
 def series_sigma_mex(order: int = DEFAULT_ORDER) -> PowerSeries:
     """(-q;q)_inf^2: coefficient of q^n is the sum of classic mex values
     over all partitions of n."""
-    s = poch_inf(1, 1, order, negate=True)
-    return s * s
+    return PowerSeries(_poch(_poch(_const(order, 1), 1, 1, None, 1),
+                             1, 1, None, 1), order)
 
 
 def series_chain_mex_shifted(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Coefficient of q^n is the sum of (chain_mex + r - 1) over all
     partitions of n: the (r+1)-strict generating function times the sum of
     inverse products over the r nonzero residue classes mod r+1."""
-    strict = poch_inf(r + 1, r + 1, order) * poch_inf(1, 1, order).invert()
-    acc = PowerSeries.zero(order)
+    _check_r(r)
+    acc = _const(order, 0)
     for m in range(1, r + 1):
-        acc = acc + poch_inf(m, r + 1, order).invert()
-    return strict * acc
+        _add_shifted(acc, _poch(_const(order, 1), m, r + 1, divide=True), 0)
+    _poch(acc, r + 1, r + 1)
+    return PowerSeries(_poch(acc, 1, 1, divide=True), order)
 
 
 def series_chain_mex_sum(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -303,83 +359,96 @@ def series_chain_mex_sum(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
 
 def series_chain_mex_offset_sum(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Coefficient of q^n is the sum of (chain_mex + class offset) over all
-    partitions of n."""
-    strict = poch_inf(r + 1, r + 1, order) * poch_inf(1, 1, order).invert()
-    inner = PowerSeries.one(order)
-    for n in range(1, order + 1):
-        num = PowerSeries.monomial(n, order) - PowerSeries.monomial(n + r * n, order)
-        den = (_factor(n, order, False) * poch_finite(r + 1, r + 1, n, order)).invert()
-        inner = inner + num * den
-    return strict * inner
+    partitions of n: the (r+1)-strict generating function times
+    1 + sum_n (q^n - q^(n+rn)) / ((1-q^n)(q^(r+1);q^(r+1))_n), and that
+    inner sum is the top-multiplicity series with modulus r+1."""
+    _check_r(r)
+    return series_strict_count(r + 1, order) * series_top_multiplicity_count(r + 1, order)
 
 
 def series_maex_defect(order: int = DEFAULT_ORDER) -> PowerSeries:
     """Coefficient of q^n is the sum of (largest part - classic maex) over
     all partitions of n."""
-    acc = PowerSeries.zero(order)
+    acc, poch = _const(order, 0), _const(order, 1)   # poch: (q^2;q^2)_(n-1)
     for n in range(1, order + 1):
-        acc = acc + poch_finite(2, 2, n - 1, order).shift(n)
-    return series_partition_count(order) * acc
+        _add_shifted(acc, poch, n)
+        _mul_factor(poch, 2 * n, -1)
+    return series_partition_count(order) * PowerSeries(acc, order)
 
 
 def series_chain_maex_sum(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Coefficient of q^n is the sum of (largest - chain_maex + class
     offset) over all partitions of n; sum form."""
-    strict = poch_inf(r + 1, r + 1, order) * poch_inf(1, 1, order).invert()
-    acc = PowerSeries.zero(order)
+    _check_r(r)
+    # sum_n q^n (q^(r+1);q^(r+1))_n / (1-q^n), spelled out here and in
+    # series_bottom_multiplicity_count: the verifier compares this builder
+    # with series_chain_maex_product, which is built from that one
+    acc, poch = _const(order, 0), _const(order, 1)
     for n in range(1, order + 1):
-        term = poch_finite(r + 1, r + 1, n, order) * _factor(n, order, False).invert()
-        acc = acc + term.shift(n)
-    return strict + series_partition_count(order) * acc
+        _mul_factor(poch, (r + 1) * n, -1)
+        term = poch[: order + 1 - n]
+        _div_factor(term, n, -1)
+        _add_shifted(acc, term, n)
+    return series_strict_count(r + 1, order) + PowerSeries(_poch(acc, 1, 1, divide=True), order)
 
 
 def series_chain_maex_product(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Same series as series_chain_maex_sum built as the product of the
     (r+1)-strict count and the bottom-multiplicity count; the two
     constructions must agree coefficientwise."""
+    _check_r(r)
     return series_strict_count(r + 1, order) * series_bottom_multiplicity_count(r + 1, order)
 
 
 def series_strict_count(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """(q^r;q^r)_inf/(q;q)_inf: counts r-strict partitions."""
-    return poch_inf(r, r, order) * poch_inf(1, 1, order).invert()
+    _check_r(r)
+    return PowerSeries(_poch(_poch(_const(order, 1), r, r), 1, 1, divide=True), order)
 
 
 def series_top_multiplicity_count(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Counts partitions whose largest part has multiplicity not divisible
-    by r while every other part has multiplicity divisible by r.
+    by r while every other part has multiplicity divisible by r:
+    1 + sum_n (q^n - q^(rn)) / ((1-q^n)(q^r;q^r)_n).
 
     The modulus r is the explicit parameter (r >= 2).
     """
     if r < 2:
         raise SeriesError("modulus must be >= 2")
-    acc = PowerSeries.one(order)
+    acc, inv = _const(order, 1), _const(order, 1)   # inv: 1/(q^r;q^r)_n
     for n in range(1, order + 1):
-        num = PowerSeries.monomial(n, order) - PowerSeries.monomial(n + (r - 1) * n, order)
-        den = (_factor(n, order, False) * poch_finite(r, r, n, order)).invert()
-        acc = acc + num * den
-    return acc
+        _div_factor(inv, r * n, -1)
+        term = inv[: order + 1 - n]
+        _mul_factor(term, (r - 1) * n, -1)
+        _div_factor(term, n, -1)
+        _add_shifted(acc, term, n)
+    return PowerSeries(acc, order)
 
 
 def series_bottom_multiplicity_count(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Counts partitions where only the smallest part may have multiplicity
-    not divisible by r (modulus explicit, r >= 2)."""
+    not divisible by r (modulus explicit, r >= 2):
+    1 + 1/(q^r;q^r)_inf * sum_n q^n (q^r;q^r)_n / (1-q^n)."""
     if r < 2:
         raise SeriesError("modulus must be >= 2")
-    acc = PowerSeries.zero(order)
+    acc, poch = _const(order, 0), _const(order, 1)
     for n in range(1, order + 1):
-        term = poch_finite(r, r, n, order) * _factor(n, order, False).invert()
-        acc = acc + term.shift(n)
-    return PowerSeries.one(order) + poch_inf(r, r, order).invert() * acc
+        _mul_factor(poch, r * n, -1)
+        term = poch[: order + 1 - n]
+        _div_factor(term, n, -1)
+        _add_shifted(acc, term, n)
+    _poch(acc, r, r, divide=True)
+    acc[0] += 1
+    return PowerSeries(acc, order)
 
 
 def series_sum_largest(order: int = DEFAULT_ORDER) -> PowerSeries:
     """Coefficient of q^n is the sum of largest parts over all partitions
-    of n."""
-    acc = PowerSeries.zero(order)
+    of n: 1/(q;q)_inf * sum_n q^n/(1-q^n)."""
+    acc = _const(order, 0)
     for n in range(1, order + 1):
-        acc = acc + _factor(n, order, False).invert().shift(n)
-    return series_partition_count(order) * acc
+        acc[n::n] = [a + 1 for a in acc[n::n]]
+    return PowerSeries(_poch(acc, 1, 1, divide=True), order)
 
 
 def series_parts_above(r: int, j: int, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -391,16 +460,16 @@ def series_parts_above(r: int, j: int, order: int = DEFAULT_ORDER) -> PowerSerie
     """
     if r < 2 or j < 1:
         raise SeriesError("need r >= 2 and j >= 1")
-    out = _factor(j, order, False).invert().shift(j * r)
-    out = out * poch_inf(j + 1, 1, order).invert()
+    c = _const(order, 0)
+    if j * r <= order:
+        c[j * r] = 1
+    _div_factor(c, j, -1)
+    _poch(c, j + 1, 1, divide=True)
     for n in range(1, j):
-        geom = PowerSeries.zero(order)
-        for t in range(r):
-            if n * t > order:
-                break
-            geom = geom + PowerSeries.monomial(n * t, order)
-        out = out * geom
-    return out
+        # 1 + q^n + ... + q^(n(r-1)) = (1 - q^(nr)) / (1 - q^n)
+        _mul_factor(c, n * r, -1)
+        _div_factor(c, n, -1)
+    return PowerSeries(c, order)
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +495,6 @@ class BivariateSeries:
                 f"({self.z_order}, {self.q_order})")
         return self.rows[z_deg][q_deg]
 
-    def add_row(self, z_deg: int, series: PowerSeries):
-        if z_deg > self.z_order:
-            return
-        for n in range(min(series.order, self.q_order) + 1):
-            self.rows[z_deg][n] += series.coeffs[n]
-
-    def column_sums(self) -> PowerSeries:
-        """Specialize z = 1."""
-        return PowerSeries(
-            [sum(row[n] for row in self.rows) for n in range(self.q_order + 1)],
-            self.q_order)
-
     def matches(self, other: "BivariateSeries") -> bool:
         zo = min(self.z_order, other.z_order)
         qo = min(self.q_order, other.q_order)
@@ -448,35 +505,43 @@ class BivariateSeries:
 def maex_bivariate(r: int, z_order: int, q_order: int) -> BivariateSeries:
     """Coefficient of z^m q^n counts partitions of n with r-chain maex m.
 
-    Built from the closed single-sum form, expanding each inverse infinite
-    Pochhammer in z via Euler's series.
+    Built from the closed single-sum form
+    sum_n q^((r+1)(n+1)) (q^(r+1);q^(r+1))_n / (q;q)_n * z^r/(z q^(n+1);q)_inf,
+    expanding each inverse infinite Pochhammer in z via Euler's series
+    1/(z q^(n+1); q)_inf = sum_m z^m q^((n+1)m) / (q;q)_m.
     """
+    _check_r(r)
     out = BivariateSeries(z_order, q_order)
+    base = _const(q_order, 1)   # (q^(r+1);q^(r+1))_n / (q;q)_n
     n = 0
     while (r + 1) * (n + 1) <= q_order:
-        base = poch_finite(r + 1, r + 1, n, q_order) \
-            * poch_finite(1, 1, n, q_order).invert()
-        base = base.shift((r + 1) * (n + 1))
-        # 1/(z q^(n+1); q)_inf = sum_m z^m q^((n+1)m) / (q;q)_m
+        piece = base[:]         # base / (q;q)_m
         m = 0
         while (n + 1) * m <= q_order and r + m <= z_order:
-            piece = base * poch_finite(1, 1, m, q_order).invert()
-            out.add_row(r + m, piece.shift((n + 1) * m))
+            _add_shifted(out.rows[r + m], piece, (n + 1) * (r + 1 + m))
             m += 1
+            _div_factor(piece, m, -1)
         n += 1
+        _mul_factor(base, (r + 1) * n, -1)
+        _div_factor(base, n, -1)
     return out
 
 
 def maex_bivariate_double_sum(r: int, z_order: int, q_order: int) -> BivariateSeries:
-    """Same bivariate series from the intermediate double-sum form, used to
-    cross-check maex_bivariate."""
+    """Same bivariate series from the intermediate double-sum form
+    sum_{m>=r} z^m / (q;q)_(m-r) * sum_{l>=1} q^((m+1)l)
+    (q^(r+1);q^(r+1))_(l-1) / (q;q)_(l-1), used to cross-check
+    maex_bivariate."""
+    _check_r(r)
     out = BivariateSeries(z_order, q_order)
+    outer = _const(q_order, 1)  # 1/(q;q)_(m-r)
     for m in range(r, z_order + 1):
+        piece = outer[:]        # outer * (q^(r+1);q^(r+1))_(l-1) / (q;q)_(l-1)
         ell = 1
         while (m + 1) * ell <= q_order:
-            piece = poch_finite(1, 1, m - r, q_order).invert() \
-                * poch_finite(r + 1, r + 1, ell - 1, q_order) \
-                * poch_finite(1, 1, ell - 1, q_order).invert()
-            out.add_row(m, piece.shift((m + 1) * ell))
+            _add_shifted(out.rows[m], piece, (m + 1) * ell)
+            _mul_factor(piece, (r + 1) * ell, -1)
+            _div_factor(piece, ell, -1)
             ell += 1
+        _div_factor(outer, m - r + 1, -1)
     return out

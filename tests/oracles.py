@@ -3,9 +3,17 @@
 These deliberately avoid the library's own implementations: the partition
 counter uses the Euler pentagonal recurrence, the transpose walks a filled
 Ferrers grid, and the mex scan is a plain linear search.
+
+The ``dense_*`` functions are a reference for the q-series builders: the
+same generating functions written the slow way, every Pochhammer factor a
+dense series, products through ``PowerSeries.__mul__`` and quotients
+through ``PowerSeries.invert``.  They share no code with the library's
+sparse Pochhammer kernel.
 """
 
 from functools import lru_cache
+
+from chainex.qseries import BivariateSeries, PowerSeries
 
 
 @lru_cache(maxsize=None)
@@ -77,3 +85,169 @@ def box_partition_count(rows: int, cols: int, n: int) -> int:
         return sum(count(remaining - first, first, slots - 1)
                    for first in range(min(remaining, max_part), 0, -1))
     return count(n, cols, rows)
+
+
+# ---------------------------------------------------------------------------
+# Dense reference for the q-series builders
+# ---------------------------------------------------------------------------
+
+def dense_factor(e, order, sign=-1):
+    """1 + sign*q^e as a dense series; e = 0 gives the constant 1 + sign."""
+    c = [1] + [0] * order
+    if e <= order:
+        c[e] += sign
+    return PowerSeries(c, order)
+
+
+def dense_poch(first, step, count, order, sign=-1):
+    """prod (1 + sign*q^(first+i*step)) over i < count, or over every
+    exponent <= order when count is None."""
+    out = PowerSeries([1], order)
+    i = 0
+    while (count is None or i < count) and first + i * step <= order:
+        out = out * dense_factor(first + i * step, order, sign)
+        i += 1
+    return out
+
+
+def dense_partition_count(order):
+    return dense_poch(1, 1, None, order).invert()
+
+
+def dense_sigma_mex(order):
+    s = dense_poch(1, 1, None, order, 1)
+    return s * s
+
+
+def dense_strict_count(r, order):
+    return dense_poch(r, r, None, order) * dense_partition_count(order)
+
+
+def dense_chain_mex_shifted(r, order):
+    acc = PowerSeries([0], order)
+    for m in range(1, r + 1):
+        acc = acc + dense_poch(m, r + 1, None, order).invert()
+    return dense_strict_count(r + 1, order) * acc
+
+
+def dense_chain_mex_sum(r, order):
+    return dense_chain_mex_shifted(r, order) - dense_partition_count(order) * (r - 1)
+
+
+def dense_chain_mex_offset_sum(r, order):
+    inner = PowerSeries([1], order)
+    for n in range(1, order + 1):
+        num = PowerSeries.monomial(n, order) - PowerSeries.monomial(n + r * n, order)
+        den = (dense_factor(n, order) * dense_poch(r + 1, r + 1, n, order)).invert()
+        inner = inner + num * den
+    return dense_strict_count(r + 1, order) * inner
+
+
+def dense_maex_defect(order):
+    acc = PowerSeries([0], order)
+    for n in range(1, order + 1):
+        acc = acc + dense_poch(2, 2, n - 1, order).shift(n)
+    return dense_partition_count(order) * acc
+
+
+def dense_chain_maex_sum(r, order):
+    acc = PowerSeries([0], order)
+    for n in range(1, order + 1):
+        term = dense_poch(r + 1, r + 1, n, order) * dense_factor(n, order).invert()
+        acc = acc + term.shift(n)
+    return dense_strict_count(r + 1, order) + dense_partition_count(order) * acc
+
+
+def dense_chain_maex_product(r, order):
+    return dense_strict_count(r + 1, order) * dense_bottom_multiplicity_count(r + 1, order)
+
+
+def dense_top_multiplicity_count(r, order):
+    acc = PowerSeries([1], order)
+    for n in range(1, order + 1):
+        num = PowerSeries.monomial(n, order) - PowerSeries.monomial(r * n, order)
+        den = (dense_factor(n, order) * dense_poch(r, r, n, order)).invert()
+        acc = acc + num * den
+    return acc
+
+
+def dense_bottom_multiplicity_count(r, order):
+    acc = PowerSeries([0], order)
+    for n in range(1, order + 1):
+        term = dense_poch(r, r, n, order) * dense_factor(n, order).invert()
+        acc = acc + term.shift(n)
+    return PowerSeries([1], order) + dense_poch(r, r, None, order).invert() * acc
+
+
+def dense_sum_largest(order):
+    acc = PowerSeries([0], order)
+    for n in range(1, order + 1):
+        acc = acc + dense_factor(n, order).invert().shift(n)
+    return dense_partition_count(order) * acc
+
+
+def dense_parts_above(r, j, order):
+    out = dense_factor(j, order).invert().shift(j * r)
+    out = out * dense_poch(j + 1, 1, None, order).invert()
+    for n in range(1, j):
+        geom = PowerSeries([0], order)
+        for t in range(r):
+            if n * t <= order:
+                geom = geom + PowerSeries.monomial(n * t, order)
+        out = out * geom
+    return out
+
+
+def dense_q_binomial_sum(a_exp, z_exp, order, a_negate=False):
+    sign = 1 if a_negate else -1
+    total = PowerSeries([0], order)
+    n = 0
+    while n * z_exp <= order:
+        num = (PowerSeries([1], order) if a_exp is None
+               else dense_poch(a_exp, 1, n, order, sign))
+        term = num * dense_poch(1, 1, n, order).invert()
+        total = total + term.shift(n * z_exp)
+        n += 1
+    return total
+
+
+def dense_q_binomial_product(a_exp, z_exp, order, a_negate=False):
+    den_inv = dense_poch(z_exp, 1, None, order).invert()
+    if a_exp is None:
+        return den_inv
+    return dense_poch(a_exp + z_exp, 1, None, order, 1 if a_negate else -1) * den_inv
+
+
+def _add_row(out, z_deg, series):
+    if z_deg <= out.z_order:
+        for n in range(out.q_order + 1):
+            out.rows[z_deg][n] += series.coeffs[n]
+
+
+def dense_maex_bivariate(r, z_order, q_order):
+    out = BivariateSeries(z_order, q_order)
+    n = 0
+    while (r + 1) * (n + 1) <= q_order:
+        base = dense_poch(r + 1, r + 1, n, q_order) \
+            * dense_poch(1, 1, n, q_order).invert()
+        base = base.shift((r + 1) * (n + 1))
+        m = 0
+        while (n + 1) * m <= q_order and r + m <= z_order:
+            piece = base * dense_poch(1, 1, m, q_order).invert()
+            _add_row(out, r + m, piece.shift((n + 1) * m))
+            m += 1
+        n += 1
+    return out
+
+
+def dense_maex_bivariate_double_sum(r, z_order, q_order):
+    out = BivariateSeries(z_order, q_order)
+    for m in range(r, z_order + 1):
+        ell = 1
+        while (m + 1) * ell <= q_order:
+            piece = dense_poch(1, 1, m - r, q_order).invert() \
+                * dense_poch(r + 1, r + 1, ell - 1, q_order) \
+                * dense_poch(1, 1, ell - 1, q_order).invert()
+            _add_row(out, m, piece.shift((m + 1) * ell))
+            ell += 1
+    return out

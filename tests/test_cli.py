@@ -84,6 +84,16 @@ class TestSeries:
         assert code == 2
         assert "requires --j" in err
 
+    def test_bad_order_and_r_exit_2(self, capsys):
+        for argv in (("sigma-mex", "--order", "-3"),
+                     ("chain-mex", "--r", "0"),
+                     ("strict", "--r", "0"),
+                     ("top-mult", "--r", "1")):
+            code, out, err = call(capsys, "series", *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "error:" in err
+
     def test_unknown_name(self, capsys):
         code, _, err = call(capsys, "series", "zeta")
         assert code == 2

@@ -11,15 +11,21 @@ from chainex.qseries import (
     maex_bivariate_double_sum,
     poch_finite,
     poch_inf,
+    poch_inverse,
     q_binomial_product,
     q_binomial_sum,
+    series_bottom_multiplicity_count,
     series_chain_maex_product,
     series_chain_maex_sum,
+    series_chain_mex_offset_sum,
+    series_chain_mex_shifted,
     series_chain_mex_sum,
     series_parts_above,
     series_partition_count,
     series_sigma_mex,
+    series_strict_count,
     series_sum_largest,
+    series_top_multiplicity_count,
 )
 
 from oracles import box_partition_count, partition_count, pentagonal_signs
@@ -75,6 +81,14 @@ class TestPowerSeriesArithmetic:
         assert s.truncate(2).coeffs == [0, 0, 1]
         with pytest.raises(SeriesError):
             s.truncate(9)
+        with pytest.raises(SeriesError):
+            s.shift(-1)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(SeriesError):
+            PowerSeries([1], order=-1)
+        with pytest.raises(SeriesError):
+            series_sigma_mex(-3)
 
     def test_str(self):
         assert str(PowerSeries([1, 0, -2], order=2)) == "1 + -2*q^2"
@@ -116,11 +130,25 @@ class TestPochhammer:
         for n in range(51):
             assert s.coeff(n) == partition_count(n)
 
+    def test_exponent_zero_factor(self):
+        # (1 - q^0) = 0 and (1 + q^0) = 2
+        assert poch_finite(0, 1, 1, 4).coeffs == [0, 0, 0, 0, 0]
+        assert poch_finite(0, 1, 1, 4, negate=True).coeffs == [2, 0, 0, 0, 0]
+        assert poch_finite(0, 1, 3, 4, negate=True) == 2 * poch_finite(1, 1, 2, 4, negate=True)
+
     def test_bad_arguments(self):
         with pytest.raises(SeriesError):
             poch_inf(0, 1, 5)
         with pytest.raises(SeriesError):
             poch_finite(1, 0, 2, 5)
+        with pytest.raises(SeriesError):
+            poch_inf(1, 0, 5)
+        with pytest.raises(SeriesError):
+            poch_finite(-1, 1, 2, 5)
+        with pytest.raises(SeriesError):
+            poch_finite(1, 1, -1, 5)
+        with pytest.raises(SeriesError):
+            poch_inverse(0, 1, 5)
 
 
 class TestGaussianBinomial:
@@ -159,9 +187,22 @@ class TestQBinomialTheorem:
     def test_a_zero_is_partition_series(self):
         assert q_binomial_product(None, 1, 30).matches(series_partition_count(30))
 
+    def test_a_one_and_minus_one(self):
+        # a = q^0: (1;q)_n vanishes for n >= 1 and (-1;q)_n = 2(-q;q)_(n-1)
+        for order in range(12):
+            for neg in (False, True):
+                assert q_binomial_sum(0, 1, order, neg) == q_binomial_product(0, 1, order, neg)
+        assert q_binomial_sum(0, 1, 6).coeffs == [1, 0, 0, 0, 0, 0, 0]
+
     def test_bad_z(self):
         with pytest.raises(SeriesError):
             q_binomial_sum(None, 0, 10)
+
+    def test_negative_a_exponent(self):
+        with pytest.raises(SeriesError):
+            q_binomial_sum(-1, 1, 10)
+        with pytest.raises(SeriesError):
+            q_binomial_product(-1, 1, 10)
 
 
 def _sigma(n, r, stat):
@@ -198,6 +239,19 @@ class TestStatisticSeriesAgainstEnumeration:
                     assert s.coeff(n) == sum(
                         1 for lam in partitions(n)
                         if smallest_repeating(lam, r) == j)
+
+    def test_r_below_one_rejected(self):
+        for builder in (series_chain_mex_shifted, series_chain_mex_sum,
+                        series_chain_mex_offset_sum, series_chain_maex_sum,
+                        series_chain_maex_product, series_strict_count):
+            with pytest.raises(SeriesError):
+                builder(0, 10)
+        for builder in (series_top_multiplicity_count, series_bottom_multiplicity_count):
+            with pytest.raises(SeriesError):
+                builder(1, 10)
+        for builder in (maex_bivariate, maex_bivariate_double_sum):
+            with pytest.raises(SeriesError):
+                builder(0, 5, 5)
 
     def test_parts_above_bad_arguments(self):
         with pytest.raises(SeriesError):
