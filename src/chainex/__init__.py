@@ -7,6 +7,7 @@ from .partition import (
     GapClass,
     Partition,
     PartitionError,
+    chain_excludants,
     chain_maex,
     chain_mex,
     count_multiples,

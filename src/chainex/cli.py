@@ -59,7 +59,10 @@ def _parse_partition(text: str, sort: bool) -> Partition:
 def _parse_range(text: str):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise CliError(f"empty range {text!r}: the upper end is below the lower")
+        return values
     return [int(text)]
 
 
@@ -178,13 +181,13 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    r_values = _parse_range(args.r) if args.r else None
-    j_values = _parse_range(args.j) if args.j else None
+    r_values = None if args.r is None else _parse_range(args.r)
+    j_values = None if args.j is None else _parse_range(args.j)
     if args.id in vf.THEOREMS:
         report = vf.check_theorem(args.id, r_values=r_values, n_max=args.n,
                                   j_values=j_values, order=args.order)
     elif args.id in vf.BIJECTIONS:
-        if not r_values:
+        if r_values is None:
             raise CliError("bijection verification requires --r")
         report = vf.VerificationReport(f"bijection:{args.id}")
         for r in r_values:

@@ -15,6 +15,11 @@ class PartitionError(ValueError):
     """Raised for malformed partition data or out-of-range indices."""
 
 
+def _is_count(x) -> bool:
+    """True for an int that is not a bool (``True`` is an int in Python)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Partition:
     """A partition of a non-negative integer (the empty partition is valid)."""
 
@@ -24,7 +29,7 @@ class Partition:
         pairs = []
         prev = None
         for p in parts:
-            if not isinstance(p, int) or p < 1:
+            if not _is_count(p) or p < 1:
                 raise PartitionError(f"parts must be positive integers, got {p!r}")
             if prev is not None and p > prev:
                 raise PartitionError("parts must be weakly decreasing")
@@ -54,11 +59,13 @@ class Partition:
         pairs = []
         for v in sorted(counts, reverse=True):
             m = counts[v]
+            if not _is_count(m):
+                raise PartitionError(f"multiplicity of part {v!r} must be an integer, got {m!r}")
             if m < 0:
                 raise PartitionError(f"negative multiplicity for part {v}")
             if m == 0:
                 continue
-            if not isinstance(v, int) or v < 1:
+            if not _is_count(v) or v < 1:
                 raise PartitionError(f"parts must be positive integers, got {v!r}")
             pairs.append((v, m))
         return cls._from_pairs(tuple(pairs))
@@ -259,19 +266,55 @@ def in_class(lam: Partition, cls: GapClass) -> bool:
 
 # -- excludant statistics ----------------------------------------------------
 
+def chain_excludants(lam: Partition, r_max: int) -> tuple:
+    """The r-chain mex and maex for every r = 1..r_max, from one scan.
+
+    Returns lists ``(mex, maex)`` of length ``r_max``; entry ``r - 1`` holds
+    the values for chain length r.  The scan walks the runs of missing
+    values from 1 upward: a run of L >= r missing values is a chain of
+    length r.
+
+    * ``mex[r-1]`` is the start of the first run of >= r missing values;
+      the unbounded run above the largest part always qualifies.
+    * ``maex[r-1]`` is the top of the highest run of >= r missing values
+      below the largest part, and 0 when there is none, which happens
+      exactly on the gap-bounded class (see ``in_gap_class``).  A run of
+      length >= r ends at or above r, so the top is at least r.
+    """
+    if r_max < 1:
+        raise PartitionError("chain length r must be >= 1")
+    mex = [0] * r_max
+    maex = [0] * r_max
+    longest = 0    # longest run so far, capped at r_max
+    below = 0      # the part just below the current run; 0 at the bottom
+    for v, _ in reversed(lam._pairs):
+        run = v - below - 1            # missing values below+1 .. v-1
+        if run:
+            reach = run if run < r_max else r_max
+            maex[:reach] = [v - 1] * reach
+            if reach > longest:
+                mex[longest:reach] = [below + 1] * (reach - longest)
+                longest = reach
+        below = v
+    if longest < r_max:
+        mex[longest:] = [below + 1] * (r_max - longest)
+    return mex, maex
+
+
+def _scan_depth(lam: Partition, r: int) -> int:
+    """The chain length to scan for r: runs of missing values below the
+    largest part are shorter than it, so every longer chain has the same
+    mex and maex as one of that length."""
+    return min(r, max(lam.largest, 1))
+
+
 def chain_mex(lam: Partition, r: int) -> int:
     """Smallest k >= 1 such that k, k+1, ..., k+r-1 all fail to be parts.
 
     For r = 1 this is the classic minimal excludant.
     """
-    if r < 1:
-        raise PartitionError("chain length r must be >= 1")
-    present = {v for v, _ in lam.pairs}
-    k = 1
-    while True:
-        if all(k + t not in present for t in range(r)):
-            return k
-        k += 1
+    k = _scan_depth(lam, r)
+    return chain_excludants(lam, k)[0][k - 1]
 
 
 def chain_maex(lam: Partition, r: int) -> int:
@@ -282,13 +325,8 @@ def chain_maex(lam: Partition, r: int) -> int:
     of positive integers.  The result is positive exactly on the complement
     of the gap-bounded class, and then it is at least r.
     """
-    if r < 1:
-        raise PartitionError("chain length r must be >= 1")
-    present = {v for v, _ in lam.pairs}
-    for k in range(lam.largest - 1, r - 1, -1):
-        if all(k - t not in present for t in range(r)):
-            return k
-    return 0
+    k = _scan_depth(lam, r)
+    return chain_excludants(lam, k)[1][k - 1]
 
 
 def mex_offset(lam: Partition, r: int) -> int:
@@ -303,16 +341,19 @@ def maex_offset(lam: Partition, r: int) -> int:
     return 1 if in_gap_class(lam, r) else r
 
 
+def parts_above(lam: Partition, bound: int) -> int:
+    """Number of parts strictly greater than ``bound``."""
+    return sum(m for v, m in lam.pairs if v > bound)
+
+
 def parts_above_mex(lam: Partition, r: int) -> int:
     """Number of parts strictly greater than the r-chain mex."""
-    m = chain_mex(lam, r)
-    return sum(mult for v, mult in lam.pairs if v > m)
+    return parts_above(lam, chain_mex(lam, r))
 
 
 def parts_above_maex(lam: Partition, r: int) -> int:
     """Number of parts strictly greater than the r-chain maex."""
-    m = chain_maex(lam, r)
-    return sum(mult for v, mult in lam.pairs if v > m)
+    return parts_above(lam, chain_maex(lam, r))
 
 
 def largest_repeating(lam: Partition, r: int) -> int:
@@ -349,23 +390,42 @@ def top_multiple_multiplicity(lam: Partition, r: int) -> int:
 def partitions(n: int, predicate: Callable[[Partition], bool] = None,
                max_part: int = None) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in decreasing lexicographic
-    order of the parts list, optionally filtered by ``predicate``."""
+    order of the parts list, optionally filtered by ``predicate`` and with
+    every part at most ``max_part``.
+
+    The successor is computed on the (value, multiplicity) pairs in O(1)
+    steps (Zoghbi and Stojmenovic's ZS1 on the multiplicity encoding):
+    drop the run of 1s, take one copy of the smallest part v > 1, and
+    refill the freed weight greedily with parts v - 1 and one remainder.
+    """
     if n < 0:
         raise PartitionError("cannot partition a negative integer")
-
-    def gen(remaining, cap, prefix):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            prefix.append(first)
-            yield from gen(remaining - first, first, prefix)
-            prefix.pop()
-
     cap = n if max_part is None else min(max_part, n)
-    if n == 0:
-        cap = 0
-    for parts in gen(n, cap, []) if n else iter([()]):
-        lam = Partition(parts)
+    if n and cap < 1:
+        return
+    pairs = []             # (value, multiplicity), values strictly decreasing
+    if n:
+        q, rem = divmod(n, cap)
+        pairs.append((cap, q))
+        if rem:
+            pairs.append((rem, 1))
+    from_pairs = Partition._from_pairs
+    while True:
+        lam = from_pairs(tuple(pairs))
         if predicate is None or predicate(lam):
             yield lam
+        if not pairs:
+            return
+        v, m = pairs.pop()
+        freed = 0
+        if v == 1:
+            if not pairs:
+                return
+            freed = m
+            v, m = pairs.pop()
+        if m > 1:
+            pairs.append((v, m - 1))
+        q, rem = divmod(freed + v, v - 1)
+        pairs.append((v - 1, q))
+        if rem:
+            pairs.append((rem, 1))

@@ -4,6 +4,12 @@ Everything here compares exact integers.  The brute-force side only ever
 uses the partition-core primitives (enumeration plus statistics); it never
 calls the series builders or bijection code paths it is checking, so each
 comparison really is two independent routes to the same number.
+
+The brute-force side is one engine, ``tally``: a single walk over the
+partitions of n that reads the chain mex and maex for every r off one
+``chain_excludants`` scan per partition and fills every requested
+(statistic, r) and (family, r) cell.  Each statistic sum is then read off
+the tally, so ``check_theorem`` walks each n once, whatever the r range.
 """
 
 from __future__ import annotations
@@ -12,54 +18,120 @@ import csv
 import io
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import bijections as bij
 from . import qseries as qs
 from .partition import (
-    Partition,
+    chain_excludants,
     chain_maex,
     chain_mex,
     count_multiples,
-    in_gap_class,
     is_strict,
     largest_repeating,
     maex_offset,
     mex_offset,
-    parts_above_maex,
-    parts_above_mex,
+    parts_above,
     partitions,
     smallest_repeating,
     top_multiple_multiplicity,
 )
 
-STATISTICS = ("mex", "mex+offset", "mex+r-1", "largest-maex+offset",
-              "sum-largest", "sum-maex")
 
-FAMILIES = ("multiples", "largest-repeating", "top-multiple",
-            "smallest-repeating", "above-mex", "above-maex")
+@dataclass
+class Tally:
+    """What one walk over the partitions of n gathers.
+
+    ``count`` partitions, ``largest`` the sum of their largest parts,
+    ``mex[i]`` the sum of their (i+1)-chain mex, ``maex[i][m]`` how many
+    have (i+1)-chain maex m, and ``families[family, r][j]`` how many have
+    the family statistic j.  The per-r lists stop at chain length n: a
+    partition of n has no run of n missing values below its largest part,
+    so every longer chain has the same mex and maex.  ``mex_sum`` and
+    ``maex_counts`` read them for any r >= 1.
+    """
+    count: int
+    largest: int
+    mex: list
+    maex: list
+    families: dict
+
+    def mex_sum(self, r: int) -> int:
+        return self.mex[min(r, len(self.mex)) - 1]
+
+    def maex_counts(self, r: int) -> Counter:
+        return self.maex[min(r, len(self.maex)) - 1]
+
+    def maex_sum(self, r: int) -> int:
+        return sum(m * c for m, c in self.maex_counts(r).items())
+
+    def off_class(self, r: int) -> int:
+        """Partitions off the gap-bounded class, i.e. with r-chain maex > 0."""
+        return self.count - self.maex_counts(r)[0]
+
+
+# Sum of each statistic over the partitions of n, read off a tally.  The
+# class offsets are linear in the off-class count: mex_offset is r-1 off
+# the gap-bounded class and 0 on it, maex_offset is r off it and 1 on it.
+_STAT_SUMS = {
+    "mex": lambda t, r: t.mex_sum(r),
+    "mex+offset": lambda t, r: t.mex_sum(r) + (r - 1) * t.off_class(r),
+    "mex+r-1": lambda t, r: t.mex_sum(r) + (r - 1) * t.count,
+    "largest-maex+offset": lambda t, r: (t.largest - t.maex_sum(r) + t.count
+                                         + (r - 1) * t.off_class(r)),
+    "sum-largest": lambda t, r: t.largest,
+    "sum-maex": lambda t, r: t.maex_sum(1),
+}
+
+# Family statistic of one partition at r >= 2, given its (r-1)-chain mex
+# and maex, which the above-* families read.
+_FAMILY_VALUES = {
+    "multiples": lambda lam, r, mex, maex: count_multiples(lam, r),
+    "largest-repeating": lambda lam, r, mex, maex: largest_repeating(lam, r),
+    "top-multiple": lambda lam, r, mex, maex: top_multiple_multiplicity(lam, r),
+    "smallest-repeating": lambda lam, r, mex, maex: smallest_repeating(lam, r),
+    "above-mex": lambda lam, r, mex, maex: parts_above(lam, mex),
+    # restricted off the gap-bounded class; -1 marks a partition on it
+    "above-maex": lambda lam, r, mex, maex: parts_above(lam, maex) if maex else -1,
+}
+
+STATISTICS = tuple(_STAT_SUMS)
+
+FAMILIES = tuple(_FAMILY_VALUES)
+
+
+def tally(n: int, r_max: int, family_cells=()) -> Tally:
+    """Walk the partitions of n once and tally chain mex/maex for every
+    r = 1..r_max and every (family, r) cell in ``family_cells``, which need
+    2 <= r <= r_max + 1.  Partitions are streamed, not stored."""
+    depth = min(r_max, max(n, 1))   # longer chains read the last entry
+    count = largest = 0
+    mex_sums = [0] * depth
+    maex_counts = [Counter() for _ in range(depth)]
+    families = {cell: Counter() for cell in family_cells}
+    cells = [(families[fam, r], _FAMILY_VALUES[fam], r, min(r - 1, depth) - 1)
+             for fam, r in families]
+    for lam in partitions(n):
+        mex, maex = chain_excludants(lam, depth)
+        count += 1
+        largest += lam.largest
+        for i in range(depth):
+            mex_sums[i] += mex[i]
+            maex_counts[i][maex[i]] += 1
+        for counts, value, r, i in cells:
+            counts[value(lam, r, mex[i], maex[i])] += 1
+    return Tally(count, largest, mex_sums, maex_counts, families)
 
 
 def sigma_stat(n: int, r: int, stat: str) -> int:
     """Exact sum of the chosen statistic over all partitions of n."""
-    if stat not in STATISTICS:
+    if stat not in _STAT_SUMS:
         raise ValueError(f"unknown statistic {stat!r}")
-    total = 0
-    for lam in partitions(n):
-        if stat == "mex":
-            total += chain_mex(lam, r)
-        elif stat == "mex+offset":
-            total += chain_mex(lam, r) + mex_offset(lam, r)
-        elif stat == "mex+r-1":
-            total += chain_mex(lam, r) + r - 1
-        elif stat == "largest-maex+offset":
-            total += lam.largest - chain_maex(lam, r) + maex_offset(lam, r)
-        elif stat == "sum-largest":
-            total += lam.largest
-        elif stat == "sum-maex":
-            total += chain_maex(lam, 1)
-    return total
+    if r < 1:
+        raise ValueError(f"chain length r must be >= 1, got {r}")
+    return _STAT_SUMS[stat](tally(n, r), r)
 
 
 def count_family(n: int, r: int, j: int, family: str) -> int:
@@ -70,22 +142,7 @@ def count_family(n: int, r: int, j: int, family: str) -> int:
         raise ValueError("family counts need r >= 2")
     if family in ("top-multiple", "smallest-repeating", "above-maex") and j < 1:
         raise ValueError(f"family {family!r} needs j >= 1")
-    total = 0
-    for lam in partitions(n):
-        if family == "multiples":
-            hit = count_multiples(lam, r) == j
-        elif family == "largest-repeating":
-            hit = largest_repeating(lam, r) == j
-        elif family == "top-multiple":
-            hit = top_multiple_multiplicity(lam, r) == j
-        elif family == "smallest-repeating":
-            hit = smallest_repeating(lam, r) == j
-        elif family == "above-mex":
-            hit = parts_above_mex(lam, r - 1) == j
-        else:  # above-maex, restricted off the gap-bounded class
-            hit = (not in_gap_class(lam, r - 1)) and parts_above_maex(lam, r - 1) == j
-        total += hit
-    return total
+    return tally(n, r - 1, [(family, r)]).families[family, r][j]
 
 
 @dataclass
@@ -110,7 +167,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(row.match for row in self.rows)
+        """True when there is at least one row and every row matches."""
+        return bool(self.rows) and all(row.match for row in self.rows)
 
     def add(self, r, j, n, lhs, rhs, label=""):
         self.rows.append(Row(r, j, n, lhs, rhs, label))
@@ -155,83 +213,98 @@ THEOREMS = ("thm-1.4", "thm-1.5", "thm-1.6", "thm-1.7", "thm-1.8",
             "thm-1.10", "thm-1.11", "q-binomial", "maex-distribution")
 
 
+def _tallies(n_max, r_max, family_cells=()):
+    """The tally of every n = 0..n_max, one walk each."""
+    return [tally(n, r_max, family_cells) for n in range(n_max + 1)]
+
+
+def _resolve(values, default, name, least):
+    """A list of the requested values, or of ``default`` when unset; an
+    empty list or a value below ``least`` is rejected."""
+    values = list(default if values is None else values)
+    if not values:
+        raise ValueError(f"empty {name} range")
+    if least is not None and min(values) < least:
+        raise ValueError(f"{name} must be >= {least}, got {min(values)}")
+    return values
+
+
+def _resolve_n(n_max, default, order):
+    """(n_max, series order) with their defaults filled in; a series
+    truncated below n_max would leave coefficients unchecked."""
+    n_max = default if n_max is None else n_max
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
+    if order is not None and order < n_max:
+        raise ValueError(f"order {order} is below n {n_max}: the series must "
+                         f"reach every coefficient up to n")
+    return n_max, max(n_max, 1) if order is None else order
+
+
 def check_theorem(theorem: str, r_values=None, n_max: int = None,
                   j_values=None, order: int = None) -> VerificationReport:
     """Run the brute-force vs series comparison for one identity.
 
-    Mismatches are recorded in the report, not raised.
+    Malformed arguments raise ``ValueError`` before any work starts;
+    mismatches are recorded in the report, not raised.
     """
     start = time.monotonic()
     report = VerificationReport(theorem)
     if theorem == "thm-1.4":
-        n_max = 40 if n_max is None else n_max
-        series = qs.series_sigma_mex(order or max(n_max, 1))
-        for n in range(n_max + 1):
-            report.add(1, None, n, sigma_stat(n, 1, "mex"), series.coeff(n))
+        n_max, top = _resolve_n(n_max, 40, order)
+        series = qs.series_sigma_mex(top)
+        for n, t in enumerate(_tallies(n_max, 1)):
+            report.add(1, None, n, _STAT_SUMS["mex"](t, 1), series.coeff(n))
     elif theorem in ("thm-1.5", "thm-1.10"):
-        n_max = 25 if n_max is None else n_max
-        r_values = list(r_values or range(2, 6))
-        if j_values is None:
-            j_values = range(0, 6) if theorem == "thm-1.5" else range(1, 6)
+        n_max, top = _resolve_n(n_max, 25, order if theorem == "thm-1.10" else None)
+        r_values = _resolve(r_values, range(2, 6), "r", 2)
+        j_values = _resolve(j_values, range(0, 6) if theorem == "thm-1.5" else range(1, 6),
+                            "j", None)
         families = (("multiples", "largest-repeating", "above-mex")
                     if theorem == "thm-1.5"
                     else ("top-multiple", "smallest-repeating", "above-maex"))
-        j_values = list(j_values)
-        stats = {
-            "multiples": lambda lam, r: count_multiples(lam, r),
-            "largest-repeating": lambda lam, r: largest_repeating(lam, r),
-            "above-mex": lambda lam, r: parts_above_mex(lam, r - 1),
-            "top-multiple": lambda lam, r: top_multiple_multiplicity(lam, r),
-            "smallest-repeating": lambda lam, r: smallest_repeating(lam, r),
-            "above-maex": lambda lam, r: (parts_above_maex(lam, r - 1)
-                                          if not in_gap_class(lam, r - 1) else -1),
-        }
+        tallies = _tallies(n_max, max(r_values) - 1,
+                           [(fam, r) for r in r_values for fam in families])
         for r in r_values:
-            # one enumeration pass per n, bucketing every family by j
-            counts = {fam: {j: [0] * (n_max + 1) for j in j_values} for fam in families}
-            for n in range(n_max + 1):
-                for lam in partitions(n):
-                    for fam in families:
-                        j = stats[fam](lam, r)
-                        if j in counts[fam]:
-                            counts[fam][j][n] += 1
             for j in j_values:
                 # the closed-form series counts the smallest-repeating
                 # family, so it cross-checks the thm-1.10 triple only
-                series = (qs.series_parts_above(r, j, order or max(n_max, 1))
+                series = (qs.series_parts_above(r, j, top)
                           if theorem == "thm-1.10" else None)
-                for n in range(n_max + 1):
-                    ref = counts[families[0]][j][n]
+                for n, t in enumerate(tallies):
+                    ref = t.families[families[0], r][j]
                     for fam in families[1:]:
-                        report.add(r, j, n, counts[fam][j][n], ref, fam)
+                        report.add(r, j, n, t.families[fam, r][j], ref, fam)
                     if series is not None:
                         report.add(r, j, n, ref, series.coeff(n), "series")
     elif theorem in ("thm-1.6", "thm-1.7", "thm-1.11"):
-        n_max = 30 if n_max is None else n_max
-        r_values = list(r_values or range(1, 7))
+        n_max, top = _resolve_n(n_max, 30, order)
+        r_values = _resolve(r_values, range(1, 7), "r", 1)
         builders = {
             "thm-1.6": (qs.series_chain_mex_shifted, "mex+r-1"),
             "thm-1.7": (qs.series_chain_mex_offset_sum, "mex+offset"),
             "thm-1.11": (qs.series_chain_maex_sum, "largest-maex+offset"),
         }
         builder, stat = builders[theorem]
+        stat_sum = _STAT_SUMS[stat]
+        tallies = _tallies(n_max, max(r_values))
         for r in r_values:
-            series = builder(r, order or max(n_max, 1))
-            for n in range(n_max + 1):
-                report.add(r, None, n, sigma_stat(n, r, stat), series.coeff(n))
+            series = builder(r, top)
+            for n, t in enumerate(tallies):
+                report.add(r, None, n, stat_sum(t, r), series.coeff(n))
             if theorem == "thm-1.11":
-                other = qs.series_chain_maex_product(r, order or qs.DEFAULT_ORDER)
-                top = min(series.order, other.order)
-                for n in range(top + 1):
+                other = qs.series_chain_maex_product(
+                    r, qs.DEFAULT_ORDER if order is None else order)
+                for n in range(min(series.order, other.order) + 1):
                     report.add(r, None, n, series.coeff(n), other.coeff(n), "sum-vs-product")
     elif theorem == "thm-1.8":
-        n_max = 30 if n_max is None else n_max
-        series = qs.series_maex_defect(order or max(n_max, 1))
-        for n in range(n_max + 1):
-            lhs = sigma_stat(n, 1, "sum-largest") - sigma_stat(n, 1, "sum-maex")
+        n_max, top = _resolve_n(n_max, 30, order)
+        series = qs.series_maex_defect(top)
+        for n, t in enumerate(_tallies(n_max, 1)):
+            lhs = _STAT_SUMS["sum-largest"](t, 1) - _STAT_SUMS["sum-maex"](t, 1)
             report.add(1, None, n, lhs, series.coeff(n))
     elif theorem == "q-binomial":
-        top = order or qs.DEFAULT_ORDER
+        top = qs.DEFAULT_ORDER if order is None else order
         cases = [(None, 1, False), (1, 1, False), (1, 2, True), (2, 1, False), (None, 2, False)]
         for a_exp, z_exp, a_negate in cases:
             lhs = qs.q_binomial_sum(a_exp, z_exp, top, a_negate)
@@ -240,21 +313,19 @@ def check_theorem(theorem: str, r_values=None, n_max: int = None,
             for n in range(top + 1):
                 report.add(None, None, n, lhs.coeff(n), rhs.coeff(n), label)
     elif theorem == "maex-distribution":
-        n_max = 20 if n_max is None else n_max
-        r_values = list(r_values or range(1, 4))
+        n_max, _ = _resolve_n(n_max, 20, None)
+        r_values = _resolve(r_values, range(1, 4), "r", 1)
+        tallies = _tallies(n_max, max(r_values))
         for r in r_values:
             z_top = max(n_max - 1, r)
             series = qs.maex_bivariate(r, z_top, n_max)
             other = qs.maex_bivariate_double_sum(r, z_top, n_max)
-            counts = [[0] * (n_max + 1) for _ in range(z_top + 1)]
-            for n in range(n_max + 1):
-                for lam in partitions(n):
-                    m = chain_maex(lam, r)
-                    if m > 0:
-                        counts[m][n] += 1
             for m in range(z_top + 1):
-                for n in range(n_max + 1):
-                    report.add(r, m, n, counts[m][n], series.coeff(m, n), "enumeration")
+                for n, t in enumerate(tallies):
+                    # maex 0 marks the gap-bounded class, which the
+                    # bivariate series leave out
+                    count = t.maex_counts(r)[m] if m else 0
+                    report.add(r, m, n, count, series.coeff(m, n), "enumeration")
                     report.add(r, m, n, series.coeff(m, n), other.coeff(m, n), "double-sum")
     else:
         raise ValueError(f"unknown theorem id {theorem!r}")
@@ -304,6 +375,12 @@ def certify_bijection(name: str, r: int, n_max: int) -> VerificationReport:
     """Exhaustively certify one constructive map for all weights <= n_max:
     forward output lands in the codomain, the inverse round-trips, and
     independently enumerated domain and codomain cardinalities agree."""
+    if name not in BIJECTIONS:
+        raise ValueError(f"unknown bijection id {name!r}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
     start = time.monotonic()
     report = VerificationReport(f"bijection:{name}")
     for n in range(n_max + 1):
@@ -351,7 +428,7 @@ def certify_bijection(name: str, r: int, n_max: int) -> VerificationReport:
             report.add(r, None, n, len(domain), len(codomain), "cardinality")
             report.add(r, None, n, int(ok), 1, "roundtrip")
             report.add(r, None, n, int(fibers), 1, "fiber")
-        elif name in ("gamma", "gamma-star", "delta"):
+        else:  # gamma, gamma-star, delta
             if name == "gamma":
                 bound = lambda lam: chain_mex(lam, r) + mex_offset(lam, r)
                 forward, inverse = bij.mex_pairing, bij.mex_pairing_inv
@@ -381,8 +458,6 @@ def certify_bijection(name: str, r: int, n_max: int) -> VerificationReport:
             ok &= images == codomain_keys and len(images) == domain_size
             report.add(r, None, n, domain_size, len(codomain_keys), "cardinality")
             report.add(r, None, n, int(ok), 1, "roundtrip")
-        else:
-            raise ValueError(f"unknown bijection id {name!r}")
     report.wall_time = time.monotonic() - start
     return report
 

@@ -2,7 +2,12 @@
 
 These deliberately avoid the library's own implementations: the partition
 counter uses the Euler pentagonal recurrence, the transpose walks a filled
-Ferrers grid, and the mex scan is a plain linear search.
+Ferrers grid, the mex and maex are plain linear searches over candidate
+values, and ``recursive_partitions`` recurses on the first part, as the
+reference for the library's iterative enumerator.  The per-partition
+statistics in ``STATISTIC_VALUES`` and ``FAMILY_VALUES`` are written on
+flat parts tuples from the definitions, as the reference for the
+verifier's one-pass engine.
 
 The ``dense_*`` functions are a reference for the q-series builders: the
 same generating functions written the slow way, every Pochhammer factor a
@@ -65,13 +70,79 @@ def ferrers_transpose(parts):
     return [sum(1 for row in grid if len(row) >= j + 1) for j in range(width)]
 
 
-def linear_mex(parts) -> int:
-    """Smallest positive integer absent from the parts, by linear scan."""
+def recursive_partitions(n: int, max_part: int = None):
+    """Parts tuples of every partition of n with parts <= max_part, in
+    decreasing lexicographic order, by recursion on the first part."""
+    def gen(remaining, cap, prefix):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            prefix.append(first)
+            yield from gen(remaining - first, first, prefix)
+            prefix.pop()
+
+    if n == 0:
+        return iter([()])
+    return gen(n, n if max_part is None else min(max_part, n), [])
+
+
+def linear_mex(parts, r: int = 1) -> int:
+    """Smallest k >= 1 with k, ..., k+r-1 all absent from the parts, by
+    linear scan."""
     present = set(parts)
     k = 1
-    while k in present:
+    while any(k + t in present for t in range(r)):
         k += 1
     return k
+
+
+def linear_maex(parts, r: int = 1) -> int:
+    """Largest k with r <= k < the largest part and k-r+1, ..., k all absent
+    from the parts, by linear scan down from the top; 0 if there is none."""
+    present = set(parts)
+    for k in range(max(parts, default=0) - 1, r - 1, -1):
+        if all(k - t not in present for t in range(r)):
+            return k
+    return 0
+
+
+def gap_bounded(parts, r: int) -> bool:
+    """Every gap between successive distinct parts, and the smallest part
+    itself, is at most r; the empty partition qualifies."""
+    values = sorted(set(parts)) if parts else []
+    return all(b - a <= r for a, b in zip([0] + values, values))
+
+
+def _parts_above(parts, bound):
+    return sum(1 for p in parts if p > bound)
+
+
+# statistic name -> value on one partition (flat parts) at chain length r
+STATISTIC_VALUES = {
+    "mex": lambda parts, r: linear_mex(parts, r),
+    "mex+offset": lambda parts, r: linear_mex(parts, r) + (0 if gap_bounded(parts, r) else r - 1),
+    "mex+r-1": lambda parts, r: linear_mex(parts, r) + r - 1,
+    "largest-maex+offset": lambda parts, r: (max(parts, default=0) - linear_maex(parts, r)
+                                             + (1 if gap_bounded(parts, r) else r)),
+    "sum-largest": lambda parts, r: max(parts, default=0),
+    "sum-maex": lambda parts, r: linear_maex(parts, 1),
+}
+
+# family name -> value on one partition at r >= 2; None keeps the
+# partition out of every count
+FAMILY_VALUES = {
+    "multiples": lambda parts, r: sum(1 for p in parts if p % r == 0),
+    "largest-repeating": lambda parts, r: max(
+        (p for p in set(parts) if parts.count(p) >= r), default=0),
+    "top-multiple": lambda parts, r: parts.count(max(
+        (p for p in parts if p % r == 0), default=0)),
+    "smallest-repeating": lambda parts, r: min(
+        (p for p in set(parts) if parts.count(p) >= r), default=0),
+    "above-mex": lambda parts, r: _parts_above(parts, linear_mex(parts, r - 1)),
+    "above-maex": lambda parts, r: (None if gap_bounded(parts, r - 1)
+                                    else _parts_above(parts, linear_maex(parts, r - 1))),
+}
 
 
 def box_partition_count(rows: int, cols: int, n: int) -> int:

@@ -185,6 +185,36 @@ class TestVerify:
         assert code == 2
         assert "unknown verification id" in err
 
+    def test_empty_r_range_exits_2(self, capsys):
+        code, out, err = call(capsys, "verify", "thm-1.6", "--r", "3..1", "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert "empty range '3..1'" in err
+
+    def test_negative_n_exits_2(self, capsys):
+        code, out, err = call(capsys, "verify", "thm-1.4", "--n", "-1")
+        assert code == 2
+        assert "PASS" not in out
+        assert "n must be >= 0" in err
+
+    def test_order_below_n_names_both(self, capsys):
+        code, _, err = call(capsys, "verify", "thm-1.7", "--n", "11", "--order", "10")
+        assert code == 2
+        assert "order 10 is below n 11" in err
+
+    def test_r_below_family_minimum_exits_2(self, capsys):
+        for theorem in ("thm-1.5", "thm-1.10"):
+            code, _, err = call(capsys, "verify", theorem, "--r", "1", "--n", "5")
+            assert code == 2
+            assert "r must be >= 2, got 1" in err
+        code, _, err = call(capsys, "verify", "thm-1.6", "--r", "0..2", "--n", "5")
+        assert code == 2
+        assert "r must be >= 1, got 0" in err
+
+    def test_bijection_bad_range_exits_2(self, capsys):
+        assert call(capsys, "verify", "gamma", "--r", "2..1", "--n", "4")[0] == 2
+        assert call(capsys, "verify", "gamma", "--r", "2", "--n", "-1")[0] == 2
+
     def test_csv_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, out, _ = call(capsys, "verify", "thm-1.8", "--n", "6",

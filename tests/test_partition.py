@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainex.partition import (
     EMPTY,
     GapClass,
     Partition,
     PartitionError,
+    chain_excludants,
     chain_maex,
     chain_mex,
     count_multiples,
@@ -21,7 +24,13 @@ from chainex.partition import (
     top_multiple_multiplicity,
 )
 
-from oracles import ferrers_transpose, linear_mex, partition_count
+from oracles import (
+    ferrers_transpose,
+    linear_maex,
+    linear_mex,
+    partition_count,
+    recursive_partitions,
+)
 
 
 P = Partition
@@ -53,6 +62,23 @@ class TestConstruction:
             P([2, 0])
         with pytest.raises(PartitionError):
             P([-1])
+
+    def test_rejects_bool_parts(self):
+        with pytest.raises(PartitionError):
+            P([True])
+        with pytest.raises(PartitionError):
+            P([3, False])
+
+    def test_from_counts_rejects_bad_multiplicities(self):
+        with pytest.raises(PartitionError):
+            P.from_counts({3: 1.5})
+        with pytest.raises(PartitionError):
+            P.from_counts({3: True})
+        with pytest.raises(PartitionError):
+            P.from_counts({True: 2})
+        with pytest.raises(PartitionError):
+            P.from_counts({3: -1})
+        assert P.from_counts({3: 2, 1: 0}) == P([3, 3])
 
     def test_of_multiset_sorts(self):
         assert P.of_multiset([1, 3, 2, 3]) == P([3, 3, 2, 1])
@@ -178,6 +204,49 @@ class TestChainMaex:
                         assert m >= r
 
 
+class TestChainExcludants:
+    R_MAX = 8
+
+    def assert_matches_oracles(self, lam):
+        mex, maex = chain_excludants(lam, self.R_MAX)
+        assert mex == [linear_mex(lam.parts, r) for r in range(1, self.R_MAX + 1)]
+        assert maex == [linear_maex(lam.parts, r) for r in range(1, self.R_MAX + 1)]
+
+    def test_every_partition_to_16(self):
+        for n in range(17):
+            for lam in partitions(n):
+                self.assert_matches_oracles(lam)
+
+    @given(st.lists(st.integers(1, 60), max_size=30))
+    def test_random_partitions(self, parts):
+        # the longest prefix of weight <= 200
+        total, kept = 0, []
+        for p in parts:
+            if total + p > 200:
+                break
+            total += p
+            kept.append(p)
+        self.assert_matches_oracles(P.of_multiset(kept))
+
+    def test_readers_agree_with_scan(self):
+        lam = P([12, 11, 7, 3, 3])
+        mex, maex = chain_excludants(lam, 5)
+        assert mex == [1, 1, 4, 13, 13]
+        assert maex == [10, 10, 10, 0, 0]
+        for r in range(1, 6):
+            assert chain_mex(lam, r) == mex[r - 1]
+            assert chain_maex(lam, r) == maex[r - 1]
+
+    def test_chains_longer_than_the_largest_part(self):
+        for lam in partitions(9):
+            assert chain_mex(lam, 10 ** 12) == lam.largest + 1
+            assert chain_maex(lam, 10 ** 12) == 0
+
+    def test_rejects_bad_r_max(self):
+        with pytest.raises(PartitionError):
+            chain_excludants(P([1]), 0)
+
+
 class TestClassAndOffsets:
     def test_membership_examples(self):
         assert in_class(P([4, 1, 1, 1]), GapClass(GapClass.EXCEEDS, 2))
@@ -244,6 +313,22 @@ class TestEnumeration:
     def test_counts_match_pentagonal_oracle(self):
         for n in range(19):
             assert sum(1 for _ in partitions(n)) == partition_count(n)
+
+    def test_counts_match_pentagonal_oracle_to_50(self):
+        for n in range(51):
+            assert sum(1 for _ in partitions(n)) == partition_count(n)
+
+    def test_matches_recursive_oracle_in_order(self):
+        for n in range(23):
+            assert [p.parts for p in partitions(n)] == list(recursive_partitions(n))
+            for k in range(-1, n + 2):
+                assert [p.parts for p in partitions(n, max_part=k)] == \
+                    list(recursive_partitions(n, k)), (n, k)
+
+    def test_yields_normalized_pairs(self):
+        for lam in partitions(9):
+            assert lam == P(lam.parts)
+            assert lam.weight == 9
 
     def test_decreasing_lex_order(self):
         for n in (5, 8):

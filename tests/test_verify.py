@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,10 @@ from chainex.verify import (
     count_family,
     report_to_format,
     sigma_stat,
+    tally,
 )
+
+from oracles import FAMILY_VALUES, STATISTIC_VALUES, linear_maex, recursive_partitions
 
 
 class TestBruteForceAccumulators:
@@ -55,6 +59,56 @@ class TestBruteForceAccumulators:
         assert len(BIJECTIONS) == 6
 
 
+class TestEngineAgainstOracles:
+    """The one-pass tallies against naive per-partition sums of the oracle
+    statistics, over the oracle enumerator, for n <= 12 and r <= 4."""
+    N_MAX = 12
+    R_MAX = 4
+
+    def test_oracles_cover_every_entry(self):
+        assert set(STATISTIC_VALUES) == set(STATISTICS)
+        assert set(FAMILY_VALUES) == set(FAMILIES)
+
+    def test_statistic_sums(self):
+        for n in range(self.N_MAX + 1):
+            for r in range(1, self.R_MAX + 1):
+                for stat, value in STATISTIC_VALUES.items():
+                    expected = sum(value(parts, r) for parts in recursive_partitions(n))
+                    assert sigma_stat(n, r, stat) == expected, (n, r, stat)
+
+    def test_family_tables_for_all_r_in_one_walk(self):
+        cells = [(fam, r) for fam in FAMILIES for r in range(2, self.R_MAX + 1)]
+        for n in range(self.N_MAX + 1):
+            t = tally(n, self.R_MAX - 1, cells)
+            for fam, r in cells:
+                expected = Counter(FAMILY_VALUES[fam](parts, r)
+                                   for parts in recursive_partitions(n))
+                expected.pop(None, None)
+                got = Counter(t.families[fam, r])
+                got.pop(-1, None)   # the engine's mark for "on the gap-bounded class"
+                assert got == expected, (n, fam, r)
+                # count_family takes j >= 1 for the last three families
+                for j in range(0 if fam in ("multiples", "largest-repeating", "above-mex")
+                               else 1, n + 1):
+                    assert count_family(n, r, j, fam) == expected[j]
+
+    def test_chains_longer_than_n(self):
+        # every r-chain with r >= n ends above the largest part
+        for n in range(8):
+            lams = list(recursive_partitions(n))
+            assert sigma_stat(n, 10 ** 12, "mex") == sum(max(p, default=0) + 1 for p in lams)
+            assert sigma_stat(n, 10 ** 12, "mex+offset") == sigma_stat(n, n + 1, "mex")
+            assert count_family(n, 10 ** 12, 0, "above-mex") == len(lams)
+
+    def test_maex_histogram(self):
+        for n in range(self.N_MAX + 1):
+            t = tally(n, self.R_MAX)
+            for r in range(1, self.R_MAX + 1):
+                expected = Counter(linear_maex(parts, r) for parts in recursive_partitions(n))
+                assert t.maex_counts(r) == expected
+                assert t.count == sum(expected.values())
+
+
 class TestReport:
     def test_pass_fail(self):
         rep = VerificationReport("demo")
@@ -62,6 +116,11 @@ class TestReport:
         assert rep.passed
         rep.add(2, None, 6, 7, 8, "bad")
         assert not rep.passed
+
+    def test_no_rows_is_not_a_pass(self):
+        rep = VerificationReport("demo")
+        assert not rep.passed
+        assert "FAIL (0 checks)" in rep.to_text()
 
     def test_to_text_lists_mismatches(self):
         rep = VerificationReport("demo")
@@ -109,6 +168,26 @@ class TestTheoremHarness:
         assert by_n[3].lhs == 6
         assert by_n[3].rhs == 6
 
+    @pytest.mark.parametrize("theorem, kwargs, message", [
+        ("thm-1.6", {"r_values": []}, "empty r range"),
+        ("thm-1.6", {"r_values": [0, 1]}, "r must be >= 1"),
+        ("maex-distribution", {"r_values": [0]}, "r must be >= 1"),
+        ("thm-1.5", {"r_values": [1]}, "r must be >= 2"),
+        ("thm-1.10", {"r_values": [1, 2]}, "r must be >= 2"),
+        ("thm-1.10", {"j_values": []}, "empty j range"),
+        ("thm-1.4", {"n_max": -1}, "n must be >= 0"),
+        ("thm-1.7", {"n_max": 11, "order": 10}, "order 10 is below n 11"),
+        ("thm-1.11", {"n_max": 11, "order": 10}, "order 10 is below n 11"),
+    ])
+    def test_bad_arguments_rejected_up_front(self, theorem, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            check_theorem(theorem, **kwargs)
+
+    def test_default_ranges_are_filled_only_when_unset(self):
+        rep = check_theorem("thm-1.6", r_values=[3], n_max=5)
+        assert {row.r for row in rep.rows} == {3}
+        assert len(check_theorem("thm-1.6", n_max=5).rows) == 6 * 6
+
     def test_wall_time_recorded(self):
         rep = check_theorem("thm-1.4", n_max=5)
         assert rep.wall_time >= 0.0
@@ -126,6 +205,12 @@ class TestBijectionCertification:
         assert certify_bijection("gamma", 2, 8).passed
         assert certify_bijection("gamma-star", 2, 8).passed
         assert certify_bijection("delta", 2, 8).passed
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            certify_bijection("gamma", 2, -1)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            certify_bijection("gamma", 0, 4)
 
     def test_cardinality_rows_match_known_counts(self):
         # weight-6 domain of the colored map: sum over partitions of
