@@ -24,15 +24,13 @@ from typing import NamedTuple, Optional, Union
 
 from .partition import (
     Partition,
-    PartitionError,
+    _merge_pairs,
     chain_maex,
     chain_mex,
     in_gap_class,
-    is_regular,
     is_strict,
     maex_offset,
-    mex_offset,
-    parts_above_mex,
+    parts_above,
 )
 
 
@@ -204,26 +202,22 @@ def _shift_residues(alpha: Partition, beta: Partition, r: int, keep: str):
     Write each beta multiplicity as q(r+1)+h with 0 <= h <= r.  The kept
     end (largest or smallest value) stays untouched; for every other value
     the h leftover copies migrate to alpha.  Returns the new pair plus the
-    move list for tracing.
+    moved (value, copies) pairs for tracing.
     """
     pairs = beta.pairs
     if not pairs:
-        return alpha, beta, []
+        return alpha, beta, ()
     kept_index = 0 if keep == "largest" else len(pairs) - 1
-    alpha_counts = {v: m for v, m in alpha.pairs}
-    beta_counts = {}
-    moves = []
+    stay, moved = [], []
     for idx, (v, m) in enumerate(pairs):
-        if idx == kept_index:
-            beta_counts[v] = m
-            continue
-        h = m % (r + 1)
-        beta_counts[v] = m - h
+        h = 0 if idx == kept_index else m % (r + 1)
         if h:
-            alpha_counts[v] = alpha_counts.get(v, 0) + h
-            moves.append({"value": v, "copies": h})
-    return (Partition.from_counts(alpha_counts),
-            Partition.from_counts(beta_counts), moves)
+            moved.append((v, h))
+        if m > h:
+            stay.append((v, m - h))
+    moved = tuple(moved)
+    return (Partition._from_pairs(_merge_pairs(alpha.pairs, moved)),
+            Partition._from_pairs(tuple(stay)), moved)
 
 
 def shift_residues_keep_largest(alpha: Partition, beta: Partition, r: int) -> PartitionPair:
@@ -281,78 +275,103 @@ def in_maex_codomain(pair: PartitionPair, r: int) -> bool:
     return all(m % (r + 1) == 0 for v, m in beta.pairs if v != bottom)
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise DomainError(message)
+def _check_r(r: int):
+    if r < 1:
+        raise DomainError("r must be >= 1")
+
+
+def _check_index(i: int, bound: int, lam: Partition):
+    # the message is formatted only on failure: the forward maps run this
+    # check once per call
+    if not 1 <= i <= bound:
+        raise DomainError(f"index {i} outside 1..{bound} for {lam}")
+
+
+def _pairing_trace(lam: Partition, i: int, r: int, pair: PartitionPair, steps) -> dict:
+    """JSON-friendly trace of one forward call from the steps it returns:
+    the conjugate, the cut index, the moved copies and the extra move."""
+    conjugate, cut, moved, extra = steps
+    intermediate = {"conjugate": str(conjugate), "cut_index": cut,
+                    "moves": [{"value": v, "copies": h} for v, h in moved]}
+    if extra is not None:
+        intermediate["extra_move"] = {"value": extra[0], "copies": extra[1]}
+    return {
+        "input": {"lambda": str(lam), "i": i, "r": r},
+        "case": pair.case,
+        "intermediate": intermediate,
+        "output": pair.to_json(),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Index-to-pair map for the chain-mex sum (CLI name: gamma)
 # ---------------------------------------------------------------------------
 
-def _mex_pairing(lam: Partition, i: int, r: int):
-    _require(r >= 1, "r must be >= 1")
+def _mex_pairing(lam: Partition, i: int, r: int, colored: bool):
+    """gamma, or gamma-star when ``colored``, with the steps the trace
+    reports (None for a colored empty)."""
+    _check_r(r)
     m = chain_mex(lam, r)
-    bound = m + mex_offset(lam, r)
-    _require(1 <= i <= bound, f"index {i} outside 1..{bound} for {lam}")
-    lp = lam.conjugate()
-    trace = {"conjugate": str(lp), "cut_index": i}
     gap_bounded = in_gap_class(lam, r)
-    upper, lower = lp.cut_up(i), lp.cut_down(i)
-    alpha, beta, moves = _shift_residues(upper, lower, r, "largest")
-    trace["moves"] = moves
+    # gamma's index bound adds the class offset (see mex_offset); the
+    # colored extension adds r - 1 on both classes
+    _check_index(i, m if gap_bounded and not colored else m + r - 1, lam)
+    if colored and gap_bounded and i >= m:
+        return PartitionPair(lam.conjugate(), ColoredEmpty(i - m + 1), case="colored"), None
+    lp = lam.conjugate()
+    alpha, beta, moved = _shift_residues(lp.cut_up(i), lp.cut_down(i), r, "largest")
+    extra = None
     if gap_bounded or i <= m - 1:
         case = "case1" if gap_bounded else "case2"
     else:
-        g = parts_above_mex(lam, r)
+        g = parts_above(lam, m)
         assert g > 0, "a part above the chain mex must exist off the gap class"
         k = lp.multiplicity(g)
         if (k - (i - m)) % (r + 1) == 0:
             case = "case3.2"
-            extra = r - (i - m)
-            beta = beta.with_copies(g, -extra)
-            alpha = alpha.with_copies(g, extra)
-            trace["extra_move"] = {"value": g, "copies": extra}
+            copies = r - (i - m)
+            beta = beta.with_copies(g, -copies)
+            alpha = alpha.with_copies(g, copies)
+            extra = (g, copies)
         else:
             case = "case3.1"
-    trace["case"] = case
-    return PartitionPair(alpha, beta, case), trace
+    return PartitionPair(alpha, beta, case), (lp, i, moved, extra)
 
 
 def mex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
     """Map (lam, i) with 1 <= i <= chain_mex + offset to a pair (alpha, beta)
     with alpha (r+1)-strict and beta constrained as in in_mex_codomain.
     Weight is preserved: |alpha| + |beta| = |lam|."""
-    return _mex_pairing(lam, i, r)[0]
+    return _mex_pairing(lam, i, r, False)[0]
 
 
 def mex_pairing_trace(lam: Partition, i: int, r: int) -> dict:
     """Forward map plus a JSON-friendly trace of the intermediate steps."""
-    pair, trace = _mex_pairing(lam, i, r)
-    return {
-        "input": {"lambda": str(lam), "i": i, "r": r},
-        "case": trace["case"],
-        "intermediate": {k: trace[k] for k in trace if k != "case"},
-        "output": pair.to_json(),
-    }
+    return _pairing_trace(lam, i, r, *_mex_pairing(lam, i, r, False))
 
 
-def mex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:
-    """Inverse of mex_pairing."""
-    _require(in_mex_codomain(pair, r), f"pair {pair.to_json()} violates the codomain constraints")
+def _mex_unpairing(pair: PartitionPair, r: int) -> IndexedPartition:
+    """mex_pairing_inv on a pair already checked against its codomain."""
     alpha, beta = pair.alpha, pair.beta
-    lam = alpha.concat(beta).conjugate()
+    union = alpha.concat(beta)
+    lam = union.conjugate()
     m = chain_mex(lam, r)
-    g = parts_above_mex(lam, r)
+    g = parts_above(lam, m)
     # The branch that moved extra copies leaves exactly r copies of g in
     # alpha and keeps g on top of beta; outside it beta's largest value
     # exceeds g whenever g occurs in alpha at all.
     if g > 0 and alpha.multiplicity(g) == r and not beta.is_empty and beta.largest == g:
-        k = lam.conjugate().multiplicity(g)
-        i = m + (k % (r + 1))
+        i = m + (union.multiplicity(g) % (r + 1))
     else:
         i = 1 + sum(mult for v, mult in alpha.pairs if v >= beta.largest)
     return IndexedPartition(lam, i)
+
+
+def mex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:
+    """Inverse of mex_pairing."""
+    if not in_mex_codomain(pair, r):
+        raise DomainError(f"pair {pair.to_json()} violates the codomain constraints")
+    return _mex_unpairing(pair, r)
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +387,19 @@ def mex_pairing_colored(lam: Partition, i: int, r: int) -> PartitionPair:
     ``conjugate_beta`` to match the convention where beta counts
     (r+1)-regular partitions with all parts in one residue class.
     """
-    _require(r >= 1, "r must be >= 1")
-    m = chain_mex(lam, r)
-    bound = m + r - 1
-    _require(1 <= i <= bound, f"index {i} outside 1..{bound} for {lam}")
-    if in_gap_class(lam, r) and i >= m:
-        return PartitionPair(lam.conjugate(), ColoredEmpty(i - m + 1), case="colored")
-    return mex_pairing(lam, i, r)
+    return _mex_pairing(lam, i, r, True)[0]
 
 
 def mex_pairing_colored_inv(pair: PartitionPair, r: int) -> IndexedPartition:
     """Inverse of mex_pairing_colored."""
-    _require(in_colored_codomain(pair, r),
-             f"pair {pair.to_json()} violates the colored codomain constraints")
+    if not in_colored_codomain(pair, r):
+        raise DomainError(f"pair {pair.to_json()} violates the colored codomain constraints")
     if isinstance(pair.beta, ColoredEmpty):
         lam = pair.alpha.conjugate()
-        _require(in_gap_class(lam, r), "colored empty beta requires a gap-bounded preimage")
+        if not in_gap_class(lam, r):
+            raise DomainError("colored empty beta requires a gap-bounded preimage")
         return IndexedPartition(lam, chain_mex(lam, r) + pair.beta.color - 1)
-    return mex_pairing_inv(pair, r)
+    return _mex_unpairing(pair, r)
 
 
 def conjugate_beta(pair: PartitionPair) -> PartitionPair:
@@ -400,16 +414,15 @@ def conjugate_beta(pair: PartitionPair) -> PartitionPair:
 # ---------------------------------------------------------------------------
 
 def _maex_pairing(lam: Partition, i: int, r: int):
-    _require(r >= 1, "r must be >= 1")
+    """delta with the steps the trace reports."""
+    _check_r(r)
     top = lam.largest
-    bound = top - chain_maex(lam, r) + maex_offset(lam, r)
-    _require(1 <= i <= bound, f"index {i} outside 1..{bound} for {lam}")
+    _check_index(i, top - chain_maex(lam, r) + maex_offset(lam, r), lam)
     lp = lam.conjugate()
     cut = top + 2 - i
     # alpha grows out of the lower piece, beta out of the upper piece
-    alpha, beta, moves = _shift_residues(lp.cut_down(cut), lp.cut_up(cut), r, "smallest")
-    trace = {"conjugate": str(lp), "cut_index": cut, "moves": moves, "case": "cut"}
-    return PartitionPair(alpha, beta, "cut"), trace
+    alpha, beta, moved = _shift_residues(lp.cut_down(cut), lp.cut_up(cut), r, "smallest")
+    return PartitionPair(alpha, beta, "cut"), (lp, cut, moved, None)
 
 
 def maex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
@@ -419,19 +432,15 @@ def maex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
 
 
 def maex_pairing_trace(lam: Partition, i: int, r: int) -> dict:
-    pair, trace = _maex_pairing(lam, i, r)
-    return {
-        "input": {"lambda": str(lam), "i": i, "r": r},
-        "case": trace["case"],
-        "intermediate": {k: trace[k] for k in trace if k != "case"},
-        "output": pair.to_json(),
-    }
+    """Forward map plus a JSON-friendly trace of the intermediate steps."""
+    return _pairing_trace(lam, i, r, *_maex_pairing(lam, i, r))
 
 
 def maex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:
     """Inverse of maex_pairing.  The smallest part of an empty beta counts
     as infinity, so every part of alpha lies below it."""
-    _require(in_maex_codomain(pair, r), f"pair {pair.to_json()} violates the codomain constraints")
+    if not in_maex_codomain(pair, r):
+        raise DomainError(f"pair {pair.to_json()} violates the codomain constraints")
     alpha, beta = pair.alpha, pair.beta
     lam = alpha.concat(beta).conjugate()
     if beta.is_empty:

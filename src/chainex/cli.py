@@ -181,12 +181,21 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.id not in vf.THEOREMS and args.id not in vf.BIJECTIONS:
+        raise CliError(f"unknown verification id {args.id!r}; theorems: "
+                       + ", ".join(vf.THEOREMS) + "; bijections: " + ", ".join(vf.BIJECTIONS))
+    # a certification reads r and n only
+    takes = vf.THEOREM_ARGS.get(args.id, ("r", "n"))
+    for name in ("r", "j", "n", "order"):
+        if getattr(args, name) is not None and name not in takes:
+            raise CliError(f"verify {args.id} does not take --{name}; it takes "
+                           + ", ".join("--" + t for t in takes))
     r_values = None if args.r is None else _parse_range(args.r)
     j_values = None if args.j is None else _parse_range(args.j)
     if args.id in vf.THEOREMS:
         report = vf.check_theorem(args.id, r_values=r_values, n_max=args.n,
                                   j_values=j_values, order=args.order)
-    elif args.id in vf.BIJECTIONS:
+    else:
         if r_values is None:
             raise CliError("bijection verification requires --r")
         report = vf.VerificationReport(f"bijection:{args.id}")
@@ -194,9 +203,6 @@ def cmd_verify(args) -> int:
             sub = vf.certify_bijection(args.id, r, args.n if args.n is not None else 16)
             report.rows.extend(sub.rows)
             report.wall_time += sub.wall_time
-    else:
-        raise CliError(f"unknown verification id {args.id!r}; theorems: "
-                       + ", ".join(vf.THEOREMS) + "; bijections: " + ", ".join(vf.BIJECTIONS))
     _emit(vf.report_to_format(report, args.format), args.out)
     return 0 if report.passed else 1
 

@@ -20,6 +20,30 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _merge_pairs(a: tuple, b: tuple) -> tuple:
+    """Multiset union of two pair tuples, each with strictly decreasing
+    values: a merge that adds the multiplicities of a shared value."""
+    if not a or not b:
+        return a or b
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, vb = a[i][0], b[j][0]
+        if va > vb:
+            out.append(a[i])
+            i += 1
+        elif va < vb:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((va, a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
 class Partition:
     """A partition of a non-negative integer (the empty partition is valid)."""
 
@@ -183,22 +207,29 @@ class Partition:
 
     def concat(self, other: "Partition") -> "Partition":
         """Multiset union of parts."""
-        counts = {v: m for v, m in self._pairs}
-        for v, m in other._pairs:
-            counts[v] = counts.get(v, 0) + m
-        return Partition.from_counts(counts)
+        return Partition._from_pairs(_merge_pairs(self._pairs, other._pairs))
+
+    def _cut(self, i: int) -> tuple:
+        """The pairs of the first i-1 parts and the pairs of the rest."""
+        if not 1 <= i <= self.num_parts + 1:
+            raise PartitionError(f"cut index {i} out of range 1..{self.num_parts + 1}")
+        pairs = self._pairs
+        above = i - 1           # parts left to place above the cut
+        for idx, (v, m) in enumerate(pairs):
+            if above < m:
+                if not above:
+                    return pairs[:idx], pairs[idx:]
+                return pairs[:idx] + ((v, above),), ((v, m - above),) + pairs[idx + 1:]
+            above -= m
+        return pairs, ()
 
     def cut_up(self, i: int) -> "Partition":
         """Parts strictly above cut position i, i.e. the first i-1 parts."""
-        if not 1 <= i <= self.num_parts + 1:
-            raise PartitionError(f"cut index {i} out of range 1..{self.num_parts + 1}")
-        return Partition(self.parts[: i - 1])
+        return Partition._from_pairs(self._cut(i)[0])
 
     def cut_down(self, i: int) -> "Partition":
         """Parts from position i onward."""
-        if not 1 <= i <= self.num_parts + 1:
-            raise PartitionError(f"cut index {i} out of range 1..{self.num_parts + 1}")
-        return Partition(self.parts[i - 1:])
+        return Partition._from_pairs(self._cut(i)[1])
 
     def with_copies(self, value: int, delta: int) -> "Partition":
         """Return a copy with the multiplicity of ``value`` changed by delta."""

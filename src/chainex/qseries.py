@@ -345,8 +345,10 @@ def series_chain_mex_shifted(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     inverse products over the r nonzero residue classes mod r+1."""
     _check_r(r)
     acc = _const(order, 0)
-    for m in range(1, r + 1):
+    for m in range(1, min(r, order) + 1):
         _add_shifted(acc, _poch(_const(order, 1), m, r + 1, divide=True), 0)
+    # for m > order every factor is 1 + O(q^(order+1)), so the term is 1
+    acc[0] += r - min(r, order)
     _poch(acc, r + 1, r + 1)
     return PowerSeries(_poch(acc, 1, 1, divide=True), order)
 

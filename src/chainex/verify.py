@@ -209,8 +209,21 @@ class VerificationReport:
 # Theorem harness
 # ---------------------------------------------------------------------------
 
-THEOREMS = ("thm-1.4", "thm-1.5", "thm-1.6", "thm-1.7", "thm-1.8",
-            "thm-1.10", "thm-1.11", "q-binomial", "maex-distribution")
+# theorem id -> the arguments of check_theorem it reads, named as the CLI
+# options: r (r_values), j (j_values), n (n_max) and order
+THEOREM_ARGS = {
+    "thm-1.4": ("n", "order"),
+    "thm-1.5": ("r", "j", "n"),
+    "thm-1.6": ("r", "n", "order"),
+    "thm-1.7": ("r", "n", "order"),
+    "thm-1.8": ("n", "order"),
+    "thm-1.10": ("r", "j", "n", "order"),
+    "thm-1.11": ("r", "n", "order"),
+    "q-binomial": ("order",),
+    "maex-distribution": ("r", "n"),
+}
+
+THEOREMS = tuple(THEOREM_ARGS)
 
 
 def _tallies(n_max, r_max, family_cells=()):
@@ -337,38 +350,36 @@ def check_theorem(theorem: str, r_values=None, n_max: int = None,
 # Bijection certification
 # ---------------------------------------------------------------------------
 
-BIJECTIONS = ("glaisher", "multiples-repeats", "top-multiple",
-              "gamma", "gamma-star", "delta")
+# index-to-pair map id -> (index bound of lambda at r, names of the forward
+# map, its inverse and its codomain checker in bijections, whether the
+# codomain has colored empties)
+_PAIRINGS = {
+    "gamma": (lambda lam, r: chain_mex(lam, r) + mex_offset(lam, r),
+              "mex_pairing", "mex_pairing_inv", "in_mex_codomain", False),
+    "gamma-star": (lambda lam, r: chain_mex(lam, r) + r - 1,
+                   "mex_pairing_colored", "mex_pairing_colored_inv",
+                   "in_colored_codomain", True),
+    "delta": (lambda lam, r: lam.largest - chain_maex(lam, r) + maex_offset(lam, r),
+              "maex_pairing", "maex_pairing_inv", "in_maex_codomain", False),
+}
+
+BIJECTIONS = ("glaisher", "multiples-repeats", "top-multiple") + tuple(_PAIRINGS)
 
 
-def _mex_codomain_pairs(n, r):
+def _codomain_pairs(n, r, checker, colored, by_weight, strict):
+    """Every (alpha, beta) of weight n whose pair ``checker`` accepts, from
+    the candidates alpha (r+1)-strict of weight a and beta any partition of
+    n - a, and, when ``colored``, each of the r colored empties beside
+    every alpha of weight n.  ``by_weight[w]`` lists the partitions of w
+    and ``strict[w]`` their (r+1)-strict ones."""
     for a in range(n + 1):
-        for alpha in partitions(a, lambda p: is_strict(p, r + 1)):
-            for beta in partitions(n - a):
-                pair = bij.PartitionPair(alpha, beta)
-                if bij.in_mex_codomain(pair, r):
-                    yield pair
-
-
-def _colored_codomain_pairs(n, r):
-    for a in range(n + 1):
-        for alpha in partitions(a, lambda p: is_strict(p, r + 1)):
-            if a == n:
-                for color in range(1, r + 1):
-                    yield bij.PartitionPair(alpha, bij.ColoredEmpty(color))
-            for beta in partitions(n - a, lambda p: not p.is_empty):
-                pair = bij.PartitionPair(alpha, beta)
-                if bij.in_mex_codomain(pair, r):
-                    yield pair
-
-
-def _maex_codomain_pairs(n, r):
-    for a in range(n + 1):
-        for alpha in partitions(a, lambda p: is_strict(p, r + 1)):
-            for beta in partitions(n - a):
-                pair = bij.PartitionPair(alpha, beta)
-                if bij.in_maex_codomain(pair, r):
-                    yield pair
+        betas = by_weight[n - a]
+        if colored and a == n:
+            betas = betas + [bij.ColoredEmpty(color) for color in range(1, r + 1)]
+        for alpha in strict[a]:
+            for beta in betas:
+                if checker(bij.PartitionPair(alpha, beta), r):
+                    yield alpha, beta
 
 
 def certify_bijection(name: str, r: int, n_max: int) -> VerificationReport:
@@ -383,6 +394,11 @@ def certify_bijection(name: str, r: int, n_max: int) -> VerificationReport:
         raise ValueError(f"n must be >= 0, got {n_max}")
     start = time.monotonic()
     report = VerificationReport(f"bijection:{name}")
+    if name in _PAIRINGS:
+        # the partitions of every weight, listed once for this call: the
+        # domain walks them and the codomain candidates are built from them
+        by_weight = [list(partitions(w)) for w in range(n_max + 1)]
+        strict = [[p for p in ps if is_strict(p, r + 1)] for ps in by_weight]
     for n in range(n_max + 1):
         if name == "glaisher":
             domain = list(partitions(n, lambda p: all(v % r for v, _ in p.pairs)))
@@ -429,34 +445,22 @@ def certify_bijection(name: str, r: int, n_max: int) -> VerificationReport:
             report.add(r, None, n, int(ok), 1, "roundtrip")
             report.add(r, None, n, int(fibers), 1, "fiber")
         else:  # gamma, gamma-star, delta
-            if name == "gamma":
-                bound = lambda lam: chain_mex(lam, r) + mex_offset(lam, r)
-                forward, inverse = bij.mex_pairing, bij.mex_pairing_inv
-                checker = bij.in_mex_codomain
-                codomain = list(_mex_codomain_pairs(n, r))
-            elif name == "gamma-star":
-                bound = lambda lam: chain_mex(lam, r) + r - 1
-                forward, inverse = bij.mex_pairing_colored, bij.mex_pairing_colored_inv
-                checker = bij.in_colored_codomain
-                codomain = list(_colored_codomain_pairs(n, r))
-            else:
-                bound = lambda lam: lam.largest - chain_maex(lam, r) + maex_offset(lam, r)
-                forward, inverse = bij.maex_pairing, bij.maex_pairing_inv
-                checker = bij.in_maex_codomain
-                codomain = list(_maex_codomain_pairs(n, r))
+            bound, forward, inverse, checker, colored = _PAIRINGS[name]
+            # looked up per call so that a patched module attribute is used
+            forward, inverse, checker = (getattr(bij, f) for f in (forward, inverse, checker))
             ok = True
             images = set()
             domain_size = 0
-            for lam in partitions(n):
-                for i in range(1, bound(lam) + 1):
+            for lam in by_weight[n]:
+                for i in range(1, bound(lam, r) + 1):
                     domain_size += 1
                     pair = forward(lam, i, r)
                     ok &= pair.weight == n and checker(pair, r)
                     ok &= inverse(pair, r) == (lam, i)
                     images.add((pair.alpha, pair.beta))
-            codomain_keys = {(p.alpha, p.beta) for p in codomain}
-            ok &= images == codomain_keys and len(images) == domain_size
-            report.add(r, None, n, domain_size, len(codomain_keys), "cardinality")
+            codomain = set(_codomain_pairs(n, r, checker, colored, by_weight, strict))
+            ok &= images == codomain and len(images) == domain_size
+            report.add(r, None, n, domain_size, len(codomain), "cardinality")
             report.add(r, None, n, int(ok), 1, "roundtrip")
     report.wall_time = time.monotonic() - start
     return report

@@ -7,7 +7,9 @@ values, and ``recursive_partitions`` recurses on the first part, as the
 reference for the library's iterative enumerator.  The per-partition
 statistics in ``STATISTIC_VALUES`` and ``FAMILY_VALUES`` are written on
 flat parts tuples from the definitions, as the reference for the
-verifier's one-pass engine.
+verifier's one-pass engine.  ``flat_cut``, ``flat_concat`` and
+``flat_shift_residues`` slice, sort and count flat parts tuples, as the
+reference for the structural operators that work on multiplicity pairs.
 
 The ``dense_*`` functions are a reference for the q-series builders: the
 same generating functions written the slow way, every Pochhammer factor a
@@ -143,6 +145,31 @@ FAMILY_VALUES = {
     "above-maex": lambda parts, r: (None if gap_bounded(parts, r - 1)
                                     else _parts_above(parts, linear_maex(parts, r - 1))),
 }
+
+
+def flat_cut(parts, i):
+    """(the first i-1 parts, the rest) of a weakly decreasing parts tuple,
+    or None when i is outside 1..len(parts)+1."""
+    if not 1 <= i <= len(parts) + 1:
+        return None
+    return tuple(parts[:i - 1]), tuple(parts[i - 1:])
+
+
+def flat_concat(a, b):
+    """Parts of the multiset union, weakly decreasing."""
+    return tuple(sorted(tuple(a) + tuple(b), reverse=True))
+
+
+def flat_shift_residues(alpha, beta, r, keep_largest):
+    """The pair operators on flat parts: every value of beta except its
+    largest (or its smallest) keeps the largest multiple of r+1 of its
+    copies, and the leftover copies join alpha."""
+    kept = (max if keep_largest else min)(beta, default=None)
+    moved = [v for v in set(beta) if v != kept for _ in range(beta.count(v) % (r + 1))]
+    stay = list(beta)
+    for v in moved:
+        stay.remove(v)
+    return flat_concat(alpha, moved), flat_concat(stay, ())
 
 
 def box_partition_count(rows: int, cols: int, n: int) -> int:

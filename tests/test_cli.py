@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chainex.cli import run
 
 
@@ -232,3 +234,54 @@ class TestParser:
 
     def test_bad_flag(self, capsys):
         assert call(capsys, "stats", "[1]", "--r", "x")[0] == 2
+
+
+class TestVerifyArguments:
+    """verify exits 2 on an argument the id does not read, naming both."""
+
+    def rejects(self, capsys, argv, option, ident):
+        code, out, err = call(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"verify {ident} does not take {option}" in err
+
+    @pytest.mark.parametrize("theorem", ["thm-1.4", "thm-1.8", "q-binomial"])
+    def test_r_on_a_theorem_without_r(self, capsys, theorem):
+        self.rejects(capsys, [theorem, "--r", "5"], "--r", theorem)
+
+    @pytest.mark.parametrize("theorem", ["thm-1.5", "maex-distribution"])
+    def test_order_on_a_theorem_without_order(self, capsys, theorem):
+        self.rejects(capsys, [theorem, "--n", "3", "--order", "9"], "--order", theorem)
+
+    @pytest.mark.parametrize("theorem", ["thm-1.4", "thm-1.6", "thm-1.7", "thm-1.8",
+                                         "thm-1.11", "q-binomial", "maex-distribution"])
+    def test_j_outside_the_family_theorems(self, capsys, theorem):
+        self.rejects(capsys, [theorem, "--j", "1"], "--j", theorem)
+
+    def test_n_on_q_binomial(self, capsys):
+        self.rejects(capsys, ["q-binomial", "--n", "3"], "--n", "q-binomial")
+
+    @pytest.mark.parametrize("name", ["glaisher", "multiples-repeats", "top-multiple",
+                                      "gamma", "gamma-star", "delta"])
+    def test_j_and_order_on_a_bijection(self, capsys, name):
+        self.rejects(capsys, [name, "--r", "2", "--n", "4", "--j", "1"], "--j", name)
+        self.rejects(capsys, [name, "--r", "2", "--n", "4", "--order", "4"], "--order", name)
+
+    def test_taken_arguments_still_run(self, capsys):
+        assert call(capsys, "verify", "thm-1.10", "--r", "2", "--j", "1", "--n", "5",
+                    "--order", "5")[0] == 0
+        assert call(capsys, "verify", "maex-distribution", "--r", "1", "--n", "5")[0] == 0
+
+    def test_huge_r_finishes(self, capsys):
+        code, out, _ = call(capsys, "verify", "thm-1.6", "--r", "100000000", "--n", "3")
+        assert code == 0
+        assert "PASS (4 checks)" in out
+
+
+class TestBijectionError:
+    def test_index_error_text(self, capsys):
+        code, out, err = call(capsys, "bijection", "gamma", "--lambda", "[5,3,1]",
+                              "--i", "9", "--r", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: index 9 outside 1..6 for [5,3,1]\n"

@@ -64,6 +64,12 @@ def test_parts_above_matches_dense_reference(r):
                            oracles.dense_parts_above(r, j, TOP))
 
 
+@pytest.mark.parametrize("r", range(6, 10))
+def test_chain_mex_shifted_with_r_above_the_order(r):
+    # the terms m > order are the constant 1 and are not expanded
+    assert qs.series_chain_mex_shifted(r, 5) == oracles.dense_chain_mex_shifted(r, 5)
+
+
 @pytest.mark.parametrize("a_exp,z_exp,a_negate", Q_BINOMIAL_CASES)
 def test_q_binomial_matches_dense_reference(a_exp, z_exp, a_negate):
     for side in ("sum", "product"):

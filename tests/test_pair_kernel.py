@@ -1,0 +1,157 @@
+"""The structural operators on (value, multiplicity) pairs against the
+flat-parts references in ``oracles``, and the index-to-pair maps gamma,
+gamma-star and delta on partitions far larger than exhaustive
+certification reaches.
+"""
+
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainex import bijections as bij
+from chainex.bijections import ColoredEmpty, DomainError, PartitionPair
+from chainex.partition import (
+    Partition,
+    PartitionError,
+    chain_maex,
+    chain_mex,
+    maex_offset,
+    mex_offset,
+)
+
+from oracles import flat_concat, flat_cut, flat_shift_residues
+
+P = Partition
+
+
+@st.composite
+def partitions_of(draw, low, high):
+    """A partition of a weight drawn from low..high.  The cap on its parts
+    is drawn too, so that both a few large parts and many small ones
+    occur."""
+    n = draw(st.integers(low, high))
+    cap = draw(st.integers(1, max(n, 1)))
+    parts = []
+    while n:
+        part = draw(st.integers(1, min(n, cap)))
+        parts.append(part)
+        n -= part
+    return P.of_multiset(parts)
+
+
+small = partitions_of(0, 40)
+
+
+# ---------------------------------------------------------------------------
+# Cut, concat and the pair operators against flat parts
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cut_matches_flat_reference(data):
+    lam = data.draw(small, label="lambda")
+    i = data.draw(st.integers(-2, lam.num_parts + 3), label="i")
+    expected = flat_cut(lam.parts, i)
+    if expected is None:
+        message = re.escape(f"cut index {i} out of range 1..{lam.num_parts + 1}")
+        for cut in (lam.cut_up, lam.cut_down):
+            with pytest.raises(PartitionError, match=message):
+                cut(i)
+    else:
+        # equality compares the pairs, so this also checks they are canonical
+        assert lam.cut_up(i) == P(expected[0])
+        assert lam.cut_down(i) == P(expected[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small, small)
+def test_concat_matches_flat_reference(a, b):
+    assert a.concat(b) == P(flat_concat(a.parts, b.parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small, small, st.integers(1, 5), st.booleans())
+def test_shift_residues_match_flat_reference(alpha, beta, r, keep_largest):
+    op = bij.shift_residues_keep_largest if keep_largest else bij.shift_residues_keep_smallest
+    pair = op(alpha, beta, r)
+    a, b = flat_shift_residues(alpha.parts, beta.parts, r, keep_largest)
+    assert (pair.alpha, pair.beta) == (P(a), P(b))
+
+
+# ---------------------------------------------------------------------------
+# Round trips far past the exhaustive range
+# ---------------------------------------------------------------------------
+
+# map -> (forward, inverse, codomain checker, index bound of lambda at r)
+MAPS = {
+    "gamma": (bij.mex_pairing, bij.mex_pairing_inv, bij.in_mex_codomain,
+              lambda lam, r: chain_mex(lam, r) + mex_offset(lam, r)),
+    "gamma-star": (bij.mex_pairing_colored, bij.mex_pairing_colored_inv,
+                   bij.in_colored_codomain, lambda lam, r: chain_mex(lam, r) + r - 1),
+    "delta": (bij.maex_pairing, bij.maex_pairing_inv, bij.in_maex_codomain,
+              lambda lam, r: lam.largest - chain_maex(lam, r) + maex_offset(lam, r)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_round_trip_at_weight_60_to_200(name, data):
+    forward, inverse, checker, bound = MAPS[name]
+    lam = data.draw(partitions_of(60, 200), label="lambda")
+    r = data.draw(st.integers(1, 4), label="r")
+    i = data.draw(st.integers(1, bound(lam, r)), label="i")
+    pair = forward(lam, i, r)
+    assert checker(pair, r)
+    assert inverse(pair, r) == (lam, i)
+    assert pair.weight == lam.weight
+
+
+# ---------------------------------------------------------------------------
+# Exact error texts and traces
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: bij.mex_pairing(P([5, 3, 1]), 9, 2), "index 9 outside 1..6 for [5,3,1]"),
+    (lambda: bij.mex_pairing_trace(P([5, 3, 1]), 0, 2), "index 0 outside 1..6 for [5,3,1]"),
+    (lambda: bij.mex_pairing_colored(P([5, 3, 1]), 8, 2), "index 8 outside 1..7 for [5,3,1]"),
+    (lambda: bij.maex_pairing(P([5, 3, 1]), 7, 2), "index 7 outside 1..6 for [5,3,1]"),
+    (lambda: bij.maex_pairing_trace(P([]), 2, 1), "index 2 outside 1..1 for []"),
+    (lambda: bij.mex_pairing(P([1]), 1, 0), "r must be >= 1"),
+    (lambda: bij.mex_pairing_colored(P([1]), 1, 0), "r must be >= 1"),
+    (lambda: bij.maex_pairing(P([1]), 1, 0), "r must be >= 1"),
+    (lambda: bij.mex_pairing_inv(PartitionPair(P([1, 1, 1]), P([2])), 2),
+     "pair {'alpha': '[1,1,1]', 'beta': '[2]'} violates the codomain constraints"),
+    (lambda: bij.mex_pairing_colored_inv(PartitionPair(P([3]), P([])), 2),
+     "pair {'alpha': '[3]', 'beta': '[]'} violates the colored codomain constraints"),
+    (lambda: bij.mex_pairing_colored_inv(PartitionPair(P([]), ColoredEmpty(3)), 2),
+     "pair {'alpha': '[]', 'beta': {'empty_color': 3}} violates the colored codomain "
+     "constraints"),
+    (lambda: bij.maex_pairing_inv(PartitionPair(P([]), ColoredEmpty(1)), 1),
+     "pair {'alpha': '[]', 'beta': {'empty_color': 1}} violates the codomain constraints"),
+    (lambda: bij.maex_pairing_inv(PartitionPair(P([2, 2]), P([3, 1])), 1),
+     "pair {'alpha': '[2,2]', 'beta': '[3,1]'} violates the codomain constraints"),
+])
+def test_domain_error_text(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_trace_json_of_the_extra_move_branch():
+    assert json.dumps(bij.mex_pairing_trace(P([4, 3]), 1, 2)) == (
+        '{"input": {"lambda": "[4,3]", "i": 1, "r": 2}, "case": "case3.2", '
+        '"intermediate": {"conjugate": "[2,2,2,1]", "cut_index": 1, '
+        '"moves": [{"value": 1, "copies": 1}], "extra_move": {"value": 2, "copies": 2}}, '
+        '"output": {"alpha": "[2,2,1]", "beta": "[2]"}}')
+
+
+def test_trace_json_of_delta():
+    assert json.dumps(bij.maex_pairing_trace(P([7, 4, 4, 1]), 3, 2)) == (
+        '{"input": {"lambda": "[7,4,4,1]", "i": 3, "r": 2}, "case": "cut", '
+        '"intermediate": {"conjugate": "[4,3,3,3,1,1,1]", "cut_index": 6, '
+        '"moves": [{"value": 4, "copies": 1}]}, '
+        '"output": {"alpha": "[4,1,1]", "beta": "[3,3,3,1]"}}')
