@@ -4,14 +4,12 @@ verification harness."""
 
 from .partition import (
     EMPTY,
-    GapClass,
     Partition,
     PartitionError,
     chain_excludants,
     chain_maex,
     chain_mex,
     count_multiples,
-    in_class,
     in_gap_class,
     is_regular,
     is_strict,

@@ -28,6 +28,7 @@ from .partition import (
     chain_maex,
     chain_mex,
     in_gap_class,
+    is_regular,
     is_strict,
     maex_offset,
     parts_above,
@@ -135,15 +136,10 @@ def glaisher_split(lam: Partition, r: int) -> Partition:
 # Maps between multiples-of-r and r-repeating families
 # ---------------------------------------------------------------------------
 
-def _split_by_multiples(lam: Partition, r: int):
-    """Split into (parts not divisible by r, parts divisible by r)."""
-    other = {v: m for v, m in lam.pairs if v % r != 0}
-    mult = {v: m for v, m in lam.pairs if v % r == 0}
-    return Partition.from_counts(other), Partition.from_counts(mult)
-
-
 def _to_repeat_form(lam: Partition, r: int) -> Partition:
-    other, mult = _split_by_multiples(lam, r)
+    # the parts not divisible by r merge, the multiples of r conjugate
+    other = Partition.from_counts({v: m for v, m in lam.pairs if v % r != 0})
+    mult = Partition.from_counts({v: m for v, m in lam.pairs if v % r == 0})
     return glaisher_merge(other, r).concat(mult.conjugate())
 
 
@@ -178,7 +174,7 @@ def top_multiple_to_repeats(lam: Partition, r: int) -> Partition:
     part divisible by r."""
     if r < 2:
         raise DomainError("r must be >= 2")
-    if all(v % r != 0 for v, _ in lam.pairs):
+    if is_regular(lam, r):
         raise DomainError(f"input has no part divisible by {r}")
     return _to_repeat_form(lam, r)
 
@@ -187,7 +183,7 @@ def repeats_to_top_multiple(nu: Partition, r: int) -> Partition:
     """Inverse of top_multiple_to_repeats.  Requires an r-repeating part."""
     if r < 2:
         raise DomainError("r must be >= 2")
-    if all(m < r for _, m in nu.pairs):
+    if is_strict(nu, r):
         raise DomainError(f"input has no {r}-repeating part")
     return _to_multiple_form(nu, r)
 

@@ -31,29 +31,25 @@ from .partition import (
 DEFAULT_ORDER = qs.DEFAULT_ORDER
 
 SERIES_BUILDERS = {
-    # name: (callable, needs_r, needs_j)
-    "sigma-mex": (lambda r, j, order: qs.series_sigma_mex(order), False, False),
-    "partitions": (lambda r, j, order: qs.series_partition_count(order), False, False),
-    "chain-mex": (lambda r, j, order: qs.series_chain_mex_sum(r, order), True, False),
-    "chain-mex-shifted": (lambda r, j, order: qs.series_chain_mex_shifted(r, order), True, False),
-    "chain-mex-offset": (lambda r, j, order: qs.series_chain_mex_offset_sum(r, order), True, False),
-    "maex-defect": (lambda r, j, order: qs.series_maex_defect(order), False, False),
-    "chain-maex": (lambda r, j, order: qs.series_chain_maex_sum(r, order), True, False),
-    "chain-maex-product": (lambda r, j, order: qs.series_chain_maex_product(r, order), True, False),
-    "strict": (lambda r, j, order: qs.series_strict_count(r, order), True, False),
-    "top-mult": (lambda r, j, order: qs.series_top_multiplicity_count(r, order), True, False),
-    "bottom-mult": (lambda r, j, order: qs.series_bottom_multiplicity_count(r, order), True, False),
-    "sigma-largest": (lambda r, j, order: qs.series_sum_largest(order), False, False),
-    "j-parts": (lambda r, j, order: qs.series_parts_above(r, j, order), True, True),
+    # name: (qseries builder, the options it reads before --order)
+    "sigma-mex": ("series_sigma_mex", ()),
+    "partitions": ("series_partition_count", ()),
+    "chain-mex": ("series_chain_mex_sum", ("r",)),
+    "chain-mex-shifted": ("series_chain_mex_shifted", ("r",)),
+    "chain-mex-offset": ("series_chain_mex_offset_sum", ("r",)),
+    "maex-defect": ("series_maex_defect", ()),
+    "chain-maex": ("series_chain_maex_sum", ("r",)),
+    "chain-maex-product": ("series_chain_maex_product", ("r",)),
+    "strict": ("series_strict_count", ("r",)),
+    "top-mult": ("series_top_multiplicity_count", ("r",)),
+    "bottom-mult": ("series_bottom_multiplicity_count", ("r",)),
+    "sigma-largest": ("series_sum_largest", ()),
+    "j-parts": ("series_parts_above", ("r", "j")),
 }
 
 
 class CliError(Exception):
     pass
-
-
-def _parse_partition(text: str, sort: bool) -> Partition:
-    return Partition.parse(text, sort=sort)
 
 
 def _parse_range(text: str):
@@ -75,7 +71,7 @@ def _emit(text: str, out_path):
 
 
 def cmd_stats(args) -> int:
-    lam = _parse_partition(args.partition, args.sort)
+    lam = Partition.parse(args.partition, sort=args.sort)
     r = args.r
     record = {
         "partition": str(lam),
@@ -121,18 +117,17 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_series(args) -> int:
-    try:
-        builder, needs_r, needs_j = SERIES_BUILDERS[args.name]
-    except KeyError:
+    if args.name not in SERIES_BUILDERS:
         raise CliError(f"unknown series {args.name!r}; choose from "
-                       + ", ".join(sorted(SERIES_BUILDERS))) from None
-    if needs_r and args.r is None:
-        raise CliError(f"series {args.name!r} requires --r")
-    if needs_j and args.j is None:
-        raise CliError(f"series {args.name!r} requires --j")
+                       + ", ".join(sorted(SERIES_BUILDERS)))
+    builder, reads = SERIES_BUILDERS[args.name]
+    for name in reads:
+        if getattr(args, name) is None:
+            raise CliError(f"series {args.name!r} requires --{name}")
     if args.order < 0:
         raise CliError(f"--order must be >= 0, got {args.order}")
-    series = builder(args.r, args.j, args.order)
+    # --r and --j are accepted, and left unread, by builders without them
+    series = getattr(qs, builder)(*(getattr(args, name) for name in reads), args.order)
     if args.format == "json":
         _emit(json.dumps(series.to_json()), args.out)
     elif args.format == "csv":
@@ -144,7 +139,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    lam = _parse_partition(args.lam, args.sort)
+    lam = Partition.parse(args.lam, sort=args.sort)
     r = args.r
     name = args.name
     try:
@@ -181,28 +176,11 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.id not in vf.THEOREMS and args.id not in vf.BIJECTIONS:
-        raise CliError(f"unknown verification id {args.id!r}; theorems: "
-                       + ", ".join(vf.THEOREMS) + "; bijections: " + ", ".join(vf.BIJECTIONS))
-    # a certification reads r and n only
-    takes = vf.THEOREM_ARGS.get(args.id, ("r", "n"))
-    for name in ("r", "j", "n", "order"):
-        if getattr(args, name) is not None and name not in takes:
-            raise CliError(f"verify {args.id} does not take --{name}; it takes "
-                           + ", ".join("--" + t for t in takes))
+    # the id and the options it reads are checked before a range is parsed
+    vf.check_arguments(args.id, args.r, args.j, args.n, args.order)
     r_values = None if args.r is None else _parse_range(args.r)
     j_values = None if args.j is None else _parse_range(args.j)
-    if args.id in vf.THEOREMS:
-        report = vf.check_theorem(args.id, r_values=r_values, n_max=args.n,
-                                  j_values=j_values, order=args.order)
-    else:
-        if r_values is None:
-            raise CliError("bijection verification requires --r")
-        report = vf.VerificationReport(f"bijection:{args.id}")
-        for r in r_values:
-            sub = vf.certify_bijection(args.id, r, args.n if args.n is not None else 16)
-            report.rows.extend(sub.rows)
-            report.wall_time += sub.wall_time
+    report = vf.run_check(args.id, r_values, args.n, j_values, args.order)
     _emit(vf.report_to_format(report, args.format), args.out)
     return 0 if report.passed else 1
 
@@ -258,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("verify", help="run an identity or bijection check")
-    p.add_argument("id", help="e.g. thm-1.7, q-binomial, gamma")
+    p.add_argument("id", help="a theorem (" + ", ".join(vf.THEOREMS)
+                   + ") or a bijection (" + ", ".join(vf.BIJECTIONS) + ")")
     p.add_argument("--r", default=None, help="single value or range like 1..3")
     p.add_argument("--j", default=None, help="single value or range")
     p.add_argument("--n", type=int, default=None)

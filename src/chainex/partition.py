@@ -271,30 +271,6 @@ def in_gap_class(lam: Partition, r: int) -> bool:
     return values[-1] <= r
 
 
-class GapClass:
-    """Tagged class P^0_r (gap-bounded) or its complement P^+_r."""
-
-    __slots__ = ("kind", "r")
-    BOUNDED = "bounded"
-    EXCEEDS = "exceeds"
-
-    def __init__(self, kind: str, r: int):
-        if kind not in (self.BOUNDED, self.EXCEEDS):
-            raise PartitionError(f"unknown class kind {kind!r}")
-        if r < 1:
-            raise PartitionError("chain length r must be >= 1")
-        self.kind = kind
-        self.r = r
-
-    def __repr__(self):
-        return f"GapClass({self.kind!r}, r={self.r})"
-
-
-def in_class(lam: Partition, cls: GapClass) -> bool:
-    member = in_gap_class(lam, cls.r)
-    return member if cls.kind == GapClass.BOUNDED else not member
-
-
 # -- excludant statistics ----------------------------------------------------
 
 def chain_excludants(lam: Partition, r_max: int) -> tuple:

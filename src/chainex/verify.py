@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -29,6 +29,7 @@ from .partition import (
     chain_maex,
     chain_mex,
     count_multiples,
+    is_regular,
     is_strict,
     largest_repeating,
     maex_offset,
@@ -209,23 +210,6 @@ class VerificationReport:
 # Theorem harness
 # ---------------------------------------------------------------------------
 
-# theorem id -> the arguments of check_theorem it reads, named as the CLI
-# options: r (r_values), j (j_values), n (n_max) and order
-THEOREM_ARGS = {
-    "thm-1.4": ("n", "order"),
-    "thm-1.5": ("r", "j", "n"),
-    "thm-1.6": ("r", "n", "order"),
-    "thm-1.7": ("r", "n", "order"),
-    "thm-1.8": ("n", "order"),
-    "thm-1.10": ("r", "j", "n", "order"),
-    "thm-1.11": ("r", "n", "order"),
-    "q-binomial": ("order",),
-    "maex-distribution": ("r", "n"),
-}
-
-THEOREMS = tuple(THEOREM_ARGS)
-
-
 def _tallies(n_max, r_max, family_cells=()):
     """The tally of every n = 0..n_max, one walk each."""
     return [tally(n, r_max, family_cells) for n in range(n_max + 1)]
@@ -244,7 +228,10 @@ def _resolve(values, default, name, least):
 
 def _resolve_n(n_max, default, order):
     """(n_max, series order) with their defaults filled in; a series
-    truncated below n_max would leave coefficients unchecked."""
+    truncated below n_max would leave coefficients unchecked.  An id that
+    reads no n (``default`` None) gets the default series order."""
+    if default is None:
+        return None, qs.DEFAULT_ORDER if order is None else order
     n_max = default if n_max is None else n_max
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
@@ -254,94 +241,119 @@ def _resolve_n(n_max, default, order):
     return n_max, max(n_max, 1) if order is None else order
 
 
+def _series_rows(spec, report, r_values, j_values, n_max, top, order):
+    """The statistic sum of every tally against the series coefficient, for
+    every r, and the series against its product form if it has one."""
+    builder = getattr(qs, spec.series)
+    tallies = _tallies(n_max, max(r_values))
+    for r in r_values:
+        series = builder(r, top) if "r" in spec.takes else builder(top)
+        for n, t in enumerate(tallies):
+            report.add(r, None, n, spec.stat(t, r), series.coeff(n))
+        if spec.product is not None:
+            other = getattr(qs, spec.product)(r, qs.DEFAULT_ORDER if order is None else order)
+            for n in range(min(series.order, other.order) + 1):
+                report.add(r, None, n, series.coeff(n), other.coeff(n), "sum-vs-product")
+
+
+def _family_rows(spec, report, r_values, j_values, n_max, top, order):
+    """Every family's count of partitions with statistic j against the
+    first family's, for every r and j, and against the series if any."""
+    families = spec.families
+    tallies = _tallies(n_max, max(r_values) - 1,
+                       [(fam, r) for r in r_values for fam in families])
+    for r in r_values:
+        for j in j_values:
+            # the closed-form series counts the smallest-repeating
+            # family, so it cross-checks the thm-1.10 triple only
+            series = None if spec.series is None else getattr(qs, spec.series)(r, j, top)
+            for n, t in enumerate(tallies):
+                ref = t.families[families[0], r][j]
+                for fam in families[1:]:
+                    report.add(r, j, n, t.families[fam, r][j], ref, fam)
+                if series is not None:
+                    report.add(r, j, n, ref, series.coeff(n), "series")
+
+
+def _q_binomial_rows(spec, report, r_values, j_values, n_max, top, order):
+    cases = [(None, 1, False), (1, 1, False), (1, 2, True), (2, 1, False), (None, 2, False)]
+    for a_exp, z_exp, a_negate in cases:
+        lhs = qs.q_binomial_sum(a_exp, z_exp, top, a_negate)
+        rhs = qs.q_binomial_product(a_exp, z_exp, top, a_negate)
+        label = f"a={'0' if a_exp is None else ('-' if a_negate else '') + 'q^' + str(a_exp)},z=q^{z_exp}"
+        for n in range(top + 1):
+            report.add(None, None, n, lhs.coeff(n), rhs.coeff(n), label)
+
+
+def _maex_distribution_rows(spec, report, r_values, j_values, n_max, top, order):
+    tallies = _tallies(n_max, max(r_values))
+    for r in r_values:
+        z_top = max(n_max - 1, r)
+        series = qs.maex_bivariate(r, z_top, n_max)
+        other = qs.maex_bivariate_double_sum(r, z_top, n_max)
+        for m in range(z_top + 1):
+            for n, t in enumerate(tallies):
+                # maex 0 marks the gap-bounded class, which the
+                # bivariate series leave out
+                count = t.maex_counts(r)[m] if m else 0
+                report.add(r, m, n, count, series.coeff(m, n), "enumeration")
+                report.add(r, m, n, series.coeff(m, n), other.coeff(m, n), "double-sum")
+
+
+class _Theorem(namedtuple("_Theorem", "rows takes n r j series stat product families",
+                          defaults=(None, range(1, 2), None, None, None, None, ()))):
+    """One theorem id.  ``rows`` fills its report; ``takes`` names the
+    options it reads (r, j, n and order, named as the CLI options); ``n``,
+    ``r`` and ``j`` are the defaults of those it reads (each r range starts
+    at the least r, and a theorem that does not read r runs at r = 1).  The
+    rows compare the qseries builder named ``series`` with the statistic
+    sum ``stat`` of a tally and with the builder named ``product``, or the
+    counts of the ``families``, the first being the reference."""
+
+
+_THEOREMS = {
+    "thm-1.4": _Theorem(_series_rows, ("n", "order"), n=40,
+                        series="series_sigma_mex", stat=_STAT_SUMS["mex"]),
+    "thm-1.5": _Theorem(_family_rows, ("r", "j", "n"), n=25, r=range(2, 6), j=range(0, 6),
+                        families=("multiples", "largest-repeating", "above-mex")),
+    "thm-1.6": _Theorem(_series_rows, ("r", "n", "order"), n=30, r=range(1, 7),
+                        series="series_chain_mex_shifted", stat=_STAT_SUMS["mex+r-1"]),
+    "thm-1.7": _Theorem(_series_rows, ("r", "n", "order"), n=30, r=range(1, 7),
+                        series="series_chain_mex_offset_sum", stat=_STAT_SUMS["mex+offset"]),
+    "thm-1.8": _Theorem(_series_rows, ("n", "order"), n=30, series="series_maex_defect",
+                        stat=lambda t, r: t.largest - t.maex_sum(r)),
+    "thm-1.10": _Theorem(_family_rows, ("r", "j", "n", "order"), n=25, r=range(2, 6),
+                         j=range(1, 6), series="series_parts_above",
+                         families=("top-multiple", "smallest-repeating", "above-maex")),
+    "thm-1.11": _Theorem(_series_rows, ("r", "n", "order"), n=30, r=range(1, 7),
+                         series="series_chain_maex_sum", stat=_STAT_SUMS["largest-maex+offset"],
+                         product="series_chain_maex_product"),
+    "q-binomial": _Theorem(_q_binomial_rows, ("order",)),
+    "maex-distribution": _Theorem(_maex_distribution_rows, ("r", "n"), n=20, r=range(1, 4)),
+}
+
+THEOREMS = tuple(_THEOREMS)
+
+
 def check_theorem(theorem: str, r_values=None, n_max: int = None,
                   j_values=None, order: int = None) -> VerificationReport:
     """Run the brute-force vs series comparison for one identity.
 
-    Malformed arguments raise ``ValueError`` before any work starts;
-    mismatches are recorded in the report, not raised.
+    Malformed arguments, and an argument the theorem does not read, raise
+    ``ValueError`` before any work starts; mismatches are recorded in the
+    report, not raised.
     """
+    if theorem not in _THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    check_arguments(theorem, r_values, j_values, n_max, order)
+    spec = _THEOREMS[theorem]
     start = time.monotonic()
     report = VerificationReport(theorem)
-    if theorem == "thm-1.4":
-        n_max, top = _resolve_n(n_max, 40, order)
-        series = qs.series_sigma_mex(top)
-        for n, t in enumerate(_tallies(n_max, 1)):
-            report.add(1, None, n, _STAT_SUMS["mex"](t, 1), series.coeff(n))
-    elif theorem in ("thm-1.5", "thm-1.10"):
-        n_max, top = _resolve_n(n_max, 25, order if theorem == "thm-1.10" else None)
-        r_values = _resolve(r_values, range(2, 6), "r", 2)
-        j_values = _resolve(j_values, range(0, 6) if theorem == "thm-1.5" else range(1, 6),
-                            "j", None)
-        families = (("multiples", "largest-repeating", "above-mex")
-                    if theorem == "thm-1.5"
-                    else ("top-multiple", "smallest-repeating", "above-maex"))
-        tallies = _tallies(n_max, max(r_values) - 1,
-                           [(fam, r) for r in r_values for fam in families])
-        for r in r_values:
-            for j in j_values:
-                # the closed-form series counts the smallest-repeating
-                # family, so it cross-checks the thm-1.10 triple only
-                series = (qs.series_parts_above(r, j, top)
-                          if theorem == "thm-1.10" else None)
-                for n, t in enumerate(tallies):
-                    ref = t.families[families[0], r][j]
-                    for fam in families[1:]:
-                        report.add(r, j, n, t.families[fam, r][j], ref, fam)
-                    if series is not None:
-                        report.add(r, j, n, ref, series.coeff(n), "series")
-    elif theorem in ("thm-1.6", "thm-1.7", "thm-1.11"):
-        n_max, top = _resolve_n(n_max, 30, order)
-        r_values = _resolve(r_values, range(1, 7), "r", 1)
-        builders = {
-            "thm-1.6": (qs.series_chain_mex_shifted, "mex+r-1"),
-            "thm-1.7": (qs.series_chain_mex_offset_sum, "mex+offset"),
-            "thm-1.11": (qs.series_chain_maex_sum, "largest-maex+offset"),
-        }
-        builder, stat = builders[theorem]
-        stat_sum = _STAT_SUMS[stat]
-        tallies = _tallies(n_max, max(r_values))
-        for r in r_values:
-            series = builder(r, top)
-            for n, t in enumerate(tallies):
-                report.add(r, None, n, stat_sum(t, r), series.coeff(n))
-            if theorem == "thm-1.11":
-                other = qs.series_chain_maex_product(
-                    r, qs.DEFAULT_ORDER if order is None else order)
-                for n in range(min(series.order, other.order) + 1):
-                    report.add(r, None, n, series.coeff(n), other.coeff(n), "sum-vs-product")
-    elif theorem == "thm-1.8":
-        n_max, top = _resolve_n(n_max, 30, order)
-        series = qs.series_maex_defect(top)
-        for n, t in enumerate(_tallies(n_max, 1)):
-            lhs = _STAT_SUMS["sum-largest"](t, 1) - _STAT_SUMS["sum-maex"](t, 1)
-            report.add(1, None, n, lhs, series.coeff(n))
-    elif theorem == "q-binomial":
-        top = qs.DEFAULT_ORDER if order is None else order
-        cases = [(None, 1, False), (1, 1, False), (1, 2, True), (2, 1, False), (None, 2, False)]
-        for a_exp, z_exp, a_negate in cases:
-            lhs = qs.q_binomial_sum(a_exp, z_exp, top, a_negate)
-            rhs = qs.q_binomial_product(a_exp, z_exp, top, a_negate)
-            label = f"a={'0' if a_exp is None else ('-' if a_negate else '') + 'q^' + str(a_exp)},z=q^{z_exp}"
-            for n in range(top + 1):
-                report.add(None, None, n, lhs.coeff(n), rhs.coeff(n), label)
-    elif theorem == "maex-distribution":
-        n_max, _ = _resolve_n(n_max, 20, None)
-        r_values = _resolve(r_values, range(1, 4), "r", 1)
-        tallies = _tallies(n_max, max(r_values))
-        for r in r_values:
-            z_top = max(n_max - 1, r)
-            series = qs.maex_bivariate(r, z_top, n_max)
-            other = qs.maex_bivariate_double_sum(r, z_top, n_max)
-            for m in range(z_top + 1):
-                for n, t in enumerate(tallies):
-                    # maex 0 marks the gap-bounded class, which the
-                    # bivariate series leave out
-                    count = t.maex_counts(r)[m] if m else 0
-                    report.add(r, m, n, count, series.coeff(m, n), "enumeration")
-                    report.add(r, m, n, series.coeff(m, n), other.coeff(m, n), "double-sum")
-    else:
-        raise ValueError(f"unknown theorem id {theorem!r}")
+    n_max, top = _resolve_n(n_max, spec.n, order)
+    r_values = _resolve(r_values, spec.r, "r", spec.r.start)
+    if spec.j is not None:
+        j_values = _resolve(j_values, spec.j, "j", None)
+    spec.rows(spec, report, r_values, j_values, n_max, top, order)
     report.wall_time = time.monotonic() - start
     return report
 
@@ -350,119 +362,156 @@ def check_theorem(theorem: str, r_values=None, n_max: int = None,
 # Bijection certification
 # ---------------------------------------------------------------------------
 
-# index-to-pair map id -> (index bound of lambda at r, names of the forward
-# map, its inverse and its codomain checker in bijections, whether the
-# codomain has colored empties)
-_PAIRINGS = {
-    "gamma": (lambda lam, r: chain_mex(lam, r) + mex_offset(lam, r),
-              "mex_pairing", "mex_pairing_inv", "in_mex_codomain", False),
-    "gamma-star": (lambda lam, r: chain_mex(lam, r) + r - 1,
-                   "mex_pairing_colored", "mex_pairing_colored_inv",
-                   "in_colored_codomain", True),
-    "delta": (lambda lam, r: lam.largest - chain_maex(lam, r) + maex_offset(lam, r),
-              "maex_pairing", "maex_pairing_inv", "in_maex_codomain", False),
+class _Map(namedtuple("_Map", "domain codomain forward inverse fiber")):
+    """A map between two families of partitions of the same weight: the
+    domain and codomain membership tests (None: every partition), the
+    names of the map and its inverse in bijections, and the fiber test,
+    whether the image carries the input's statistic (None: no fiber)."""
+
+    def certify(self, report, r, by_weight):
+        # looked up per call so that a patched module attribute is used
+        forward, inverse = getattr(bij, self.forward), getattr(bij, self.inverse)
+        for n, weight_n in enumerate(by_weight):
+            domain = [lam for lam in weight_n if self.domain(lam, r)] if self.domain else weight_n
+            codomain = ([nu for nu in weight_n if self.codomain(nu, r)] if self.codomain
+                        else weight_n)
+            images = set()
+            ok = fibers = True
+            for lam in domain:
+                out = forward(lam, r)
+                ok &= out.weight == n and (self.codomain is None or self.codomain(out, r))
+                if self.fiber is not None:
+                    fibers &= self.fiber(lam, out, r)
+                ok &= inverse(out, r) == lam
+                images.add(out)
+            ok &= images == set(codomain)
+            # between all partitions of n the cardinalities agree trivially
+            if self.domain is not None:
+                report.add(r, None, n, len(domain), len(codomain), "cardinality")
+            report.add(r, None, n, int(ok), 1, "roundtrip")
+            if self.fiber is not None:
+                report.add(r, None, n, int(fibers), 1, "fiber")
+
+
+class _Pairing(namedtuple("_Pairing", "bound forward inverse checker colored")):
+    """An index-to-pair map: the index bound of lambda at r, the names of
+    the forward map, its inverse and its codomain checker in bijections,
+    and whether the codomain has colored empties."""
+
+    def certify(self, report, r, by_weight):
+        # looked up per call so that a patched module attribute is used
+        forward, inverse, checker = (getattr(bij, f)
+                                     for f in (self.forward, self.inverse, self.checker))
+        strict = [[p for p in ps if is_strict(p, r + 1)] for ps in by_weight]
+        for n, weight_n in enumerate(by_weight):
+            ok = True
+            images = set()
+            domain_size = 0
+            for lam in weight_n:
+                for i in range(1, self.bound(lam, r) + 1):
+                    domain_size += 1
+                    pair = forward(lam, i, r)
+                    ok &= pair.weight == n and checker(pair, r)
+                    ok &= inverse(pair, r) == (lam, i)
+                    images.add((pair.alpha, pair.beta))
+            # every candidate (alpha (r+1)-strict of weight a, beta any
+            # partition of n - a, or a colored empty when a = n) through
+            # the checker
+            codomain = set()
+            for a, alphas in enumerate(strict[:n + 1]):
+                betas = by_weight[n - a]
+                if self.colored and a == n:
+                    betas = betas + [bij.ColoredEmpty(color) for color in range(1, r + 1)]
+                codomain.update((alpha, beta) for alpha in alphas for beta in betas
+                                if checker(bij.PartitionPair(alpha, beta), r))
+            ok &= images == codomain and len(images) == domain_size
+            report.add(r, None, n, domain_size, len(codomain), "cardinality")
+            report.add(r, None, n, int(ok), 1, "roundtrip")
+
+
+_BIJECTIONS = {
+    "glaisher": _Map(lambda lam, r: is_regular(lam, r), lambda lam, r: is_strict(lam, r),
+                     "glaisher_merge", "glaisher_split", None),
+    "multiples-repeats": _Map(
+        None, None, "multiples_to_repeats", "repeats_to_multiples",
+        lambda lam, out, r: count_multiples(lam, r) == largest_repeating(out, r)),
+    "top-multiple": _Map(
+        lambda lam, r: not is_regular(lam, r), lambda lam, r: not is_strict(lam, r),
+        "top_multiple_to_repeats", "repeats_to_top_multiple",
+        lambda lam, out, r: top_multiple_multiplicity(lam, r) == smallest_repeating(out, r)),
+    "gamma": _Pairing(lambda lam, r: chain_mex(lam, r) + mex_offset(lam, r),
+                      "mex_pairing", "mex_pairing_inv", "in_mex_codomain", False),
+    "gamma-star": _Pairing(lambda lam, r: chain_mex(lam, r) + r - 1,
+                           "mex_pairing_colored", "mex_pairing_colored_inv",
+                           "in_colored_codomain", True),
+    "delta": _Pairing(lambda lam, r: lam.largest - chain_maex(lam, r) + maex_offset(lam, r),
+                      "maex_pairing", "maex_pairing_inv", "in_maex_codomain", False),
 }
 
-BIJECTIONS = ("glaisher", "multiples-repeats", "top-multiple") + tuple(_PAIRINGS)
+BIJECTIONS = tuple(_BIJECTIONS)
+
+# the weight a bijection is certified up to when no n is given
+BIJECTION_N = 16
 
 
-def _codomain_pairs(n, r, checker, colored, by_weight, strict):
-    """Every (alpha, beta) of weight n whose pair ``checker`` accepts, from
-    the candidates alpha (r+1)-strict of weight a and beta any partition of
-    n - a, and, when ``colored``, each of the r colored empties beside
-    every alpha of weight n.  ``by_weight[w]`` lists the partitions of w
-    and ``strict[w]`` their (r+1)-strict ones."""
-    for a in range(n + 1):
-        betas = by_weight[n - a]
-        if colored and a == n:
-            betas = betas + [bij.ColoredEmpty(color) for color in range(1, r + 1)]
-        for alpha in strict[a]:
-            for beta in betas:
-                if checker(bij.PartitionPair(alpha, beta), r):
-                    yield alpha, beta
-
-
-def certify_bijection(name: str, r: int, n_max: int) -> VerificationReport:
-    """Exhaustively certify one constructive map for all weights <= n_max:
-    forward output lands in the codomain, the inverse round-trips, and
-    independently enumerated domain and codomain cardinalities agree."""
-    if name not in BIJECTIONS:
+def certify_bijection(name: str, r: int, n_max: int = None) -> VerificationReport:
+    """Exhaustively certify one constructive map for all weights <= n_max
+    (default ``BIJECTION_N``): forward output lands in the codomain, the
+    inverse round-trips, and independently enumerated domain and codomain
+    cardinalities agree."""
+    if name not in _BIJECTIONS:
         raise ValueError(f"unknown bijection id {name!r}")
+    n_max = BIJECTION_N if n_max is None else n_max
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
     start = time.monotonic()
     report = VerificationReport(f"bijection:{name}")
-    if name in _PAIRINGS:
-        # the partitions of every weight, listed once for this call: the
-        # domain walks them and the codomain candidates are built from them
-        by_weight = [list(partitions(w)) for w in range(n_max + 1)]
-        strict = [[p for p in ps if is_strict(p, r + 1)] for ps in by_weight]
-    for n in range(n_max + 1):
-        if name == "glaisher":
-            domain = list(partitions(n, lambda p: all(v % r for v, _ in p.pairs)))
-            codomain = list(partitions(n, lambda p: is_strict(p, r)))
-            images = set()
-            ok = True
-            for lam in domain:
-                out = bij.glaisher_merge(lam, r)
-                ok &= is_strict(out, r) and out.weight == n
-                ok &= bij.glaisher_split(out, r) == lam
-                images.add(out)
-            ok &= images == set(codomain)
-            report.add(r, None, n, len(domain), len(codomain), "cardinality")
-            report.add(r, None, n, int(ok), 1, "roundtrip")
-        elif name == "multiples-repeats":
-            images = set()
-            ok = True
-            fibers = True
-            for lam in partitions(n):
-                j = count_multiples(lam, r)
-                out = bij.multiples_to_repeats(lam, r)
-                ok &= out.weight == n
-                fibers &= largest_repeating(out, r) == j
-                ok &= bij.repeats_to_multiples(out, r) == lam
-                images.add(out)
-            ok &= len(images) == sum(1 for _ in partitions(n))
-            report.add(r, None, n, int(ok), 1, "roundtrip")
-            report.add(r, None, n, int(fibers), 1, "fiber")
-        elif name == "top-multiple":
-            domain = list(partitions(n, lambda p: any(v % r == 0 for v, _ in p.pairs)))
-            codomain = list(partitions(n, lambda p: any(m >= r for _, m in p.pairs)))
-            images = set()
-            ok = True
-            fibers = True
-            for lam in domain:
-                j = top_multiple_multiplicity(lam, r)
-                out = bij.top_multiple_to_repeats(lam, r)
-                ok &= out.weight == n
-                fibers &= smallest_repeating(out, r) == j
-                ok &= bij.repeats_to_top_multiple(out, r) == lam
-                images.add(out)
-            ok &= images == set(codomain)
-            report.add(r, None, n, len(domain), len(codomain), "cardinality")
-            report.add(r, None, n, int(ok), 1, "roundtrip")
-            report.add(r, None, n, int(fibers), 1, "fiber")
-        else:  # gamma, gamma-star, delta
-            bound, forward, inverse, checker, colored = _PAIRINGS[name]
-            # looked up per call so that a patched module attribute is used
-            forward, inverse, checker = (getattr(bij, f) for f in (forward, inverse, checker))
-            ok = True
-            images = set()
-            domain_size = 0
-            for lam in by_weight[n]:
-                for i in range(1, bound(lam, r) + 1):
-                    domain_size += 1
-                    pair = forward(lam, i, r)
-                    ok &= pair.weight == n and checker(pair, r)
-                    ok &= inverse(pair, r) == (lam, i)
-                    images.add((pair.alpha, pair.beta))
-            codomain = set(_codomain_pairs(n, r, checker, colored, by_weight, strict))
-            ok &= images == codomain and len(images) == domain_size
-            report.add(r, None, n, domain_size, len(codomain), "cardinality")
-            report.add(r, None, n, int(ok), 1, "roundtrip")
+    # the partitions of every weight, listed once for this call: the domain
+    # walks them and the codomain is built from them
+    by_weight = [list(partitions(w)) for w in range(n_max + 1)]
+    _BIJECTIONS[name].certify(report, r, by_weight)
     report.wall_time = time.monotonic() - start
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Any verification id
+# ---------------------------------------------------------------------------
+
+# verification id -> the options it reads, named as the CLI options
+ARGUMENTS = {theorem: spec.takes for theorem, spec in _THEOREMS.items()}
+ARGUMENTS.update(dict.fromkeys(BIJECTIONS, ("r", "n")))
+
+
+def check_arguments(vid: str, r=None, j=None, n=None, order=None) -> None:
+    """Raise ``ValueError`` for an unknown verification id, or for an option
+    it does not read (None means unset)."""
+    if vid not in ARGUMENTS:
+        raise ValueError(f"unknown verification id {vid!r}; theorems: "
+                         + ", ".join(THEOREMS) + "; bijections: " + ", ".join(BIJECTIONS))
+    takes = ARGUMENTS[vid]
+    for name, value in (("r", r), ("j", j), ("n", n), ("order", order)):
+        if value is not None and name not in takes:
+            raise ValueError(f"verify {vid} does not take --{name}; it takes "
+                             + ", ".join("--" + t for t in takes))
+
+
+def run_check(vid: str, r_values=None, n_max: int = None, j_values=None,
+              order: int = None) -> VerificationReport:
+    """One report for any verification id: its theorem check, or the
+    certification of its bijection at every r in ``r_values``."""
+    if vid in _THEOREMS:
+        return check_theorem(vid, r_values, n_max, j_values, order)
+    check_arguments(vid, r_values, j_values, n_max, order)
+    if r_values is None:
+        raise ValueError("bijection verification requires --r")
+    report = VerificationReport(f"bijection:{vid}")
+    for r in r_values:
+        sub = certify_bijection(vid, r, n_max)
+        report.rows.extend(sub.rows)
+        report.wall_time += sub.wall_time
     return report
 
 

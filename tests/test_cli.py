@@ -258,6 +258,12 @@ class TestVerifyArguments:
     def test_j_outside_the_family_theorems(self, capsys, theorem):
         self.rejects(capsys, [theorem, "--j", "1"], "--j", theorem)
 
+    def test_unread_argument_reported_before_its_range(self, capsys):
+        code, out, err = call(capsys, "verify", "thm-1.4", "--r", "3..1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: verify thm-1.4 does not take --r; it takes --n, --order\n"
+
     def test_n_on_q_binomial(self, capsys):
         self.rejects(capsys, ["q-binomial", "--n", "3"], "--n", "q-binomial")
 

@@ -1,7 +1,8 @@
 """The structural operators on (value, multiplicity) pairs against the
 flat-parts references in ``oracles``, and the index-to-pair maps gamma,
-gamma-star and delta on partitions far larger than exhaustive
-certification reaches.
+gamma-star and delta and the partition maps glaisher, multiples-repeats
+and top-multiple on partitions far larger than exhaustive certification
+reaches.
 """
 
 import json
@@ -18,8 +19,13 @@ from chainex.partition import (
     PartitionError,
     chain_maex,
     chain_mex,
+    count_multiples,
+    is_strict,
+    largest_repeating,
     maex_offset,
     mex_offset,
+    smallest_repeating,
+    top_multiple_multiplicity,
 )
 
 from oracles import flat_concat, flat_cut, flat_shift_residues
@@ -108,6 +114,66 @@ def test_round_trip_at_weight_60_to_200(name, data):
     assert checker(pair, r)
     assert inverse(pair, r) == (lam, i)
     assert pair.weight == lam.weight
+
+
+@st.composite
+def regular_partitions_of(draw, low, high, r):
+    """An r-regular partition (no part divisible by r) of a weight drawn
+    from low..high, its largest part capped as in ``partitions_of``."""
+    n = draw(st.integers(low, high))
+    cap = draw(st.integers(1, n))
+    parts = []
+    while n:
+        part = draw(st.integers(1, min(n, cap)))
+        if part % r == 0:
+            part -= 1   # r >= 2, so this is no multiple of r
+        parts.append(part)
+        n -= part
+    return P.of_multiset(parts)
+
+
+@st.composite
+def partitions_with_a_multiple(draw, low, high, r):
+    """A partition of a weight drawn from low..high with at least one part
+    divisible by r."""
+    n = draw(st.integers(low, high))
+    multiple = r * draw(st.integers(1, n // r))
+    rest = draw(partitions_of(n - multiple, n - multiple))
+    return P.of_multiset(rest.parts + (multiple,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_glaisher_round_trip_at_weight_60_to_200(data):
+    r = data.draw(st.integers(2, 5), label="r")
+    lam = data.draw(regular_partitions_of(60, 200, r), label="lambda")
+    out = bij.glaisher_merge(lam, r)
+    assert out.weight == lam.weight
+    assert is_strict(out, r)
+    assert bij.glaisher_split(out, r) == lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_multiples_repeats_round_trip_at_weight_60_to_200(data):
+    r = data.draw(st.integers(2, 5), label="r")
+    lam = data.draw(partitions_of(60, 200), label="lambda")
+    out = bij.multiples_to_repeats(lam, r)
+    assert out.weight == lam.weight
+    assert bij.repeats_to_multiples(out, r) == lam
+    assert largest_repeating(out, r) == count_multiples(lam, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_top_multiple_round_trip_at_weight_60_to_200(data):
+    r = data.draw(st.integers(2, 5), label="r")
+    lam = data.draw(partitions_with_a_multiple(60, 200, r), label="lambda")
+    out = bij.top_multiple_to_repeats(lam, r)
+    assert out.weight == lam.weight
+    assert not is_strict(out, r)   # it has an r-repeating part
+    assert bij.repeats_to_top_multiple(out, r) == lam
+    assert smallest_repeating(out, r) == top_multiple_multiplicity(lam, r)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,12 @@ from hypothesis import strategies as st
 
 from chainex.partition import (
     EMPTY,
-    GapClass,
     Partition,
     PartitionError,
     chain_excludants,
     chain_maex,
     chain_mex,
     count_multiples,
-    in_class,
     in_gap_class,
     is_regular,
     is_strict,
@@ -249,9 +247,9 @@ class TestChainExcludants:
 
 class TestClassAndOffsets:
     def test_membership_examples(self):
-        assert in_class(P([4, 1, 1, 1]), GapClass(GapClass.EXCEEDS, 2))
-        assert in_class(EMPTY, GapClass(GapClass.BOUNDED, 5))
-        assert in_class(P([3, 2, 1]), GapClass(GapClass.BOUNDED, 1))
+        assert not in_gap_class(P([4, 1, 1, 1]), 2)
+        assert in_gap_class(EMPTY, 5)
+        assert in_gap_class(P([3, 2, 1]), 1)
 
     def test_offset_values(self):
         assert mex_offset(EMPTY, 4) == 0
@@ -259,10 +257,6 @@ class TestClassAndOffsets:
         assert mex_offset(P([7]), 2) == 1
         assert maex_offset(P([7]), 2) == 2
         assert mex_offset(P([3, 2, 1]), 3) == 0
-
-    def test_bad_class(self):
-        with pytest.raises(PartitionError):
-            GapClass("weird", 2)
 
 
 class TestRepeatsAndMultiples:

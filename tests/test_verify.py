@@ -14,6 +14,7 @@ from chainex.verify import (
     check_theorem,
     count_family,
     report_to_format,
+    run_check,
     sigma_stat,
     tally,
 )
@@ -183,6 +184,17 @@ class TestTheoremHarness:
         with pytest.raises(ValueError, match=message):
             check_theorem(theorem, **kwargs)
 
+    @pytest.mark.parametrize("theorem, kwargs, message", [
+        ("thm-1.4", {"r_values": [5]},
+         "verify thm-1.4 does not take --r; it takes --n, --order"),
+        ("q-binomial", {"n_max": 3, "order": 4},
+         "verify q-binomial does not take --n; it takes --order"),
+    ])
+    def test_unread_argument_rejected(self, theorem, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            check_theorem(theorem, **kwargs)
+        assert str(info.value) == message
+
     def test_default_ranges_are_filled_only_when_unset(self):
         rep = check_theorem("thm-1.6", r_values=[3], n_max=5)
         assert {row.r for row in rep.rows} == {3}
@@ -211,6 +223,18 @@ class TestBijectionCertification:
             certify_bijection("gamma", 2, -1)
         with pytest.raises(ValueError, match="r must be >= 1"):
             certify_bijection("gamma", 0, 4)
+
+    def test_run_check_certifies_every_r_to_the_default_n(self):
+        rep = run_check("glaisher", r_values=[2, 3])
+        assert rep.passed
+        assert {(row.r, row.n) for row in rep.rows} == {
+            (r, n) for r in (2, 3) for n in range(16 + 1)}
+
+    def test_run_check_rejects_what_a_bijection_does_not_read(self):
+        with pytest.raises(ValueError, match="^verify gamma does not take --j; it takes --r, --n$"):
+            run_check("gamma", r_values=[2], j_values=[1])
+        with pytest.raises(ValueError, match="^bijection verification requires --r$"):
+            run_check("gamma", n_max=4)
 
     def test_cardinality_rows_match_known_counts(self):
         # weight-6 domain of the colored map: sum over partitions of
