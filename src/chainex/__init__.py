@@ -41,8 +41,6 @@ from .bijections import (
     multiples_to_repeats,
     repeats_to_multiples,
     repeats_to_top_multiple,
-    shift_residues_keep_largest,
-    shift_residues_keep_smallest,
     top_multiple_to_repeats,
 )
 from .qseries import BivariateSeries, PowerSeries, SeriesError

@@ -85,6 +85,35 @@ class IndexedPartition(NamedTuple):
 # Glaisher-style merge/split
 # ---------------------------------------------------------------------------
 
+def _merge_digits(pairs: tuple, r: int) -> tuple:
+    """glaisher_merge on the pairs of an r-regular partition: the m copies
+    of v go to v*r^k, d_k copies each, for the base-r digits d_k of m.
+    Distinct r-regular values never reach one value, so the pairs only
+    need sorting."""
+    out = []
+    for v, m in pairs:
+        while m:
+            m, d = divmod(m, r)
+            if d:
+                out.append((v, d))
+            v *= r
+    out.sort(reverse=True)
+    return tuple(out)
+
+
+def _split_digits(pairs: tuple, r: int) -> tuple:
+    """glaisher_split on the pairs of an r-strict partition: m copies of
+    u*r^k, u not divisible by r, become m*r^k copies of u, and the copies
+    that land on one u add up."""
+    counts = {}
+    for v, m in pairs:
+        while v % r == 0:
+            v //= r
+            m *= r
+        counts[v] = counts.get(v, 0) + m
+    return tuple(sorted(counts.items(), reverse=True))
+
+
 def glaisher_merge(lam: Partition, r: int) -> Partition:
     """Merge every r equal copies into a single r-fold part, repeatedly,
     until every multiplicity is below r.  Input must be r-regular."""
@@ -93,19 +122,7 @@ def glaisher_merge(lam: Partition, r: int) -> Partition:
     for v, _ in lam.pairs:
         if v % r == 0:
             raise DomainError(f"part {v} is divisible by {r}; input must be {r}-regular")
-    counts = {v: m for v, m in lam.pairs}
-    stack = sorted(counts)
-    while stack:
-        v = stack.pop()
-        m = counts.get(v, 0)
-        if m < r:
-            continue
-        counts[v] = m % r
-        merged = v * r
-        had = counts.get(merged, 0)
-        counts[merged] = had + m // r
-        stack.append(merged)
-    return Partition.from_counts(counts)
+    return Partition._from_pairs(_merge_digits(lam.pairs, r))
 
 
 def glaisher_split(lam: Partition, r: int) -> Partition:
@@ -116,20 +133,7 @@ def glaisher_split(lam: Partition, r: int) -> Partition:
     for v, m in lam.pairs:
         if m >= r:
             raise DomainError(f"part {v} has multiplicity {m}; input must be {r}-strict")
-    counts = {v: m for v, m in lam.pairs}
-    stack = sorted(counts)
-    while stack:
-        v = stack.pop()
-        m = counts.pop(v, 0)
-        if m == 0:
-            continue
-        if v % r == 0:
-            child = v // r
-            counts[child] = counts.get(child, 0) + m * r
-            stack.append(child)
-        else:
-            counts[v] = m
-    return Partition.from_counts(counts)
+    return Partition._from_pairs(_split_digits(lam.pairs, r))
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +142,17 @@ def glaisher_split(lam: Partition, r: int) -> Partition:
 
 def _to_repeat_form(lam: Partition, r: int) -> Partition:
     # the parts not divisible by r merge, the multiples of r conjugate
-    other = Partition.from_counts({v: m for v, m in lam.pairs if v % r != 0})
-    mult = Partition.from_counts({v: m for v, m in lam.pairs if v % r == 0})
-    return glaisher_merge(other, r).concat(mult.conjugate())
+    other = tuple(p for p in lam.pairs if p[0] % r)
+    mult = Partition._from_pairs(tuple(p for p in lam.pairs if not p[0] % r))
+    return Partition._from_pairs(_merge_pairs(_merge_digits(other, r), mult.conjugate().pairs))
 
 
 def _to_multiple_form(nu: Partition, r: int) -> Partition:
     # Extract the largest multiple of r from each multiplicity; what stays
     # behind is r-strict, what leaves has all multiplicities divisible by r.
-    repeated = {v: r * (m // r) for v, m in nu.pairs if m >= r}
-    rest = {v: m % r for v, m in nu.pairs}
-    kappa = glaisher_split(Partition.from_counts(rest), r)
-    gamma = Partition.from_counts(repeated).conjugate()
-    return kappa.concat(gamma)
+    rest = tuple((v, m % r) for v, m in nu.pairs if m % r)
+    repeated = Partition._from_pairs(tuple((v, m - m % r) for v, m in nu.pairs if m >= r))
+    return Partition._from_pairs(_merge_pairs(_split_digits(rest, r), repeated.conjugate().pairs))
 
 
 def multiples_to_repeats(lam: Partition, r: int) -> Partition:
@@ -189,11 +191,12 @@ def repeats_to_top_multiple(nu: Partition, r: int) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# Pair operators: reduce beta multiplicities mod (r+1), one end kept intact
+# Pair operator: reduce beta multiplicities mod (r+1), one end kept intact
 # ---------------------------------------------------------------------------
 
 def _shift_residues(alpha: Partition, beta: Partition, r: int, keep: str):
-    """Core of the two pair operators.
+    """The pair operator of gamma (``keep="largest"``) and delta
+    (``keep="smallest"``).
 
     Write each beta multiplicity as q(r+1)+h with 0 <= h <= r.  The kept
     end (largest or smallest value) stays untouched; for every other value
@@ -214,18 +217,6 @@ def _shift_residues(alpha: Partition, beta: Partition, r: int, keep: str):
     moved = tuple(moved)
     return (Partition._from_pairs(_merge_pairs(alpha.pairs, moved)),
             Partition._from_pairs(tuple(stay)), moved)
-
-
-def shift_residues_keep_largest(alpha: Partition, beta: Partition, r: int) -> PartitionPair:
-    """Pair operator keeping all copies of beta's largest value."""
-    a, b, _ = _shift_residues(alpha, beta, r, "largest")
-    return PartitionPair(a, b)
-
-
-def shift_residues_keep_smallest(alpha: Partition, beta: Partition, r: int) -> PartitionPair:
-    """Mirror operator keeping all copies of beta's smallest value."""
-    a, b, _ = _shift_residues(alpha, beta, r, "smallest")
-    return PartitionPair(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +276,13 @@ def _check_index(i: int, bound: int, lam: Partition):
 
 def _pairing_trace(lam: Partition, i: int, r: int, pair: PartitionPair, steps) -> dict:
     """JSON-friendly trace of one forward call from the steps it returns:
-    the conjugate, the cut index, the moved copies and the extra move."""
+    the conjugate, the cut index, the moved copies and the extra move.  A
+    colored empty has no cut, and its trace holds only the conjugate."""
     conjugate, cut, moved, extra = steps
-    intermediate = {"conjugate": str(conjugate), "cut_index": cut,
-                    "moves": [{"value": v, "copies": h} for v, h in moved]}
+    intermediate = {"conjugate": str(conjugate)}
+    if cut is not None:
+        intermediate["cut_index"] = cut
+        intermediate["moves"] = [{"value": v, "copies": h} for v, h in moved]
     if extra is not None:
         intermediate["extra_move"] = {"value": extra[0], "copies": extra[1]}
     return {
@@ -305,16 +299,16 @@ def _pairing_trace(lam: Partition, i: int, r: int, pair: PartitionPair, steps) -
 
 def _mex_pairing(lam: Partition, i: int, r: int, colored: bool):
     """gamma, or gamma-star when ``colored``, with the steps the trace
-    reports (None for a colored empty)."""
+    reports (no cut for a colored empty)."""
     _check_r(r)
     m = chain_mex(lam, r)
     gap_bounded = in_gap_class(lam, r)
     # gamma's index bound adds the class offset (see mex_offset); the
     # colored extension adds r - 1 on both classes
     _check_index(i, m if gap_bounded and not colored else m + r - 1, lam)
-    if colored and gap_bounded and i >= m:
-        return PartitionPair(lam.conjugate(), ColoredEmpty(i - m + 1), case="colored"), None
     lp = lam.conjugate()
+    if colored and gap_bounded and i >= m:
+        return PartitionPair(lp, ColoredEmpty(i - m + 1), case="colored"), (lp, None, (), None)
     alpha, beta, moved = _shift_residues(lp.cut_up(i), lp.cut_down(i), r, "largest")
     extra = None
     if gap_bounded or i <= m - 1:
@@ -379,11 +373,16 @@ def mex_pairing_colored(lam: Partition, i: int, r: int) -> PartitionPair:
     1 <= i <= chain_mex + r - 1; the surplus indices on the gap-bounded
     class map to pairs whose empty beta carries a color in 1..r.
 
-    Beta is emitted in the same orientation as mex_pairing; apply
-    ``conjugate_beta`` to match the convention where beta counts
-    (r+1)-regular partitions with all parts in one residue class.
+    Beta is emitted in the same orientation as mex_pairing; its conjugate
+    gives the convention where beta counts (r+1)-regular partitions with
+    all parts in one residue class.
     """
     return _mex_pairing(lam, i, r, True)[0]
+
+
+def mex_pairing_colored_trace(lam: Partition, i: int, r: int) -> dict:
+    """Forward map plus a JSON-friendly trace of the intermediate steps."""
+    return _pairing_trace(lam, i, r, *_mex_pairing(lam, i, r, True))
 
 
 def mex_pairing_colored_inv(pair: PartitionPair, r: int) -> IndexedPartition:
@@ -396,13 +395,6 @@ def mex_pairing_colored_inv(pair: PartitionPair, r: int) -> IndexedPartition:
             raise DomainError("colored empty beta requires a gap-bounded preimage")
         return IndexedPartition(lam, chain_mex(lam, r) + pair.beta.color - 1)
     return _mex_unpairing(pair, r)
-
-
-def conjugate_beta(pair: PartitionPair) -> PartitionPair:
-    """Replace beta by its conjugate (colored empties are fixed)."""
-    if isinstance(pair.beta, ColoredEmpty):
-        return pair
-    return PartitionPair(pair.alpha, pair.beta.conjugate(), pair.case)
 
 
 # ---------------------------------------------------------------------------

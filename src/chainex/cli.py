@@ -48,6 +48,25 @@ SERIES_BUILDERS = {
 }
 
 
+# CLI name -> the partition map
+PARTITION_MAPS = {
+    "glaisher": bij.glaisher_merge,
+    "glaisher-inv": bij.glaisher_split,
+    "multiples-to-repeats": bij.multiples_to_repeats,
+    "repeats-to-multiples": bij.repeats_to_multiples,
+    "top-multiple": bij.top_multiple_to_repeats,
+    "top-multiple-inv": bij.repeats_to_top_multiple,
+}
+
+# CLI name -> (the index-to-pair map with its trace, the keys printed
+# without --trace)
+PAIRING_MAPS = {
+    "gamma": (bij.mex_pairing_trace, ("input", "output")),
+    "gamma-star": (bij.mex_pairing_colored_trace, ("input", "case", "output")),
+    "delta": (bij.maex_pairing_trace, ("input", "output")),
+}
+
+
 class CliError(Exception):
     pass
 
@@ -64,8 +83,11 @@ def _parse_range(text: str):
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write --out {out_path!r}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -93,16 +115,24 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _check_positive(option: str, value: int) -> None:
+    if value < 1:
+        raise CliError(f"{option} must be >= 1, got {value}")
+
+
 def cmd_enumerate(args) -> int:
     predicate = None
     preds = []
-    if args.regular:
+    if args.regular is not None:
+        _check_positive("--regular", args.regular)
         preds.append(lambda p, r=args.regular: is_regular(p, r))
-    if args.strict:
+    if args.strict is not None:
+        _check_positive("--strict", args.strict)
         preds.append(lambda p, r=args.strict: is_strict(p, r))
-    if args.gap_class:
+    if args.gap_class is not None:
         if args.r is None:
             raise CliError("--gap-class requires --r")
+        _check_positive("--r", args.r)
         want = args.gap_class == "bounded"
         preds.append(lambda p, r=args.r, w=want: in_gap_class(p, r) == w)
     if preds:
@@ -143,31 +173,17 @@ def cmd_bijection(args) -> int:
     r = args.r
     name = args.name
     try:
-        if name in ("gamma", "gamma-star", "delta"):
+        if name in PAIRING_MAPS:
             if args.i is None:
                 raise CliError(f"bijection {name!r} requires --i")
-            tracer = {"gamma": bij.mex_pairing_trace,
-                      "delta": bij.maex_pairing_trace}.get(name)
-            if name == "gamma-star":
-                pair = bij.mex_pairing_colored(lam, args.i, r)
-                payload = {"input": {"lambda": str(lam), "i": args.i, "r": r},
-                           "case": pair.case, "output": pair.to_json()}
-            else:
-                payload = tracer(lam, args.i, r)
-                if not args.trace:
-                    payload = {"input": payload["input"], "output": payload["output"]}
+            tracer, untraced = PAIRING_MAPS[name]
+            payload = tracer(lam, args.i, r)
+            if not args.trace:
+                payload = {key: payload[key] for key in untraced}
         else:
-            maps = {
-                "glaisher": bij.glaisher_merge,
-                "glaisher-inv": bij.glaisher_split,
-                "multiples-to-repeats": bij.multiples_to_repeats,
-                "repeats-to-multiples": bij.repeats_to_multiples,
-                "top-multiple": bij.top_multiple_to_repeats,
-                "top-multiple-inv": bij.repeats_to_top_multiple,
-            }
-            if name not in maps:
+            if name not in PARTITION_MAPS:
                 raise CliError(f"unknown bijection {name!r}")
-            out = maps[name](lam, r)
+            out = PARTITION_MAPS[name](lam, r)
             payload = {"input": {"lambda": str(lam), "r": r}, "output": str(out)}
     except bij.DomainError as exc:
         raise CliError(str(exc)) from None

@@ -78,23 +78,6 @@ class Partition:
         return cls(sorted(parts, reverse=True))
 
     @classmethod
-    def from_counts(cls, counts: dict) -> "Partition":
-        """Build a partition from a value -> multiplicity mapping."""
-        pairs = []
-        for v in sorted(counts, reverse=True):
-            m = counts[v]
-            if not _is_count(m):
-                raise PartitionError(f"multiplicity of part {v!r} must be an integer, got {m!r}")
-            if m < 0:
-                raise PartitionError(f"negative multiplicity for part {v}")
-            if m == 0:
-                continue
-            if not _is_count(v) or v < 1:
-                raise PartitionError(f"parts must be positive integers, got {v!r}")
-            pairs.append((v, m))
-        return cls._from_pairs(tuple(pairs))
-
-    @classmethod
     def parse(cls, text: str, sort: bool = False) -> "Partition":
         """Parse the canonical text form ``[7,4,4,1]`` (``[]`` for empty).
 
@@ -233,13 +216,14 @@ class Partition:
 
     def with_copies(self, value: int, delta: int) -> "Partition":
         """Return a copy with the multiplicity of ``value`` changed by delta."""
-        counts = {v: m for v, m in self._pairs}
-        new = counts.get(value, 0) + delta
+        have = self.multiplicity(value)
+        new = have + delta
         if new < 0:
-            raise PartitionError(
-                f"cannot remove {-delta} copies of {value}; only {counts.get(value, 0)} present")
-        counts[value] = new
-        return Partition.from_counts(counts)
+            raise PartitionError(f"cannot remove {-delta} copies of {value}; only {have} present")
+        if new and (not _is_count(value) or value < 1):
+            raise PartitionError(f"parts must be positive integers, got {value!r}")
+        rest = tuple(p for p in self._pairs if p[0] != value)
+        return Partition._from_pairs(_merge_pairs(rest, ((value, new),)) if new else rest)
 
 
 EMPTY = Partition()

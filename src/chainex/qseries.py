@@ -51,13 +51,6 @@ class PowerSeries:
         self.coeffs = coeffs
         self.order = order
 
-    @classmethod
-    def monomial(cls, exponent: int, order: int, coefficient: int = 1) -> "PowerSeries":
-        c = [0] * (order + 1)
-        if exponent <= order:
-            c[exponent] = coefficient
-        return cls(c, order)
-
     def coeff(self, n: int) -> int:
         if n < 0:
             return 0
@@ -114,11 +107,6 @@ class PowerSeries:
             out[n] = -c0 * acc
         return PowerSeries(out, self.order)
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise SeriesError(f"cannot extend truncation {self.order} to {order}")
-        return PowerSeries(self.coeffs[: order + 1], order)
-
     def shift(self, exponent: int) -> "PowerSeries":
         """Multiply by q**exponent (exponent >= 0)."""
         if exponent < 0:
@@ -157,35 +145,6 @@ class PowerSeries:
     def to_json(self):
         return {"schema": 1, "order": self.order,
                 "coeffs": [str(c) for c in self.coeffs]}
-
-
-def exact_divide(numerator: List[int], denominator: List[int]) -> List[int]:
-    """Exact polynomial division over the integers; raises on any remainder
-    or inexact leading division."""
-    num = list(numerator)
-    den = list(denominator)
-    while den and den[-1] == 0:
-        den.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    if not den:
-        raise SeriesError("division by the zero polynomial")
-    if not num:
-        return [0]
-    if len(num) < len(den):
-        raise SeriesError("inexact polynomial division")
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % lead != 0:
-            raise SeriesError("inexact polynomial division")
-        out[k] = c // lead
-        for j, d in enumerate(den):
-            num[k + j] -= out[k] * d
-    if any(num):
-        raise SeriesError("polynomial division left a remainder")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +233,12 @@ def poch_inverse(first: int, step: int, order: int) -> PowerSeries:
 
 
 def gaussian_binomial(n: int, m: int) -> PowerSeries:
-    """The Gaussian polynomial [n choose m]_q, computed by exact polynomial
-    division of finite Pochhammer products."""
+    """The Gaussian polynomial [n choose m]_q = (q^(n-m+1);q)_m / (q;q)_m.
+    It has degree m(n-m), so the series quotient truncated there is exact."""
     if not n >= m >= 0:
         raise SeriesError(f"need n >= m >= 0, got n={n}, m={m}")
-    top = n * (n + 1) // 2
-    num = poch_finite(1, 1, n, top).coeffs
-    den = _poch(_poch(_const(top, 1), 1, 1, m), 1, 1, n - m)
-    return PowerSeries(exact_divide(num, den), m * (n - m))
+    top = m * (n - m)
+    return PowerSeries(_poch(_poch(_const(top, 1), n - m + 1, 1, m), 1, 1, m, divide=True), top)
 
 
 # ---------------------------------------------------------------------------

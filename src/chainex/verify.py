@@ -141,8 +141,10 @@ def count_family(n: int, r: int, j: int, family: str) -> int:
         raise ValueError(f"unknown family {family!r}")
     if r < 2:
         raise ValueError("family counts need r >= 2")
-    if family in ("top-multiple", "smallest-repeating", "above-maex") and j < 1:
-        raise ValueError(f"family {family!r} needs j >= 1")
+    # the least j is that of the theorem comparing the family
+    least = next(spec.j.start for spec in _THEOREMS.values() if family in spec.families)
+    if j < least:
+        raise ValueError(f"family {family!r} needs j >= {least}")
     return tally(n, r - 1, [(family, r)]).families[family, r][j]
 
 
@@ -305,7 +307,8 @@ class _Theorem(namedtuple("_Theorem", "rows takes n r j series stat product fami
     """One theorem id.  ``rows`` fills its report; ``takes`` names the
     options it reads (r, j, n and order, named as the CLI options); ``n``,
     ``r`` and ``j`` are the defaults of those it reads (each r range starts
-    at the least r, and a theorem that does not read r runs at r = 1).  The
+    at the least r, a j range at the least j ``count_family`` takes for the
+    families, and a theorem that does not read r runs at r = 1).  The
     rows compare the qseries builder named ``series`` with the statistic
     sum ``stat`` of a tally and with the builder named ``product``, or the
     counts of the ``families``, the first being the reference."""

@@ -9,7 +9,10 @@ statistics in ``STATISTIC_VALUES`` and ``FAMILY_VALUES`` are written on
 flat parts tuples from the definitions, as the reference for the
 verifier's one-pass engine.  ``flat_cut``, ``flat_concat`` and
 ``flat_shift_residues`` slice, sort and count flat parts tuples, as the
-reference for the structural operators that work on multiplicity pairs.
+reference for the structural operators that work on multiplicity pairs,
+and ``flat_glaisher_merge`` and ``flat_glaisher_split`` join and break
+flat parts one step at a time, as the reference for the closed-form
+Glaisher maps.
 
 The ``dense_*`` functions are a reference for the q-series builders: the
 same generating functions written the slow way, every Pochhammer factor a
@@ -172,6 +175,32 @@ def flat_shift_residues(alpha, beta, r, keep_largest):
     return flat_concat(alpha, moved), flat_concat(stay, ())
 
 
+def flat_glaisher_merge(parts, r):
+    """Join r equal parts into one, repeatedly, until no part occurs r
+    times."""
+    parts = list(parts)
+    while True:
+        full = [v for v in set(parts) if parts.count(v) >= r]
+        if not full:
+            return tuple(sorted(parts, reverse=True))
+        for _ in range(r):
+            parts.remove(full[0])
+        parts.append(full[0] * r)
+
+
+def flat_glaisher_split(parts, r):
+    """Break a part divisible by r into r equal parts, repeatedly, until no
+    part is divisible by r."""
+    todo, out = list(parts), []
+    while todo:
+        p = todo.pop()
+        if p % r:
+            out.append(p)
+        else:
+            todo.extend([p // r] * r)
+    return tuple(sorted(out, reverse=True))
+
+
 def box_partition_count(rows: int, cols: int, n: int) -> int:
     """Number of partitions of n fitting in a rows x cols box, by direct
     recursive enumeration."""
@@ -188,6 +217,11 @@ def box_partition_count(rows: int, cols: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # Dense reference for the q-series builders
 # ---------------------------------------------------------------------------
+
+def monomial(exponent, order):
+    """q^exponent truncated at order."""
+    return PowerSeries([1], order).shift(exponent)
+
 
 def dense_factor(e, order, sign=-1):
     """1 + sign*q^e as a dense series; e = 0 gives the constant 1 + sign."""
@@ -235,7 +269,7 @@ def dense_chain_mex_sum(r, order):
 def dense_chain_mex_offset_sum(r, order):
     inner = PowerSeries([1], order)
     for n in range(1, order + 1):
-        num = PowerSeries.monomial(n, order) - PowerSeries.monomial(n + r * n, order)
+        num = monomial(n, order) - monomial(n + r * n, order)
         den = (dense_factor(n, order) * dense_poch(r + 1, r + 1, n, order)).invert()
         inner = inner + num * den
     return dense_strict_count(r + 1, order) * inner
@@ -263,7 +297,7 @@ def dense_chain_maex_product(r, order):
 def dense_top_multiplicity_count(r, order):
     acc = PowerSeries([1], order)
     for n in range(1, order + 1):
-        num = PowerSeries.monomial(n, order) - PowerSeries.monomial(r * n, order)
+        num = monomial(n, order) - monomial(r * n, order)
         den = (dense_factor(n, order) * dense_poch(r, r, n, order)).invert()
         acc = acc + num * den
     return acc
@@ -291,7 +325,7 @@ def dense_parts_above(r, j, order):
         geom = PowerSeries([0], order)
         for t in range(r):
             if n * t <= order:
-                geom = geom + PowerSeries.monomial(n * t, order)
+                geom = geom + monomial(n * t, order)
         out = out * geom
     return out
 

@@ -4,7 +4,6 @@ from chainex.bijections import (
     ColoredEmpty,
     DomainError,
     PartitionPair,
-    conjugate_beta,
     glaisher_merge,
     glaisher_split,
     in_colored_codomain,
@@ -21,8 +20,7 @@ from chainex.bijections import (
     multiples_to_repeats,
     repeats_to_multiples,
     repeats_to_top_multiple,
-    shift_residues_keep_largest,
-    shift_residues_keep_smallest,
+    _shift_residues,
     top_multiple_to_repeats,
 )
 from chainex.partition import (
@@ -123,19 +121,18 @@ class TestTopMultipleToRepeats:
 
 class TestPairOperators:
     def test_keep_largest_moves_leftovers(self):
-        pair = shift_residues_keep_largest(P([5]), P([3, 3, 2, 2, 2, 2]), 2)
-        assert pair.beta == P([3, 3, 2, 2, 2])
-        assert pair.alpha == P([5, 2])
+        alpha, beta, moved = _shift_residues(P([5]), P([3, 3, 2, 2, 2, 2]), 2, "largest")
+        assert beta == P([3, 3, 2, 2, 2])
+        assert alpha == P([5, 2])
+        assert moved == ((2, 1),)
 
     def test_keep_smallest_mirror(self):
-        pair = shift_residues_keep_smallest(P([5]), P([3, 3, 3, 3, 2, 2]), 2)
-        assert pair.beta == P([3, 3, 3, 2, 2])
-        assert pair.alpha == P([5, 3])
+        alpha, beta, _ = _shift_residues(P([5]), P([3, 3, 3, 3, 2, 2]), 2, "smallest")
+        assert beta == P([3, 3, 3, 2, 2])
+        assert alpha == P([5, 3])
 
     def test_empty_beta_untouched(self):
-        pair = shift_residues_keep_largest(P([4, 1]), EMPTY, 3)
-        assert pair.alpha == P([4, 1])
-        assert pair.beta == EMPTY
+        assert _shift_residues(P([4, 1]), EMPTY, 3, "largest") == (P([4, 1]), EMPTY, ())
 
     def test_pair_weight_and_json(self):
         pair = PartitionPair(P([3, 1]), P([2]))
@@ -216,13 +213,6 @@ class TestMexPairingColored:
                         assert in_colored_codomain(pair, r)
                         assert pair.weight == lam.weight
                         assert mex_pairing_colored_inv(pair, r) == (lam, i)
-
-    def test_conjugate_beta(self):
-        pair = PartitionPair(P([3]), P([2, 2]))
-        assert conjugate_beta(pair).beta == P([2, 2])
-        assert conjugate_beta(PartitionPair(P([3]), P([3, 1]))).beta == P([2, 1, 1])
-        colored = PartitionPair(P([3]), ColoredEmpty(1))
-        assert conjugate_beta(colored) is colored
 
     def test_index_range_uniform(self):
         with pytest.raises(DomainError):

@@ -55,6 +55,18 @@ class TestEnumerate:
         assert blob["count"] == 4
         assert "[3,2,1]" in blob["partitions"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--regular", "0"), "--regular must be >= 1, got 0"),
+        (("--strict", "0"), "--strict must be >= 1, got 0"),
+        (("--strict", "-1"), "--strict must be >= 1, got -1"),
+        (("--gap-class", "bounded", "--r", "0"), "--r must be >= 1, got 0"),
+    ])
+    def test_filter_below_one_exits_2(self, capsys, argv, message):
+        code, out, err = call(capsys, "enumerate", "--n", "5", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_gap_class_requires_r(self, capsys):
         code, _, err = call(capsys, "enumerate", "--n", "4", "--gap-class", "bounded")
         assert code == 2
@@ -129,6 +141,25 @@ class TestBijection:
                             "--lambda", "[2,1]", "--i", "4", "--r", "3")
         assert code == 0
         assert json.loads(out)["output"]["beta"] == {"empty_color": 2}
+
+    def test_gamma_star_trace_of_a_cut(self, capsys):
+        code, out, _ = call(capsys, "bijection", "gamma-star", "--lambda", "[4,3]",
+                            "--i", "1", "--r", "2", "--trace")
+        assert code == 0
+        assert json.dumps(json.loads(out)) == (
+            '{"input": {"lambda": "[4,3]", "i": 1, "r": 2}, "case": "case3.2", '
+            '"intermediate": {"conjugate": "[2,2,2,1]", "cut_index": 1, '
+            '"moves": [{"value": 1, "copies": 1}], "extra_move": {"value": 2, "copies": 2}}, '
+            '"output": {"alpha": "[2,2,1]", "beta": "[2]"}}')
+
+    def test_gamma_star_trace_of_a_colored_empty(self, capsys):
+        code, out, _ = call(capsys, "bijection", "gamma-star", "--lambda", "[2,1]",
+                            "--i", "4", "--r", "3", "--trace")
+        assert code == 0
+        assert json.dumps(json.loads(out)) == (
+            '{"input": {"lambda": "[2,1]", "i": 4, "r": 3}, "case": "colored", '
+            '"intermediate": {"conjugate": "[2,1]"}, '
+            '"output": {"alpha": "[2,1]", "beta": {"empty_color": 2}}}')
 
     def test_delta(self, capsys):
         code, out, _ = call(capsys, "bijection", "delta", "--lambda", "[6,1]",
@@ -226,6 +257,22 @@ class TestVerify:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "theorem,r,j,n,lhs,rhs,match"
         assert len(lines) == 8
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("argv", [
+        ("stats", "[1]", "--r", "1"),
+        ("enumerate", "--n", "3"),
+        ("series", "partitions", "--order", "3"),
+        ("bijection", "glaisher", "--lambda", "[1]", "--r", "2"),
+        ("verify", "thm-1.4", "--n", "3"),
+    ])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x"
+        code, out, err = call(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write --out {str(target)!r}: No such file or directory\n"
 
 
 class TestParser:

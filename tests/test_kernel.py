@@ -44,7 +44,7 @@ def assert_every_order(build, reference):
     for order in range(TOP + 1):
         built = build(order)
         assert built.order == order
-        assert built == reference.truncate(order), order
+        assert built.coeffs == reference.coeffs[:order + 1], order
 
 
 @pytest.mark.parametrize("name,r", CASES)

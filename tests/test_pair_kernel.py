@@ -1,5 +1,6 @@
-"""The structural operators on (value, multiplicity) pairs against the
-flat-parts references in ``oracles``, and the index-to-pair maps gamma,
+"""The structural operators and the Glaisher-type partition maps on
+(value, multiplicity) pairs against the flat-parts references in
+``oracles``, and the index-to-pair maps gamma,
 gamma-star and delta and the partition maps glaisher, multiples-repeats
 and top-multiple on partitions far larger than exhaustive certification
 reaches.
@@ -28,7 +29,14 @@ from chainex.partition import (
     top_multiple_multiplicity,
 )
 
-from oracles import flat_concat, flat_cut, flat_shift_residues
+from oracles import (
+    ferrers_transpose,
+    flat_concat,
+    flat_cut,
+    flat_glaisher_merge,
+    flat_glaisher_split,
+    flat_shift_residues,
+)
 
 P = Partition
 
@@ -81,10 +89,9 @@ def test_concat_matches_flat_reference(a, b):
 @settings(max_examples=200, deadline=None)
 @given(small, small, st.integers(1, 5), st.booleans())
 def test_shift_residues_match_flat_reference(alpha, beta, r, keep_largest):
-    op = bij.shift_residues_keep_largest if keep_largest else bij.shift_residues_keep_smallest
-    pair = op(alpha, beta, r)
-    a, b = flat_shift_residues(alpha.parts, beta.parts, r, keep_largest)
-    assert (pair.alpha, pair.beta) == (P(a), P(b))
+    a, b, _ = bij._shift_residues(alpha, beta, r, "largest" if keep_largest else "smallest")
+    flat_a, flat_b = flat_shift_residues(alpha.parts, beta.parts, r, keep_largest)
+    assert (a, b) == (P(flat_a), P(flat_b))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +181,44 @@ def test_top_multiple_round_trip_at_weight_60_to_200(data):
     assert not is_strict(out, r)   # it has an r-repeating part
     assert bij.repeats_to_top_multiple(out, r) == lam
     assert smallest_repeating(out, r) == top_multiple_multiplicity(lam, r)
+
+
+# ---------------------------------------------------------------------------
+# The partition maps against step-by-step joins and breaks of flat parts
+# ---------------------------------------------------------------------------
+
+def assert_flat(out, parts):
+    """out has the flat parts, and its pairs are the canonical ones."""
+    assert out.parts == parts
+    assert out.pairs == P(parts).pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_glaisher_maps_match_flat_reference(data):
+    r = data.draw(st.integers(2, 5), label="r")
+    lam = data.draw(regular_partitions_of(60, 200, r), label="lambda")
+    assert_flat(bij.glaisher_merge(lam, r), flat_glaisher_merge(lam.parts, r))
+    # every r-strict partition is the merge of an r-regular one
+    strict = P(flat_glaisher_merge(lam.parts, r))
+    assert_flat(bij.glaisher_split(strict, r), flat_glaisher_split(strict.parts, r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_multiples_repeats_match_flat_reference(data):
+    r = data.draw(st.integers(2, 5), label="r")
+    lam = data.draw(partitions_of(60, 200), label="lambda")
+    # the parts not divisible by r merge, the multiples of r conjugate
+    other = [p for p in lam.parts if p % r]
+    multiples = [p for p in lam.parts if not p % r]
+    assert_flat(bij.multiples_to_repeats(lam, r),
+                flat_concat(flat_glaisher_merge(other, r), ferrers_transpose(multiples)))
+    # r-fold copies conjugate, the copies left over split
+    repeated = [v for v, m in lam.pairs for _ in range(m - m % r)]
+    rest = [v for v, m in lam.pairs for _ in range(m % r)]
+    assert_flat(bij.repeats_to_multiples(lam, r),
+                flat_concat(flat_glaisher_split(rest, r), ferrers_transpose(repeated)))
 
 
 # ---------------------------------------------------------------------------

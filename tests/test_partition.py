@@ -67,17 +67,6 @@ class TestConstruction:
         with pytest.raises(PartitionError):
             P([3, False])
 
-    def test_from_counts_rejects_bad_multiplicities(self):
-        with pytest.raises(PartitionError):
-            P.from_counts({3: 1.5})
-        with pytest.raises(PartitionError):
-            P.from_counts({3: True})
-        with pytest.raises(PartitionError):
-            P.from_counts({True: 2})
-        with pytest.raises(PartitionError):
-            P.from_counts({3: -1})
-        assert P.from_counts({3: 2, 1: 0}) == P([3, 3])
-
     def test_of_multiset_sorts(self):
         assert P.of_multiset([1, 3, 2, 3]) == P([3, 3, 2, 1])
 
@@ -152,8 +141,12 @@ class TestConcatAndCut:
     def test_with_copies(self):
         assert P([3, 1]).with_copies(3, 2) == P([3, 3, 3, 1])
         assert P([3, 1]).with_copies(1, -1) == P([3])
-        with pytest.raises(PartitionError):
+        assert P([3, 1]).with_copies(2, 2).pairs == ((3, 1), (2, 2), (1, 1))
+        assert P([3, 1]).with_copies(5, 0).pairs == ((3, 1), (1, 1))
+        with pytest.raises(PartitionError, match="cannot remove 2 copies of 1; only 1 present"):
             P([3, 1]).with_copies(1, -2)
+        with pytest.raises(PartitionError, match="parts must be positive integers, got 0"):
+            P([3, 1]).with_copies(0, 1)
 
 
 class TestChainMex:

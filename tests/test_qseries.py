@@ -5,7 +5,6 @@ from chainex.qseries import (
     BivariateSeries,
     PowerSeries,
     SeriesError,
-    exact_divide,
     gaussian_binomial,
     maex_bivariate,
     maex_bivariate_double_sum,
@@ -28,7 +27,7 @@ from chainex.qseries import (
     series_top_multiplicity_count,
 )
 
-from oracles import box_partition_count, partition_count, pentagonal_signs
+from oracles import box_partition_count, monomial, partition_count, pentagonal_signs
 
 
 class TestPowerSeriesArithmetic:
@@ -75,12 +74,11 @@ class TestPowerSeriesArithmetic:
             PowerSeries([0, 1], order=2).invert()
 
     def test_shift_truncate_monomial(self):
-        s = PowerSeries.monomial(2, 4)
+        s = monomial(2, 4)
         assert s.coeffs == [0, 0, 1, 0, 0]
         assert s.shift(1).coeffs == [0, 0, 0, 1, 0]
-        assert s.truncate(2).coeffs == [0, 0, 1]
-        with pytest.raises(SeriesError):
-            s.truncate(9)
+        assert s.shift(3).coeffs == [0, 0, 0, 0, 0]
+        assert monomial(5, 4).coeffs == [0, 0, 0, 0, 0]
         with pytest.raises(SeriesError):
             s.shift(-1)
 
@@ -97,20 +95,6 @@ class TestPowerSeriesArithmetic:
         blob = PowerSeries([10 ** 40, 1], order=1).to_json()
         assert blob["schema"] == 1
         assert blob["coeffs"][0] == str(10 ** 40)
-
-
-class TestExactDivide:
-    def test_exact(self):
-        # (1 - q^4) / (1 - q) = 1 + q + q^2 + q^3
-        assert exact_divide([1, 0, 0, 0, -1], [1, -1]) == [1, 1, 1, 1]
-
-    def test_remainder_raises(self):
-        with pytest.raises(SeriesError):
-            exact_divide([1, 1, 1], [1, -1])
-
-    def test_inexact_leading_raises(self):
-        with pytest.raises(SeriesError):
-            exact_divide([1, 3], [2])
 
 
 class TestPochhammer:

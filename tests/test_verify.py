@@ -53,6 +53,17 @@ class TestBruteForceAccumulators:
         with pytest.raises(ValueError):
             count_family(5, 2, 0, "top-multiple")
 
+    @pytest.mark.parametrize("family,least", [
+        ("multiples", 0), ("largest-repeating", 0), ("above-mex", 0),
+        ("top-multiple", 1), ("smallest-repeating", 1), ("above-maex", 1)])
+    def test_count_family_least_j(self, family, least):
+        # of the partitions of 5, three have no even part and three have
+        # their largest even part once
+        assert count_family(5, 2, least, family) == 3
+        with pytest.raises(ValueError) as info:
+            count_family(5, 2, least - 1, family)
+        assert str(info.value) == f"family {family!r} needs j >= {least}"
+
     def test_registries(self):
         assert len(STATISTICS) == 6
         assert len(FAMILIES) == 6
