@@ -58,12 +58,14 @@ BetaSide = Union[Partition, ColoredEmpty]
 class PartitionPair:
     """Ordered pair (alpha, beta); beta may be a colored empty partition.
 
-    ``case`` records which branch of the forward map produced the pair; it
-    is debugging metadata and excluded from equality.
+    ``case`` records which branch of the forward map produced the pair, and
+    ``steps`` the intermediate steps that ``pairing_trace`` reports; both
+    are debugging metadata, excluded from equality, hash and repr.
     """
     alpha: Partition
     beta: BetaSide
     case: Optional[str] = field(default=None, compare=False)
+    steps: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def weight(self) -> int:
@@ -274,11 +276,12 @@ def _check_index(i: int, bound: int, lam: Partition):
         raise DomainError(f"index {i} outside 1..{bound} for {lam}")
 
 
-def _pairing_trace(lam: Partition, i: int, r: int, pair: PartitionPair, steps) -> dict:
-    """JSON-friendly trace of one forward call from the steps it returns:
-    the conjugate, the cut index, the moved copies and the extra move.  A
-    colored empty has no cut, and its trace holds only the conjugate."""
-    conjugate, cut, moved, extra = steps
+def pairing_trace(lam: Partition, i: int, r: int, pair: PartitionPair) -> dict:
+    """JSON-friendly trace of the forward call that sent (lam, i) at r to
+    ``pair``, from the steps the pair carries: the conjugate, the cut index,
+    the moved copies and the extra move.  A colored empty has no cut, and
+    its trace holds only the conjugate."""
+    conjugate, cut, moved, extra = pair.steps
     intermediate = {"conjugate": str(conjugate)}
     if cut is not None:
         intermediate["cut_index"] = cut
@@ -297,9 +300,8 @@ def _pairing_trace(lam: Partition, i: int, r: int, pair: PartitionPair, steps) -
 # Index-to-pair map for the chain-mex sum (CLI name: gamma)
 # ---------------------------------------------------------------------------
 
-def _mex_pairing(lam: Partition, i: int, r: int, colored: bool):
-    """gamma, or gamma-star when ``colored``, with the steps the trace
-    reports (no cut for a colored empty)."""
+def _mex_pairing(lam: Partition, i: int, r: int, colored: bool) -> PartitionPair:
+    """gamma, or gamma-star when ``colored`` (no cut for a colored empty)."""
     _check_r(r)
     m = chain_mex(lam, r)
     gap_bounded = in_gap_class(lam, r)
@@ -308,8 +310,8 @@ def _mex_pairing(lam: Partition, i: int, r: int, colored: bool):
     _check_index(i, m if gap_bounded and not colored else m + r - 1, lam)
     lp = lam.conjugate()
     if colored and gap_bounded and i >= m:
-        return PartitionPair(lp, ColoredEmpty(i - m + 1), case="colored"), (lp, None, (), None)
-    alpha, beta, moved = _shift_residues(lp.cut_up(i), lp.cut_down(i), r, "largest")
+        return PartitionPair(lp, ColoredEmpty(i - m + 1), "colored", (lp, None, (), None))
+    alpha, beta, moved = _shift_residues(*lp.cut(i), r, "largest")
     extra = None
     if gap_bounded or i <= m - 1:
         case = "case1" if gap_bounded else "case2"
@@ -325,19 +327,14 @@ def _mex_pairing(lam: Partition, i: int, r: int, colored: bool):
             extra = (g, copies)
         else:
             case = "case3.1"
-    return PartitionPair(alpha, beta, case), (lp, i, moved, extra)
+    return PartitionPair(alpha, beta, case, (lp, i, moved, extra))
 
 
 def mex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
     """Map (lam, i) with 1 <= i <= chain_mex + offset to a pair (alpha, beta)
     with alpha (r+1)-strict and beta constrained as in in_mex_codomain.
     Weight is preserved: |alpha| + |beta| = |lam|."""
-    return _mex_pairing(lam, i, r, False)[0]
-
-
-def mex_pairing_trace(lam: Partition, i: int, r: int) -> dict:
-    """Forward map plus a JSON-friendly trace of the intermediate steps."""
-    return _pairing_trace(lam, i, r, *_mex_pairing(lam, i, r, False))
+    return _mex_pairing(lam, i, r, False)
 
 
 def _mex_unpairing(pair: PartitionPair, r: int) -> IndexedPartition:
@@ -377,12 +374,7 @@ def mex_pairing_colored(lam: Partition, i: int, r: int) -> PartitionPair:
     gives the convention where beta counts (r+1)-regular partitions with
     all parts in one residue class.
     """
-    return _mex_pairing(lam, i, r, True)[0]
-
-
-def mex_pairing_colored_trace(lam: Partition, i: int, r: int) -> dict:
-    """Forward map plus a JSON-friendly trace of the intermediate steps."""
-    return _pairing_trace(lam, i, r, *_mex_pairing(lam, i, r, True))
+    return _mex_pairing(lam, i, r, True)
 
 
 def mex_pairing_colored_inv(pair: PartitionPair, r: int) -> IndexedPartition:
@@ -401,27 +393,18 @@ def mex_pairing_colored_inv(pair: PartitionPair, r: int) -> IndexedPartition:
 # Index-to-pair map for the chain-maex sum (CLI name: delta)
 # ---------------------------------------------------------------------------
 
-def _maex_pairing(lam: Partition, i: int, r: int):
-    """delta with the steps the trace reports."""
+def maex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
+    """Map (lam, i) with 1 <= i <= largest - chain_maex + offset to a pair
+    satisfying in_maex_codomain; weight is preserved."""
     _check_r(r)
     top = lam.largest
     _check_index(i, top - chain_maex(lam, r) + maex_offset(lam, r), lam)
     lp = lam.conjugate()
     cut = top + 2 - i
     # alpha grows out of the lower piece, beta out of the upper piece
-    alpha, beta, moved = _shift_residues(lp.cut_down(cut), lp.cut_up(cut), r, "smallest")
-    return PartitionPair(alpha, beta, "cut"), (lp, cut, moved, None)
-
-
-def maex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
-    """Map (lam, i) with 1 <= i <= largest - chain_maex + offset to a pair
-    satisfying in_maex_codomain; weight is preserved."""
-    return _maex_pairing(lam, i, r)[0]
-
-
-def maex_pairing_trace(lam: Partition, i: int, r: int) -> dict:
-    """Forward map plus a JSON-friendly trace of the intermediate steps."""
-    return _pairing_trace(lam, i, r, *_maex_pairing(lam, i, r))
+    upper, lower = lp.cut(cut)
+    alpha, beta, moved = _shift_residues(lower, upper, r, "smallest")
+    return PartitionPair(alpha, beta, "cut", (lp, cut, moved, None))
 
 
 def maex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:

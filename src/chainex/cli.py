@@ -2,13 +2,15 @@
 bijection tracing, and identity verification.
 
 Exit codes: 0 all requested checks pass, 1 a verification mismatch,
-2 malformed input or out-of-contract arguments.
+2 malformed input or out-of-contract arguments, 141 (128 + SIGPIPE) when
+the reader closes stdout before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijections as bij
@@ -58,12 +60,11 @@ PARTITION_MAPS = {
     "top-multiple-inv": bij.repeats_to_top_multiple,
 }
 
-# CLI name -> (the index-to-pair map with its trace, the keys printed
-# without --trace)
+# CLI name -> (the index-to-pair map, the trace keys printed untraced)
 PAIRING_MAPS = {
-    "gamma": (bij.mex_pairing_trace, ("input", "output")),
-    "gamma-star": (bij.mex_pairing_colored_trace, ("input", "case", "output")),
-    "delta": (bij.maex_pairing_trace, ("input", "output")),
+    "gamma": (bij.mex_pairing, ("input", "output")),
+    "gamma-star": (bij.mex_pairing_colored, ("input", "case", "output")),
+    "delta": (bij.maex_pairing, ("input", "output")),
 }
 
 
@@ -135,6 +136,8 @@ def cmd_enumerate(args) -> int:
         _check_positive("--r", args.r)
         want = args.gap_class == "bounded"
         preds.append(lambda p, r=args.r, w=want: in_gap_class(p, r) == w)
+    elif args.r is not None:
+        raise CliError("enumerate reads --r only with --gap-class")
     if preds:
         predicate = lambda p: all(f(p) for f in preds)
     items = [str(p) for p in partitions(args.n, predicate)]
@@ -172,21 +175,18 @@ def cmd_bijection(args) -> int:
     lam = Partition.parse(args.lam, sort=args.sort)
     r = args.r
     name = args.name
-    try:
-        if name in PAIRING_MAPS:
-            if args.i is None:
-                raise CliError(f"bijection {name!r} requires --i")
-            tracer, untraced = PAIRING_MAPS[name]
-            payload = tracer(lam, args.i, r)
-            if not args.trace:
-                payload = {key: payload[key] for key in untraced}
-        else:
-            if name not in PARTITION_MAPS:
-                raise CliError(f"unknown bijection {name!r}")
-            out = PARTITION_MAPS[name](lam, r)
-            payload = {"input": {"lambda": str(lam), "r": r}, "output": str(out)}
-    except bij.DomainError as exc:
-        raise CliError(str(exc)) from None
+    if name in PAIRING_MAPS:
+        if args.i is None:
+            raise CliError(f"bijection {name!r} requires --i")
+        forward, untraced = PAIRING_MAPS[name]
+        payload = bij.pairing_trace(lam, args.i, r, forward(lam, args.i, r))
+        if not args.trace:
+            payload = {key: payload[key] for key in untraced}
+    else:
+        if name not in PARTITION_MAPS:
+            raise CliError(f"unknown bijection {name!r}")
+        out = PARTITION_MAPS[name](lam, r)
+        payload = {"input": {"lambda": str(lam), "r": r}, "output": str(out)}
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -278,7 +278,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so the
+        # flush at exit does not fail again (the Python signal docs' recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

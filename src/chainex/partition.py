@@ -165,54 +165,42 @@ class Partition:
         """Transpose of the Ferrers diagram; weight is preserved."""
         if not self._pairs:
             return self
-        # Column j (1-based) has height = number of parts >= j.  Running
-        # down the multiplicity pairs gives the conjugate directly.
+        # The columns over values v_{t+1} < j <= v_t have height m_1 + ... +
+        # m_t.  These running sums strictly increase, so the conjugate's
+        # pairs come out distinct, in increasing order.
         pairs = []
-        above = 0
-        prev_value = None
+        height = 0
+        prev = None            # the value of the previous pair
         for v, m in self._pairs:
-            above += m
-            width = (prev_value - v) if prev_value is not None else 0
-            if width:
-                pairs.append((above - m, width))
-            prev_value = v
-        pairs.append((above, self._pairs[-1][0]))
-        # pairs were built with increasing heights; reverse for the
-        # strictly-decreasing convention and merge equal heights.
+            if height:
+                pairs.append((height, prev - v))
+            height += m
+            prev = v
+        pairs.append((height, prev))
         pairs.reverse()
-        merged = []
-        for v, m in pairs:
-            if merged and merged[-1][0] == v:
-                merged[-1] = (v, merged[-1][1] + m)
-            else:
-                merged.append((v, m))
-        return Partition._from_pairs(tuple(merged))
+        return Partition._from_pairs(tuple(pairs))
 
     def concat(self, other: "Partition") -> "Partition":
         """Multiset union of parts."""
         return Partition._from_pairs(_merge_pairs(self._pairs, other._pairs))
 
-    def _cut(self, i: int) -> tuple:
-        """The pairs of the first i-1 parts and the pairs of the rest."""
-        if not 1 <= i <= self.num_parts + 1:
-            raise PartitionError(f"cut index {i} out of range 1..{self.num_parts + 1}")
+    def cut(self, i: int) -> tuple:
+        """The first i-1 parts and the parts from position i onward, as two
+        partitions, from one walk of the pairs; 1 <= i <= num_parts + 1."""
         pairs = self._pairs
         above = i - 1           # parts left to place above the cut
-        for idx, (v, m) in enumerate(pairs):
-            if above < m:
-                if not above:
-                    return pairs[:idx], pairs[idx:]
-                return pairs[:idx] + ((v, above),), ((v, m - above),) + pairs[idx + 1:]
-            above -= m
-        return pairs, ()
-
-    def cut_up(self, i: int) -> "Partition":
-        """Parts strictly above cut position i, i.e. the first i-1 parts."""
-        return Partition._from_pairs(self._cut(i)[0])
-
-    def cut_down(self, i: int) -> "Partition":
-        """Parts from position i onward."""
-        return Partition._from_pairs(self._cut(i)[1])
+        if above >= 0:
+            for idx, (v, m) in enumerate(pairs):
+                if above < m:
+                    if not above:
+                        up, down = pairs[:idx], pairs[idx:]
+                    else:
+                        up, down = pairs[:idx] + ((v, above),), ((v, m - above),) + pairs[idx + 1:]
+                    return Partition._from_pairs(up), Partition._from_pairs(down)
+                above -= m
+            if not above:
+                return self, EMPTY
+        raise PartitionError(f"cut index {i} out of range 1..{self.num_parts + 1}")
 
     def with_copies(self, value: int, delta: int) -> "Partition":
         """Return a copy with the multiplicity of ``value`` changed by delta."""

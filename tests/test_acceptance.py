@@ -92,7 +92,8 @@ def test_criterion_9_infrastructure(capsys):
     for n in range(13):
         for lam in partitions(n):
             for i in range(1, lam.num_parts + 2):
-                ok &= lam.cut_up(i).concat(lam.cut_down(i)) == lam
+                up, down = lam.cut(i)
+                ok &= up.concat(down) == lam
     series = series_partition_count(60)
     ok &= all(series.coeff(n) == partition_count(n) for n in range(61))
     for n in range(7):

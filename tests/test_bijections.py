@@ -11,13 +11,12 @@ from chainex.bijections import (
     in_mex_codomain,
     maex_pairing,
     maex_pairing_inv,
-    maex_pairing_trace,
     mex_pairing,
     mex_pairing_colored,
     mex_pairing_colored_inv,
     mex_pairing_inv,
-    mex_pairing_trace,
     multiples_to_repeats,
+    pairing_trace,
     repeats_to_multiples,
     repeats_to_top_multiple,
     _shift_residues,
@@ -184,7 +183,7 @@ class TestMexPairing:
         assert seen == {"case1", "case2", "case3.1", "case3.2"}
 
     def test_trace_shape(self):
-        trace = mex_pairing_trace(P([5, 3, 1]), 2, 2)
+        trace = pairing_trace(P([5, 3, 1]), 2, 2, mex_pairing(P([5, 3, 1]), 2, 2))
         assert trace["input"] == {"lambda": "[5,3,1]", "i": 2, "r": 2}
         assert trace["case"] == "case1"
         assert trace["intermediate"]["conjugate"] == "[3,2,2,1,1]"
@@ -250,7 +249,7 @@ class TestMaexPairing:
                         assert maex_pairing_inv(pair, r) == (lam, i)
 
     def test_trace_shape(self):
-        trace = maex_pairing_trace(P([6, 1]), 2, 2)
+        trace = pairing_trace(P([6, 1]), 2, 2, maex_pairing(P([6, 1]), 2, 2))
         assert trace["input"]["lambda"] == "[6,1]"
         assert "conjugate" in trace["intermediate"]
         assert "alpha" in trace["output"]

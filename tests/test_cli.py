@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import pytest
 
+import chainex
+from chainex import bijections
 from chainex.cli import run
+from chainex.partition import Partition
 
 
 def call(capsys, *argv):
@@ -66,6 +73,12 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_r_without_gap_class_exits_2(self, capsys):
+        code, out, err = call(capsys, "enumerate", "--n", "5", "--r", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: enumerate reads --r only with --gap-class\n"
 
     def test_gap_class_requires_r(self, capsys):
         code, _, err = call(capsys, "enumerate", "--n", "4", "--gap-class", "bounded")
@@ -208,6 +221,12 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
 
+    def test_vacuous_report_fails(self, capsys):
+        # every row compares 0 with 0: no partition of n <= 5 has 40 parts
+        code, out, _ = call(capsys, "verify", "thm-1.5", "--r", "2", "--j", "40", "--n", "5")
+        assert code == 1
+        assert out == "thm-1.5: FAIL (12 checks)\n  no row compares a nonzero value\n"
+
     def test_bijection_requires_r(self, capsys):
         code, _, err = call(capsys, "verify", "gamma", "--n", "6")
         assert code == 2
@@ -338,3 +357,51 @@ class TestBijectionError:
         assert code == 2
         assert out == ""
         assert err == "error: index 9 outside 1..6 for [5,3,1]\n"
+
+
+class TestFaultyMap:
+    """A map whose image lies outside its codomain fails certification
+    (exit 1) instead of being reported as bad input (exit 2)."""
+
+    def test_pairing_image_outside_the_codomain(self, capsys):
+        honest = bijections.mex_pairing
+
+        def faulty(lam, i, r):
+            if lam == Partition([6]) and i == 1:
+                # alpha is not (r+1)-strict at r = 1
+                return bijections.PartitionPair(Partition([1, 1]), Partition([1, 1, 1, 1]))
+            return honest(lam, i, r)
+
+        with mock.patch.object(bijections, "mex_pairing", faulty):
+            code, out, err = call(capsys, "verify", "gamma", "--r", "1", "--n", "6")
+        assert (code, err) == (1, "")
+        assert "  MISMATCH r=1 j=None n=6 roundtrip lhs=0 rhs=1" in out.splitlines()
+
+    def test_partition_image_outside_the_codomain(self, capsys):
+        honest = bijections.glaisher_merge
+
+        def faulty(lam, r):
+            # [1,1,1] is not 2-strict
+            return Partition([1, 1, 1]) if lam == Partition([3]) else honest(lam, r)
+
+        with mock.patch.object(bijections, "glaisher_merge", faulty):
+            code, out, err = call(capsys, "verify", "glaisher", "--r", "2", "--n", "4")
+        assert (code, err) == (1, "")
+        assert "  MISMATCH r=2 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
+
+    def test_forward_errors_still_exit_2(self, capsys):
+        code, out, err = call(capsys, "verify", "glaisher", "--r", "1", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: merge modulus r must be >= 2\n"
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    src = os.path.dirname(os.path.dirname(chainex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "chainex.cli", "enumerate", "--n", "40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[40]\n"
+    proc.stdout.close()   # far more than a pipe buffer is still unwritten
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")

@@ -71,13 +71,11 @@ def test_cut_matches_flat_reference(data):
     expected = flat_cut(lam.parts, i)
     if expected is None:
         message = re.escape(f"cut index {i} out of range 1..{lam.num_parts + 1}")
-        for cut in (lam.cut_up, lam.cut_down):
-            with pytest.raises(PartitionError, match=message):
-                cut(i)
+        with pytest.raises(PartitionError, match=message):
+            lam.cut(i)
     else:
         # equality compares the pairs, so this also checks they are canonical
-        assert lam.cut_up(i) == P(expected[0])
-        assert lam.cut_down(i) == P(expected[1])
+        assert lam.cut(i) == (P(expected[0]), P(expected[1]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -92,6 +90,36 @@ def test_shift_residues_match_flat_reference(alpha, beta, r, keep_largest):
     a, b, _ = bij._shift_residues(alpha, beta, r, "largest" if keep_largest else "smallest")
     flat_a, flat_b = flat_shift_residues(alpha.parts, beta.parts, r, keep_largest)
     assert (a, b) == (P(flat_a), P(flat_b))
+
+
+# ---------------------------------------------------------------------------
+# Conjugation and the pair value type far past the exhaustive range
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(partitions_of(60, 200))
+def test_conjugate_at_weight_60_to_200(lam):
+    conjugate = lam.conjugate()
+    assert conjugate.parts == tuple(ferrers_transpose(lam.parts))
+    # canonical pairs: strictly decreasing values, positive multiplicities
+    values = [v for v, _ in conjugate.pairs]
+    assert all(a > b for a, b in zip(values, values[1:]))
+    assert all(m >= 1 for _, m in conjugate.pairs)
+    assert conjugate.conjugate() == lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pair_equality_and_hash_ignore_steps(data):
+    lam = data.draw(partitions_of(60, 200), label="lambda")
+    r = data.draw(st.integers(1, 4), label="r")
+    i = data.draw(st.integers(1, chain_mex(lam, r) + mex_offset(lam, r)), label="i")
+    pair = bij.mex_pairing(lam, i, r)
+    assert pair.steps is not None
+    bare = PartitionPair(pair.alpha, pair.beta)
+    assert pair == bare
+    assert hash(pair) == hash(bare)
+    assert "steps" not in repr(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +255,12 @@ def test_multiples_repeats_match_flat_reference(data):
 
 @pytest.mark.parametrize("call,message", [
     (lambda: bij.mex_pairing(P([5, 3, 1]), 9, 2), "index 9 outside 1..6 for [5,3,1]"),
-    (lambda: bij.mex_pairing_trace(P([5, 3, 1]), 0, 2), "index 0 outside 1..6 for [5,3,1]"),
+    (lambda: bij.pairing_trace(P([5, 3, 1]), 0, 2, bij.mex_pairing(P([5, 3, 1]), 0, 2)),
+     "index 0 outside 1..6 for [5,3,1]"),
     (lambda: bij.mex_pairing_colored(P([5, 3, 1]), 8, 2), "index 8 outside 1..7 for [5,3,1]"),
     (lambda: bij.maex_pairing(P([5, 3, 1]), 7, 2), "index 7 outside 1..6 for [5,3,1]"),
-    (lambda: bij.maex_pairing_trace(P([]), 2, 1), "index 2 outside 1..1 for []"),
+    (lambda: bij.pairing_trace(P([]), 2, 1, bij.maex_pairing(P([]), 2, 1)),
+     "index 2 outside 1..1 for []"),
     (lambda: bij.mex_pairing(P([1]), 1, 0), "r must be >= 1"),
     (lambda: bij.mex_pairing_colored(P([1]), 1, 0), "r must be >= 1"),
     (lambda: bij.maex_pairing(P([1]), 1, 0), "r must be >= 1"),
@@ -253,7 +283,7 @@ def test_domain_error_text(call, message):
 
 
 def test_trace_json_of_the_extra_move_branch():
-    assert json.dumps(bij.mex_pairing_trace(P([4, 3]), 1, 2)) == (
+    assert json.dumps(bij.pairing_trace(P([4, 3]), 1, 2, bij.mex_pairing(P([4, 3]), 1, 2))) == (
         '{"input": {"lambda": "[4,3]", "i": 1, "r": 2}, "case": "case3.2", '
         '"intermediate": {"conjugate": "[2,2,2,1]", "cut_index": 1, '
         '"moves": [{"value": 1, "copies": 1}], "extra_move": {"value": 2, "copies": 2}}, '
@@ -261,7 +291,8 @@ def test_trace_json_of_the_extra_move_branch():
 
 
 def test_trace_json_of_delta():
-    assert json.dumps(bij.maex_pairing_trace(P([7, 4, 4, 1]), 3, 2)) == (
+    lam = P([7, 4, 4, 1])
+    assert json.dumps(bij.pairing_trace(lam, 3, 2, bij.maex_pairing(lam, 3, 2))) == (
         '{"input": {"lambda": "[7,4,4,1]", "i": 3, "r": 2}, "case": "cut", '
         '"intermediate": {"conjugate": "[4,3,3,3,1,1,1]", "cut_index": 6, '
         '"moves": [{"value": 4, "copies": 1}]}, '

@@ -121,22 +121,22 @@ class TestConcatAndCut:
 
     def test_cut_examples(self):
         lam = P([5, 3, 2])
-        assert lam.cut_up(2) == P([5])
-        assert lam.cut_down(2) == P([3, 2])
-        assert lam.cut_up(1) == EMPTY
-        assert P([4, 4, 1]).cut_down(4) == EMPTY
+        assert lam.cut(2) == (P([5]), P([3, 2]))
+        assert lam.cut(1)[0] == EMPTY
+        assert P([4, 4, 1]).cut(4)[1] == EMPTY
 
     def test_cut_out_of_range(self):
         with pytest.raises(PartitionError):
-            P([2, 1]).cut_up(4)
+            P([2, 1]).cut(4)
         with pytest.raises(PartitionError):
-            P([2, 1]).cut_down(0)
+            P([2, 1]).cut(0)
 
     def test_cut_concat_inverse(self):
         for n in range(11):
             for lam in partitions(n):
                 for i in range(1, lam.num_parts + 2):
-                    assert lam.cut_up(i).concat(lam.cut_down(i)) == lam
+                    up, down = lam.cut(i)
+                    assert up.concat(down) == lam
 
     def test_with_copies(self):
         assert P([3, 1]).with_copies(3, 2) == P([3, 3, 3, 1])

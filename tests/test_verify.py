@@ -134,6 +134,16 @@ class TestReport:
         assert not rep.passed
         assert "FAIL (0 checks)" in rep.to_text()
 
+    def test_zeros_only_is_not_a_pass(self):
+        rep = VerificationReport("demo")
+        rep.add(2, 40, 5, 0, 0)
+        rep.add(2, 40, 6, 0, 0, "series")
+        assert not rep.passed
+        assert rep.to_text() == "demo: FAIL (2 checks)\n  no row compares a nonzero value"
+        rep.add(2, 40, 7, 1, 1)
+        assert rep.passed
+        assert rep.to_text() == "demo: PASS (3 checks)"
+
     def test_to_text_lists_mismatches(self):
         rep = VerificationReport("demo")
         rep.add(2, 1, 6, 7, 8, "bad")
