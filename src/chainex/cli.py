@@ -18,7 +18,6 @@ from . import qseries as qs
 from . import verify as vf
 from .partition import (
     Partition,
-    PartitionError,
     chain_maex,
     chain_mex,
     in_gap_class,
@@ -29,8 +28,6 @@ from .partition import (
     parts_above_mex,
     partitions,
 )
-
-DEFAULT_ORDER = qs.DEFAULT_ORDER
 
 SERIES_BUILDERS = {
     # name: (qseries builder, the options it reads before --order)
@@ -68,16 +65,12 @@ PAIRING_MAPS = {
 }
 
 
-class CliError(Exception):
-    pass
-
-
 def _parse_range(text: str):
     if ".." in text:
         lo, hi = text.split("..", 1)
         values = list(range(int(lo), int(hi) + 1))
         if not values:
-            raise CliError(f"empty range {text!r}: the upper end is below the lower")
+            raise ValueError(f"empty range {text!r}: the upper end is below the lower")
         return values
     return [int(text)]
 
@@ -88,7 +81,7 @@ def _emit(text: str, out_path):
             with open(out_path, "w") as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
-            raise CliError(f"cannot write --out {out_path!r}: {exc.strerror}") from None
+            raise ValueError(f"cannot write --out {out_path!r}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -118,11 +111,10 @@ def cmd_stats(args) -> int:
 
 def _check_positive(option: str, value: int) -> None:
     if value < 1:
-        raise CliError(f"{option} must be >= 1, got {value}")
+        raise ValueError(f"{option} must be >= 1, got {value}")
 
 
 def cmd_enumerate(args) -> int:
-    predicate = None
     preds = []
     if args.regular is not None:
         _check_positive("--regular", args.regular)
@@ -132,15 +124,13 @@ def cmd_enumerate(args) -> int:
         preds.append(lambda p, r=args.strict: is_strict(p, r))
     if args.gap_class is not None:
         if args.r is None:
-            raise CliError("--gap-class requires --r")
+            raise ValueError("--gap-class requires --r")
         _check_positive("--r", args.r)
         want = args.gap_class == "bounded"
         preds.append(lambda p, r=args.r, w=want: in_gap_class(p, r) == w)
     elif args.r is not None:
-        raise CliError("enumerate reads --r only with --gap-class")
-    if preds:
-        predicate = lambda p: all(f(p) for f in preds)
-    items = [str(p) for p in partitions(args.n, predicate)]
+        raise ValueError("enumerate reads --r only with --gap-class")
+    items = [str(p) for p in partitions(args.n) if all(f(p) for f in preds)]
     if args.format == "json":
         _emit(json.dumps({"schema": 1, "n": args.n, "count": len(items),
                           "partitions": items}, indent=2), args.out)
@@ -151,14 +141,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_series(args) -> int:
     if args.name not in SERIES_BUILDERS:
-        raise CliError(f"unknown series {args.name!r}; choose from "
-                       + ", ".join(sorted(SERIES_BUILDERS)))
+        raise ValueError(f"unknown series {args.name!r}; choose from "
+                         + ", ".join(sorted(SERIES_BUILDERS)))
     builder, reads = SERIES_BUILDERS[args.name]
     for name in reads:
         if getattr(args, name) is None:
-            raise CliError(f"series {args.name!r} requires --{name}")
+            raise ValueError(f"series {args.name!r} requires --{name}")
     if args.order < 0:
-        raise CliError(f"--order must be >= 0, got {args.order}")
+        raise ValueError(f"--order must be >= 0, got {args.order}")
     # --r and --j are accepted, and left unread, by builders without them
     series = getattr(qs, builder)(*(getattr(args, name) for name in reads), args.order)
     if args.format == "json":
@@ -177,14 +167,17 @@ def cmd_bijection(args) -> int:
     name = args.name
     if name in PAIRING_MAPS:
         if args.i is None:
-            raise CliError(f"bijection {name!r} requires --i")
+            raise ValueError(f"bijection {name!r} requires --i")
         forward, untraced = PAIRING_MAPS[name]
         payload = bij.pairing_trace(lam, args.i, r, forward(lam, args.i, r))
         if not args.trace:
             payload = {key: payload[key] for key in untraced}
     else:
         if name not in PARTITION_MAPS:
-            raise CliError(f"unknown bijection {name!r}")
+            raise ValueError(f"unknown bijection {name!r}")
+        for option, given in (("i", args.i is not None), ("trace", args.trace)):
+            if given:
+                raise ValueError(f"bijection {name} does not take --{option}")
         out = PARTITION_MAPS[name](lam, r)
         payload = {"input": {"lambda": str(lam), "r": r}, "output": str(out)}
     _emit(json.dumps(payload, indent=2), args.out)
@@ -208,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "identity verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def common(p, formats):
+        # only the formats the command writes; the first is the default
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("stats", help="excludant statistics of one partition")
@@ -217,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--sort", action="store_true",
                    help="normalize a partition literal given in any order")
-    common(p)
+    common(p, ("text", "json"))
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("enumerate", help="list all partitions of n")
@@ -228,15 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", type=int, default=None, metavar="R",
                    help="keep only R-strict partitions")
     p.add_argument("--gap-class", choices=("bounded", "exceeds"), default=None)
-    common(p)
+    common(p, ("text", "json"))
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("series", help="expand a generating function")
     p.add_argument("name")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    common(p)
+    p.add_argument("--order", type=int, default=qs.DEFAULT_ORDER)
+    common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("bijection", help="apply a constructive map")
@@ -248,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sort", action="store_true")
     p.add_argument("--trace", action="store_true",
                    help="include the intermediate steps in the JSON output")
-    common(p)
+    common(p, ("json",))
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("verify", help="run an identity or bijection check")
@@ -258,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", default=None, help="single value or range")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--order", type=int, default=None)
-    common(p)
+    common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -272,7 +266,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (CliError, PartitionError, qs.SeriesError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ to share and hash.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 
 class PartitionError(ValueError):
@@ -366,11 +366,9 @@ def top_multiple_multiplicity(lam: Partition, r: int) -> int:
 
 # -- enumeration -------------------------------------------------------------
 
-def partitions(n: int, predicate: Callable[[Partition], bool] = None,
-               max_part: int = None) -> Iterator[Partition]:
+def partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in decreasing lexicographic
-    order of the parts list, optionally filtered by ``predicate`` and with
-    every part at most ``max_part``.
+    order of the parts list.
 
     The successor is computed on the (value, multiplicity) pairs in O(1)
     steps (Zoghbi and Stojmenovic's ZS1 on the multiplicity encoding):
@@ -379,20 +377,10 @@ def partitions(n: int, predicate: Callable[[Partition], bool] = None,
     """
     if n < 0:
         raise PartitionError("cannot partition a negative integer")
-    cap = n if max_part is None else min(max_part, n)
-    if n and cap < 1:
-        return
-    pairs = []             # (value, multiplicity), values strictly decreasing
-    if n:
-        q, rem = divmod(n, cap)
-        pairs.append((cap, q))
-        if rem:
-            pairs.append((rem, 1))
+    pairs = [(n, 1)] if n else []   # (value, multiplicity), values strictly decreasing
     from_pairs = Partition._from_pairs
     while True:
-        lam = from_pairs(tuple(pairs))
-        if predicate is None or predicate(lam):
-            yield lam
+        yield from_pairs(tuple(pairs))
         if not pairs:
             return
         v, m = pairs.pop()

@@ -424,7 +424,8 @@ def series_parts_above(r: int, j: int, order: int = DEFAULT_ORDER) -> PowerSerie
         c[j * r] = 1
     _div_factor(c, j, -1)
     _poch(c, j + 1, 1, divide=True)
-    for n in range(1, j):
+    # for n > order the factor is 1 + O(q^(order+1))
+    for n in range(1, min(j, order + 1)):
         # 1 + q^n + ... + q^(n(r-1)) = (1 - q^(nr)) / (1 - q^n)
         _mul_factor(c, n * r, -1)
         _div_factor(c, n, -1)
@@ -440,12 +441,10 @@ class BivariateSeries:
 
     __slots__ = ("rows", "z_order", "q_order")
 
-    def __init__(self, z_order: int, q_order: int, rows=None):
+    def __init__(self, z_order: int, q_order: int):
         self.z_order = z_order
         self.q_order = q_order
-        if rows is None:
-            rows = [[0] * (q_order + 1) for _ in range(z_order + 1)]
-        self.rows = rows
+        self.rows = [[0] * (q_order + 1) for _ in range(z_order + 1)]
 
     def coeff(self, z_deg: int, q_deg: int) -> int:
         if not (0 <= z_deg <= self.z_order and 0 <= q_deg <= self.q_order):

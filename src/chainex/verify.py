@@ -231,7 +231,7 @@ def _resolve(values, default, name, least):
     values = list(default if values is None else values)
     if not values:
         raise ValueError(f"empty {name} range")
-    if least is not None and min(values) < least:
+    if min(values) < least:
         raise ValueError(f"{name} must be >= {least}, got {min(values)}")
     return values
 
@@ -314,9 +314,9 @@ class _Theorem(namedtuple("_Theorem", "rows takes n r j series stat product fami
                           defaults=(None, range(1, 2), None, None, None, None, ()))):
     """One theorem id.  ``rows`` fills its report; ``takes`` names the
     options it reads (r, j, n and order, named as the CLI options); ``n``,
-    ``r`` and ``j`` are the defaults of those it reads (each r range starts
-    at the least r, a j range at the least j ``count_family`` takes for the
-    families, and a theorem that does not read r runs at r = 1).  The
+    ``r`` and ``j`` are the defaults of those it reads (each r or j range
+    starts at the least value the theorem, and ``count_family`` for its
+    families, accepts; a theorem that does not read r runs at r = 1).  The
     rows compare the qseries builder named ``series`` with the statistic
     sum ``stat`` of a tally and with the builder named ``product``, or the
     counts of the ``families``, the first being the reference."""
@@ -363,7 +363,7 @@ def check_theorem(theorem: str, r_values=None, n_max: int = None,
     n_max, top = _resolve_n(n_max, spec.n, order)
     r_values = _resolve(r_values, spec.r, "r", spec.r.start)
     if spec.j is not None:
-        j_values = _resolve(j_values, spec.j, "j", None)
+        j_values = _resolve(j_values, spec.j, "j", spec.j.start)
     spec.rows(spec, report, r_values, j_values, n_max, top, order)
     report.wall_time = time.monotonic() - start
     return report
@@ -470,8 +470,10 @@ _BIJECTIONS = {
 
 BIJECTIONS = tuple(_BIJECTIONS)
 
-# the weight a bijection is certified up to when no n is given
+# the weight a bijection is certified up to when no n is given, and the
+# least r of every map (the gamma and delta maps cover r-chains from r = 1)
 BIJECTION_N = 16
+BIJECTION_R = 1
 
 
 def certify_bijection(name: str, r: int, n_max: int = None) -> VerificationReport:
@@ -481,11 +483,8 @@ def certify_bijection(name: str, r: int, n_max: int = None) -> VerificationRepor
     cardinalities agree."""
     if name not in _BIJECTIONS:
         raise ValueError(f"unknown bijection id {name!r}")
-    n_max = BIJECTION_N if n_max is None else n_max
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if n_max < 0:
-        raise ValueError(f"n must be >= 0, got {n_max}")
+    _resolve([r], None, "r", BIJECTION_R)
+    n_max, _ = _resolve_n(n_max, BIJECTION_N, None)
     start = time.monotonic()
     report = VerificationReport(f"bijection:{name}")
     # the partitions of every weight, listed once for this call: the domain
@@ -527,6 +526,7 @@ def run_check(vid: str, r_values=None, n_max: int = None, j_values=None,
     check_arguments(vid, r_values, j_values, n_max, order)
     if r_values is None:
         raise ValueError("bijection verification requires --r")
+    r_values = _resolve(r_values, None, "r", BIJECTION_R)
     report = VerificationReport(f"bijection:{vid}")
     for r in r_values:
         sub = certify_bijection(vid, r, n_max)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,13 @@ import sys
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainex
 from chainex import bijections
-from chainex.cli import run
+from chainex import verify as vf
+from chainex.cli import PAIRING_MAPS, PARTITION_MAPS, SERIES_BUILDERS, run
 from chainex.partition import Partition
 
 
@@ -189,6 +194,13 @@ class TestBijection:
                             "--i", "99", "--r", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("option", [("--i", "7"), ("--trace",)])
+    def test_partition_map_rejects_an_unread_option(self, capsys, option):
+        code, out, err = call(capsys, "bijection", "glaisher", "--lambda", "[3,1,1]",
+                              "--r", "2", *option)
+        assert (code, out) == (2, "")
+        assert err == f"error: bijection glaisher does not take {option[0]}\n"
+
     def test_missing_i(self, capsys):
         code, _, err = call(capsys, "bijection", "gamma", "--lambda", "[1]",
                             "--r", "2")
@@ -226,6 +238,12 @@ class TestVerify:
         code, out, _ = call(capsys, "verify", "thm-1.5", "--r", "2", "--j", "40", "--n", "5")
         assert code == 1
         assert out == "thm-1.5: FAIL (12 checks)\n  no row compares a nonzero value\n"
+
+    def test_j_below_the_least_exits_2(self, capsys):
+        for theorem, j, least in (("thm-1.5", "-1", 0), ("thm-1.10", "0", 1)):
+            code, out, err = call(capsys, "verify", theorem, "--r", "2", "--j", j, "--n", "5")
+            assert (code, out) == (2, "")
+            assert err == f"error: j must be >= {least}, got {j}\n"
 
     def test_bijection_requires_r(self, capsys):
         code, _, err = call(capsys, "verify", "gamma", "--n", "6")
@@ -297,6 +315,17 @@ class TestOutFile:
 class TestParser:
     def test_missing_subcommand(self, capsys):
         assert call(capsys, )[0] == 2
+
+    @pytest.mark.parametrize("argv, fmt", [
+        (("bijection", "glaisher", "--lambda", "[1]", "--r", "2"), "text"),
+        (("bijection", "glaisher", "--lambda", "[1]", "--r", "2"), "csv"),
+        (("stats", "[1]", "--r", "1"), "csv"),
+        (("enumerate", "--n", "3"), "csv"),
+    ])
+    def test_unwritten_format_exits_2(self, capsys, argv, fmt):
+        code, out, err = call(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert f"argument --format: invalid choice: '{fmt}'" in err
 
     def test_bad_flag(self, capsys):
         assert call(capsys, "stats", "[1]", "--r", "x")[0] == 2
@@ -395,13 +424,111 @@ class TestFaultyMap:
         assert err == "error: merge modulus r must be >= 2\n"
 
 
-def test_closed_stdout_exits_141_without_a_traceback():
+def cli_command(*argv):
+    """A command line and environment that run this checkout's chainex."""
     src = os.path.dirname(os.path.dirname(chainex.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.Popen([sys.executable, "-m", "chainex.cli", "enumerate", "--n", "40"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    return [sys.executable, "-m", "chainex.cli", *argv], dict(os.environ, PYTHONPATH=src)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("series", "j-parts", "--r", "2", "--j", "100000000", "--order", "5"), 0),
+    # vacuous: no partition of n <= 5 has 10^8 parts above its maex
+    (("verify", "thm-1.10", "--r", "2", "--j", "100000000", "--n", "5"), 1),
+])
+def test_huge_j_finishes(argv, code):
+    command, env = cli_command(*argv)
+    assert subprocess.run(command, env=env, capture_output=True, timeout=20).returncode == code
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    command, env = cli_command("enumerate", "--n", "40")
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"[40]\n"
     proc.stdout.close()   # far more than a pipe buffer is still unwritten
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (141, b"")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed command lines: every argv ends in exit 0, 1 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+# small values only: n <= 10, order <= 30 and |r|, |j| <= 8 keep each run
+# short, and a huge r would make maex-distribution allocate r + 1 rows
+MALFORMED = st.sampled_from(["", "x", "1.5", "0x3", "..", "1..", "..3", "1..x", "--n"])
+
+
+def values(low, high):
+    """Mostly integers in low..high, written out, and now and then a
+    malformed value."""
+    ints = st.integers(low, high).map(str)
+    return st.one_of(ints, ints, ints, MALFORMED)
+
+
+VALUES = values(-8, 8)
+RANGES = st.one_of(VALUES, st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+                   .map(lambda ends: f"{ends[0]}..{ends[1]}"))
+SIZES = values(-2, 10)
+ORDERS = values(-2, 30)
+PARTS = st.one_of(st.lists(st.integers(1, 4), max_size=4).map(lambda ps: sorted(ps, reverse=True)),
+                  st.lists(st.integers(-1, 4), max_size=4))
+LAMBDAS = st.one_of(PARTS.map(lambda ps: "[" + ",".join(map(str, ps)) + "]"),
+                    st.sampled_from(["[", "[1,,2]", "3,1", "[a]", "[2.5]", "(2,1)"]))
+FORMATS = st.sampled_from(["text", "json", "csv", "xml"])
+
+
+def option(flag, values):
+    """Unset two times in three, so that more command lines run."""
+    return st.one_of(st.just([]), st.just([]), values.map(lambda v: [flag, v]))
+
+
+def required(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def positional(values):
+    return values.map(lambda v: [v])
+
+
+VERIFY_IDS = st.sampled_from(vf.THEOREMS + vf.BIJECTIONS + ("thm-9", ""))
+COMMANDS = st.one_of(
+    st.tuples(st.just(["stats"]), positional(LAMBDAS), required("--r", VALUES),
+              switch("--sort"), option("--format", FORMATS)),
+    st.tuples(st.just(["enumerate"]), required("--n", SIZES), option("--r", VALUES),
+              option("--regular", VALUES), option("--strict", VALUES),
+              option("--gap-class", st.sampled_from(["bounded", "exceeds", "x"])),
+              option("--format", FORMATS)),
+    st.tuples(st.just(["series"]),
+              positional(st.sampled_from(tuple(SERIES_BUILDERS) + ("zeta",))),
+              option("--r", VALUES), option("--j", VALUES), option("--order", ORDERS),
+              option("--format", FORMATS)),
+    st.tuples(st.just(["bijection"]),
+              positional(st.sampled_from(tuple(PARTITION_MAPS) + tuple(PAIRING_MAPS)
+                                         + ("identity",))),
+              required("--lambda", LAMBDAS), option("--i", VALUES), required("--r", VALUES),
+              switch("--sort"), switch("--trace"), option("--format", FORMATS)),
+    # --n is always given (unset, it defaults to 16..40), except to
+    # q-binomial, which reads no n
+    VERIFY_IDS.flatmap(lambda vid: st.tuples(
+        st.just(["verify", vid]), option("--r", RANGES), option("--j", RANGES),
+        st.just([]) if vid == "q-binomial" else required("--n", SIZES),
+        option("--order", ORDERS), option("--format", FORMATS))),
+)
+# now and then an unknown flag or --help at the end
+ARGVS = st.tuples(COMMANDS, st.sampled_from([[]] * 8 + [["--bogus"], ["--help"]])).map(
+    lambda parts: [token for group in parts[0] + (parts[1],) for token in group])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGVS)
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

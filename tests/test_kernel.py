@@ -64,6 +64,15 @@ def test_parts_above_matches_dense_reference(r):
                            oracles.dense_parts_above(r, j, TOP))
 
 
+@pytest.mark.parametrize("r", range(2, 5))
+def test_parts_above_with_j_above_the_order(r):
+    # the factors n > order are 1 + O(q^(order+1)) and are not expanded
+    for order in range(8):
+        for j in range(1, order + 4):
+            assert qs.series_parts_above(r, j, order).coeffs == \
+                oracles.dense_parts_above(r, j, order).coeffs, (j, order)
+
+
 @pytest.mark.parametrize("r", range(6, 10))
 def test_chain_mex_shifted_with_r_above_the_order(r):
     # the terms m > order are the constant 1 and are not expanded

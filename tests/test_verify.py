@@ -1,8 +1,10 @@
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 
+from chainex import bijections
 from chainex.partition import chain_mex, partitions
 from chainex.verify import (
     BIJECTIONS,
@@ -205,6 +207,15 @@ class TestTheoremHarness:
         with pytest.raises(ValueError, match=message):
             check_theorem(theorem, **kwargs)
 
+    @pytest.mark.parametrize("theorem, j, message", [
+        ("thm-1.5", -1, "^j must be >= 0, got -1$"),
+        ("thm-1.10", 0, "^j must be >= 1, got 0$"),
+    ])
+    def test_j_below_the_least_rejected_before_any_walk(self, theorem, j, message):
+        with mock.patch("chainex.verify.partitions", side_effect=AssertionError("walked")):
+            with pytest.raises(ValueError, match=message):
+                check_theorem(theorem, j_values=[j])
+
     @pytest.mark.parametrize("theorem, kwargs, message", [
         ("thm-1.4", {"r_values": [5]},
          "verify thm-1.4 does not take --r; it takes --n, --order"),
@@ -244,6 +255,15 @@ class TestBijectionCertification:
             certify_bijection("gamma", 2, -1)
         with pytest.raises(ValueError, match="r must be >= 1"):
             certify_bijection("gamma", 0, 4)
+
+    def test_run_check_resolves_the_r_range_before_certifying(self):
+        with pytest.raises(ValueError, match="^empty r range$"):
+            run_check("gamma", [], 5)
+        with mock.patch.object(bijections, "mex_pairing",
+                               side_effect=AssertionError("certified")) as forward:
+            with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
+                run_check("gamma", [2, 0], 3)
+        assert not forward.called
 
     def test_run_check_certifies_every_r_to_the_default_n(self):
         rep = run_check("glaisher", r_values=[2, 3])
