@@ -25,12 +25,10 @@ from typing import NamedTuple, Optional, Union
 from .partition import (
     Partition,
     _merge_pairs,
-    chain_maex,
     chain_mex,
-    in_gap_class,
+    chain_mex_maex,
     is_regular,
     is_strict,
-    maex_offset,
     parts_above,
 )
 
@@ -229,17 +227,18 @@ def in_mex_codomain(pair: PartitionPair, r: int) -> bool:
     """Pairs hit by mex_pairing: alpha is (r+1)-strict; if beta is nonempty
     its largest value has multiplicity not divisible by r+1 and every
     smaller value has multiplicity divisible by r+1."""
-    if isinstance(pair.beta, ColoredEmpty):
-        return False
-    if not is_strict(pair.alpha, r + 1):
-        return False
     beta = pair.beta
-    if beta.is_empty:
-        return True
-    top_value, top_mult = beta.pairs[0]
-    if top_mult % (r + 1) == 0:
+    if isinstance(beta, ColoredEmpty) or not is_strict(pair.alpha, r + 1):
         return False
-    return all(m % (r + 1) == 0 for v, m in beta.pairs if v != top_value)
+    pairs = beta._pairs
+    if not pairs:
+        return True
+    if not pairs[0][1] % (r + 1):
+        return False
+    for _, m in pairs[1:]:
+        if m % (r + 1):
+            return False
+    return True
 
 
 def in_colored_codomain(pair: PartitionPair, r: int) -> bool:
@@ -253,15 +252,13 @@ def in_colored_codomain(pair: PartitionPair, r: int) -> bool:
 def in_maex_codomain(pair: PartitionPair, r: int) -> bool:
     """Pairs hit by maex_pairing: alpha is (r+1)-strict; in beta every
     value above the smallest has multiplicity divisible by r+1."""
-    if isinstance(pair.beta, ColoredEmpty):
-        return False
-    if not is_strict(pair.alpha, r + 1):
-        return False
     beta = pair.beta
-    if beta.is_empty:
-        return True
-    bottom = beta.smallest
-    return all(m % (r + 1) == 0 for v, m in beta.pairs if v != bottom)
+    if isinstance(beta, ColoredEmpty) or not is_strict(pair.alpha, r + 1):
+        return False
+    for _, m in beta._pairs[:-1]:
+        if m % (r + 1):
+            return False
+    return True
 
 
 def _check_r(r: int):
@@ -303,8 +300,8 @@ def pairing_trace(lam: Partition, i: int, r: int, pair: PartitionPair) -> dict:
 def _mex_pairing(lam: Partition, i: int, r: int, colored: bool) -> PartitionPair:
     """gamma, or gamma-star when ``colored`` (no cut for a colored empty)."""
     _check_r(r)
-    m = chain_mex(lam, r)
-    gap_bounded = in_gap_class(lam, r)
+    m, maex = chain_mex_maex(lam, r)
+    gap_bounded = not maex
     # gamma's index bound adds the class offset (see mex_offset); the
     # colored extension adds r - 1 on both classes
     _check_index(i, m if gap_bounded and not colored else m + r - 1, lam)
@@ -383,9 +380,10 @@ def mex_pairing_colored_inv(pair: PartitionPair, r: int) -> IndexedPartition:
         raise DomainError(f"pair {pair.to_json()} violates the colored codomain constraints")
     if isinstance(pair.beta, ColoredEmpty):
         lam = pair.alpha.conjugate()
-        if not in_gap_class(lam, r):
+        m, maex = chain_mex_maex(lam, r)
+        if maex:
             raise DomainError("colored empty beta requires a gap-bounded preimage")
-        return IndexedPartition(lam, chain_mex(lam, r) + pair.beta.color - 1)
+        return IndexedPartition(lam, m + pair.beta.color - 1)
     return _mex_unpairing(pair, r)
 
 
@@ -398,7 +396,10 @@ def maex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
     satisfying in_maex_codomain; weight is preserved."""
     _check_r(r)
     top = lam.largest
-    _check_index(i, top - chain_maex(lam, r) + maex_offset(lam, r), lam)
+    maex = chain_mex_maex(lam, r)[1]
+    # the class offset (see maex_offset) is r off the gap-bounded class,
+    # where the maex is positive, and 1 on it
+    _check_index(i, top - maex + (r if maex else 1), lam)
     lp = lam.conjugate()
     cut = top + 2 - i
     # alpha grows out of the lower piece, beta out of the upper piece

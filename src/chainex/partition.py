@@ -221,12 +221,18 @@ EMPTY = Partition()
 
 def is_regular(lam: Partition, r: int) -> bool:
     """True if no part is divisible by r."""
-    return all(v % r != 0 for v, _ in lam.pairs)
+    for v, _ in lam._pairs:
+        if not v % r:
+            return False
+    return True
 
 
 def is_strict(lam: Partition, r: int) -> bool:
     """True if every part has multiplicity < r."""
-    return all(m < r for _, m in lam.pairs)
+    for _, m in lam._pairs:
+        if m >= r:
+            return False
+    return True
 
 
 def in_gap_class(lam: Partition, r: int) -> bool:
@@ -234,13 +240,12 @@ def in_gap_class(lam: Partition, r: int) -> bool:
     parts is at most r and the smallest part is at most r.  The empty
     partition is a member.  The complement is exactly where the r-chain
     maximal excludant is positive."""
-    if lam.is_empty:
-        return True
-    values = [v for v, _ in lam.pairs]
-    for a, b in zip(values, values[1:]):
-        if a - b > r:
+    below = 0      # the part below the current one; 0 under the smallest
+    for v, _ in reversed(lam._pairs):
+        if v - below > r:
             return False
-    return values[-1] <= r
+        below = v
+    return True
 
 
 # -- excludant statistics ----------------------------------------------------
@@ -280,11 +285,15 @@ def chain_excludants(lam: Partition, r_max: int) -> tuple:
     return mex, maex
 
 
-def _scan_depth(lam: Partition, r: int) -> int:
-    """The chain length to scan for r: runs of missing values below the
-    largest part are shorter than it, so every longer chain has the same
-    mex and maex as one of that length."""
-    return min(r, max(lam.largest, 1))
+def chain_mex_maex(lam: Partition, r: int) -> tuple:
+    """The r-chain mex and maex of lam, from one scan.  Runs of missing
+    values below the largest part are shorter than it, so a longer chain
+    is scanned at that length; the maex is 0 exactly on the gap-bounded
+    class."""
+    pairs = lam._pairs
+    k = min(r, pairs[0][0] if pairs else 1)
+    mex, maex = chain_excludants(lam, k)
+    return mex[k - 1], maex[k - 1]
 
 
 def chain_mex(lam: Partition, r: int) -> int:
@@ -292,8 +301,7 @@ def chain_mex(lam: Partition, r: int) -> int:
 
     For r = 1 this is the classic minimal excludant.
     """
-    k = _scan_depth(lam, r)
-    return chain_excludants(lam, k)[0][k - 1]
+    return chain_mex_maex(lam, r)[0]
 
 
 def chain_maex(lam: Partition, r: int) -> int:
@@ -304,8 +312,7 @@ def chain_maex(lam: Partition, r: int) -> int:
     of positive integers.  The result is positive exactly on the complement
     of the gap-bounded class, and then it is at least r.
     """
-    k = _scan_depth(lam, r)
-    return chain_excludants(lam, k)[1][k - 1]
+    return chain_mex_maex(lam, r)[1]
 
 
 def mex_offset(lam: Partition, r: int) -> int:

@@ -10,6 +10,16 @@ partitions of n that reads the chain mex and maex for every r off one
 ``chain_excludants`` scan per partition and fills every requested
 (statistic, r) and (family, r) cell.  Each statistic sum is then read off
 the tally, so ``check_theorem`` walks each n once, whatever the r range.
+
+Bijection certification lists every partition of each weight up to n once.
+A partition map's domain and codomain are those partitions that pass its
+membership tests.  An index-to-pair map (gamma, gamma-star, delta) has as
+domain every (lambda, i) with i up to the index bound, and its codomain
+candidates are generated: an (r+1)-strict alpha paired with a beta whose
+multiplicities are all divisible by r+1 except at the map's free end (see
+``_follows_rule``), plus the colored empties of gamma-star.  Every candidate
+still goes through the public codomain checker, and only the pairs it
+accepts count; a pair whose beta breaks the rule is never built.
 """
 
 from __future__ import annotations
@@ -298,7 +308,9 @@ def _q_binomial_rows(spec, report, r_values, j_values, n_max, top, order):
 def _maex_distribution_rows(spec, report, r_values, j_values, n_max, top, order):
     tallies = _tallies(n_max, max(r_values))
     for r in r_values:
-        z_top = max(n_max - 1, r)
+        # a partition of n <= n_max has maex below its largest part, so at
+        # most n_max - 1, whatever r
+        z_top = max(n_max - 1, 0)
         series = qs.maex_bivariate(r, z_top, n_max)
         other = qs.maex_bivariate_double_sum(r, z_top, n_max)
         for m in range(z_top + 1):
@@ -413,17 +425,49 @@ class _Map(namedtuple("_Map", "domain codomain forward inverse fiber")):
                 report.add(r, None, n, int(fibers), 1, "fiber")
 
 
-class _Pairing(namedtuple("_Pairing", "bound forward inverse checker colored")):
+def _follows_rule(beta, r, free) -> bool:
+    """Whether beta follows a pairing codomain's multiplicity rule: every
+    multiplicity is divisible by r+1 except at the free end, the largest
+    value (``free == "top"``, whose multiplicity must not be divisible by
+    r+1) or the smallest (``free == "bottom"``, any multiplicity).  The
+    empty beta follows both."""
+    pairs = beta.pairs
+    if not pairs:
+        return True
+    if free == "top":
+        if not pairs[0][1] % (r + 1):
+            return False
+        rest = pairs[1:]
+    else:
+        rest = pairs[:-1]
+    return all(not m % (r + 1) for _, m in rest)
+
+
+class _Pairing(namedtuple("_Pairing", "bound forward inverse checker colored free")):
     """An index-to-pair map: the index bound of lambda at r, the names of
     the forward map, its inverse and its codomain checker in bijections,
-    and whether the codomain has colored empties."""
+    whether the codomain has colored empties, and the free end of beta in
+    the codomain's multiplicity rule (see ``_follows_rule``)."""
+
+    def codomains(self, r, by_weight):
+        """Yield the codomain of every weight n in turn, as a set of (alpha,
+        beta).  The candidates of weight n pair an (r+1)-strict alpha of
+        weight a with a beta of weight n - a that follows the rule, or with
+        a colored empty when a = n; every one goes through the checker."""
+        # looked up per call so that a patched module attribute is used
+        checker = getattr(bij, self.checker)
+        alphas = [[p for p in ps if is_strict(p, r + 1)] for ps in by_weight]
+        betas = [[p for p in ps if _follows_rule(p, r, self.free)] for ps in by_weight]
+        if self.colored:
+            betas[0] += [bij.ColoredEmpty(color) for color in range(1, r + 1)]
+        for n in range(len(by_weight)):
+            yield {(alpha, beta) for a in range(n + 1) for alpha in alphas[a]
+                   for beta in betas[n - a] if checker(bij.PartitionPair(alpha, beta), r)}
 
     def certify(self, report, r, by_weight):
         # looked up per call so that a patched module attribute is used
-        forward, inverse, checker = (getattr(bij, f)
-                                     for f in (self.forward, self.inverse, self.checker))
-        strict = [[p for p in ps if is_strict(p, r + 1)] for ps in by_weight]
-        for n, weight_n in enumerate(by_weight):
+        forward, inverse = getattr(bij, self.forward), getattr(bij, self.inverse)
+        for n, (weight_n, codomain) in enumerate(zip(by_weight, self.codomains(r, by_weight))):
             ok = True
             images = set()
             domain_size = 0
@@ -433,16 +477,6 @@ class _Pairing(namedtuple("_Pairing", "bound forward inverse checker colored")):
                     pair = forward(lam, i, r)
                     ok &= _round_trips(inverse, pair, r, (lam, i))
                     images.add((pair.alpha, pair.beta))
-            # every candidate (alpha (r+1)-strict of weight a, beta any
-            # partition of n - a, or a colored empty when a = n) through
-            # the checker
-            codomain = set()
-            for a, alphas in enumerate(strict[:n + 1]):
-                betas = by_weight[n - a]
-                if self.colored and a == n:
-                    betas = betas + [bij.ColoredEmpty(color) for color in range(1, r + 1)]
-                codomain.update((alpha, beta) for alpha in alphas for beta in betas
-                                if checker(bij.PartitionPair(alpha, beta), r))
             # the round trips make the map injective: domain_size images
             ok &= images == codomain
             report.add(r, None, n, domain_size, len(codomain), "cardinality")
@@ -460,12 +494,12 @@ _BIJECTIONS = {
         "top_multiple_to_repeats", "repeats_to_top_multiple",
         lambda lam, out, r: top_multiple_multiplicity(lam, r) == smallest_repeating(out, r)),
     "gamma": _Pairing(lambda lam, r: chain_mex(lam, r) + mex_offset(lam, r),
-                      "mex_pairing", "mex_pairing_inv", "in_mex_codomain", False),
+                      "mex_pairing", "mex_pairing_inv", "in_mex_codomain", False, "top"),
     "gamma-star": _Pairing(lambda lam, r: chain_mex(lam, r) + r - 1,
                            "mex_pairing_colored", "mex_pairing_colored_inv",
-                           "in_colored_codomain", True),
+                           "in_colored_codomain", True, "top"),
     "delta": _Pairing(lambda lam, r: lam.largest - chain_maex(lam, r) + maex_offset(lam, r),
-                      "maex_pairing", "maex_pairing_inv", "in_maex_codomain", False),
+                      "maex_pairing", "maex_pairing_inv", "in_maex_codomain", False, "bottom"),
 }
 
 BIJECTIONS = tuple(_BIJECTIONS)

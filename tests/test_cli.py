@@ -418,6 +418,24 @@ class TestFaultyMap:
         assert (code, err) == (1, "")
         assert "  MISMATCH r=2 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
 
+    def test_checker_that_rejects_a_member(self, capsys):
+        honest = bijections.in_maex_codomain
+        member = bijections.PartitionPair(Partition([1]), Partition([7]))
+        assert honest(member, 2)
+
+        def faulty(pair, r):
+            return pair != member and honest(pair, r)
+
+        with mock.patch.object(bijections, "in_maex_codomain", faulty):
+            code, out, err = call(capsys, "verify", "delta", "--r", "2", "--n", "8")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == "bijection:delta: FAIL (18 checks)"
+        # the member is left out of the codomain, and its preimage's inverse
+        # call is rejected
+        assert lines[1:] == ["  MISMATCH r=2 j=None n=8 cardinality lhs=78 rhs=77",
+                             "  MISMATCH r=2 j=None n=8 roundtrip lhs=0 rhs=1"]
+
     def test_forward_errors_still_exit_2(self, capsys):
         code, out, err = call(capsys, "verify", "glaisher", "--r", "1", "--n", "3")
         assert (code, out) == (2, "")
@@ -440,6 +458,13 @@ def test_huge_j_finishes(argv, code):
     assert subprocess.run(command, env=env, capture_output=True, timeout=20).returncode == code
 
 
+def test_huge_r_maex_distribution_finishes():
+    # vacuous: a partition of n <= 5 has maex at most 4, so no row is
+    # nonzero; the rows stop at maex 4 instead of 10^8
+    command, env = cli_command("verify", "maex-distribution", "--r", "100000000", "--n", "5")
+    assert subprocess.run(command, env=env, capture_output=True, timeout=20).returncode == 1
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     command, env = cli_command("enumerate", "--n", "40")
     proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -455,7 +480,7 @@ def test_closed_stdout_exits_141_without_a_traceback():
 # ---------------------------------------------------------------------------
 
 # small values only: n <= 10, order <= 30 and |r|, |j| <= 8 keep each run
-# short, and a huge r would make maex-distribution allocate r + 1 rows
+# short
 MALFORMED = st.sampled_from(["", "x", "1.5", "0x3", "..", "1..", "..3", "1..x", "--n"])
 
 

@@ -21,6 +21,7 @@ from chainex.partition import (
     chain_maex,
     chain_mex,
     count_multiples,
+    in_gap_class,
     is_strict,
     largest_repeating,
     maex_offset,
@@ -149,6 +150,44 @@ def test_round_trip_at_weight_60_to_200(name, data):
     assert checker(pair, r)
     assert inverse(pair, r) == (lam, i)
     assert pair.weight == lam.weight
+
+
+@st.composite
+def gap_walks(draw, r):
+    """A partition of weight 60..200 whose values climb from 0 by gaps of
+    1..r, except that the gap at one drawn step, if the walk gets that far,
+    is r+1: it lies on the gap-bounded class or just off it."""
+    wide = draw(st.integers(0, 20))
+    pairs, value, weight = [], 0, 0
+    while True:
+        value += r + 1 if len(pairs) == wide else draw(st.integers(1, r))
+        copies = draw(st.integers(1, 2))
+        if weight + value * copies > 200:
+            break
+        pairs.append((value, copies))
+        weight += value * copies
+        if weight >= 60 and draw(st.booleans()):
+            break
+    return P([v for v, m in reversed(pairs) for _ in range(m)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_scan_class_and_index_bounds_at_weight_60_to_200(data):
+    # the forward maps read the chain mex, the maex and the gap class off
+    # one scan; the class must agree with the predicate, and each map must
+    # take exactly the indices up to its bound in MAPS (for gamma,
+    # chain_mex + mex_offset)
+    r = data.draw(st.integers(1, 8), label="r")
+    lam = data.draw(st.one_of(partitions_of(60, 200), gap_walks(r)), label="lambda")
+    assert in_gap_class(lam, r) == (chain_maex(lam, r) == 0)
+    for name in sorted(MAPS):
+        forward, _, _, bound = MAPS[name]
+        top = bound(lam, r)
+        forward(lam, top, r)
+        with pytest.raises(DomainError) as info:
+            forward(lam, top + 1, r)
+        assert str(info.value) == f"index {top + 1} outside 1..{top} for {lam}"
 
 
 @st.composite

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainex.partition import chain_maex, chain_mex, partitions, smallest_repeating
 from chainex.qseries import (
@@ -95,6 +97,38 @@ class TestPowerSeriesArithmetic:
         blob = PowerSeries([10 ** 40, 1], order=1).to_json()
         assert blob["schema"] == 1
         assert blob["coeffs"][0] == str(10 ** 40)
+
+
+COEFFS = st.one_of(st.just(0), st.integers(-50, 50))
+
+
+@st.composite
+def series(draw, constant=COEFFS):
+    """A series of order 0..60, about half of its coefficients zero."""
+    order = draw(st.integers(0, 60))
+    rest = draw(st.lists(COEFFS, min_size=order, max_size=order))
+    return PowerSeries([draw(constant)] + rest, order)
+
+
+units = series(st.sampled_from([1, -1]))
+
+
+def assert_same(a, b):
+    assert (a.order, a.coeffs) == (b.order, b.coeffs)
+
+
+class TestRingLaws:
+    @settings(max_examples=100, deadline=None)
+    @given(series(), series(), series())
+    def test_multiplication_associates_and_distributes(self, a, b, c):
+        assert_same((a * b) * c, a * (b * c))
+        assert_same(a * (b + c), a * b + a * c)
+        assert_same((a + b) * c, a * c + b * c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(units, units)
+    def test_inverse_of_a_product(self, a, b):
+        assert_same((a * b).invert(), a.invert() * b.invert())
 
 
 class TestPochhammer:

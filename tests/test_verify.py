@@ -5,8 +5,10 @@ from unittest import mock
 import pytest
 
 from chainex import bijections
+from chainex.bijections import ColoredEmpty, PartitionPair
 from chainex.partition import chain_mex, partitions
 from chainex.verify import (
+    _BIJECTIONS,
     BIJECTIONS,
     FAMILIES,
     STATISTICS,
@@ -284,3 +286,26 @@ class TestBijectionCertification:
         card = [row for row in rep.rows if row.label == "cardinality" and row.n == 6]
         expected = sum(chain_mex(lam, 2) + 1 for lam in partitions(6))
         assert card[0].lhs == expected == card[0].rhs
+
+
+class TestGeneratedCodomain:
+    """The codomain candidates that certification generates, against the
+    checker run over every (alpha, beta) pair of each weight: every alpha,
+    every beta and the colored empties."""
+    N_MAX = 14
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["gamma", "gamma-star", "delta"])
+    def test_generated_equals_the_full_filter(self, name, r):
+        spec = _BIJECTIONS[name]
+        checker = getattr(bijections, spec.checker)
+        by_weight = [list(partitions(w)) for w in range(self.N_MAX + 1)]
+        colored = [ColoredEmpty(color) for color in range(1, r + 1)]
+        generated = list(spec.codomains(r, by_weight))
+        assert len(generated) == self.N_MAX + 1
+        for n, codomain in enumerate(generated):
+            full = {(alpha, beta) for a in range(n + 1) for alpha in by_weight[a]
+                    for beta in by_weight[n - a] + (colored if a == n else [])
+                    if checker(PartitionPair(alpha, beta), r)}
+            assert codomain == full, (n, full - codomain)
+        assert certify_bijection(name, r, self.N_MAX).passed
