@@ -254,46 +254,44 @@ def chain_excludants(lam: Partition, r_max: int) -> tuple:
     """The r-chain mex and maex for every r = 1..r_max, from one scan.
 
     Returns lists ``(mex, maex)`` of length ``r_max``; entry ``r - 1`` holds
-    the values for chain length r.  The scan walks the runs of missing
-    values from 1 upward: a run of L >= r missing values is a chain of
-    length r.
+    the values for chain length r.  A run of L >= r missing values is a
+    chain of length r.
 
-    * ``mex[r-1]`` is the start of the first run of >= r missing values;
+    * ``mex[r-1]`` is the start of the lowest run of >= r missing values;
       the unbounded run above the largest part always qualifies.
     * ``maex[r-1]`` is the top of the highest run of >= r missing values
       below the largest part, and 0 when there is none, which happens
       exactly on the gap-bounded class (see ``in_gap_class``).  A run of
       length >= r ends at or above r, so the top is at least r.
+
+    The scan is ``scan_step`` folded over the distinct values from the
+    largest down, as ``walk_scans`` carries it along the enumeration, and
+    closed at the smallest part.
     """
     if r_max < 1:
         raise PartitionError("chain length r must be >= 1")
-    mex = [0] * r_max
-    maex = [0] * r_max
-    longest = 0    # longest run so far, capped at r_max
-    below = 0      # the part just below the current run; 0 at the bottom
-    for v, _ in reversed(lam._pairs):
-        run = v - below - 1            # missing values below+1 .. v-1
-        if run:
-            reach = run if run < r_max else r_max
-            maex[:reach] = [v - 1] * reach
-            if reach > longest:
-                mex[longest:reach] = [below + 1] * (reach - longest)
-                longest = reach
-        below = v
-    if longest < r_max:
-        mex[longest:] = [below + 1] * (r_max - longest)
-    return mex, maex
+    pairs = lam._pairs
+    closed = scan_step(scan_state(pairs, r_max), 0, pairs[-1][0] if pairs else 0, r_max)
+    return list(closed[:r_max]), list(closed[r_max:])
 
 
 def chain_mex_maex(lam: Partition, r: int) -> tuple:
-    """The r-chain mex and maex of lam, from one scan.  Runs of missing
-    values below the largest part are shorter than it, so a longer chain
-    is scanned at that length; the maex is 0 exactly on the gap-bounded
-    class."""
-    pairs = lam._pairs
-    k = min(r, pairs[0][0] if pairs else 1)
-    mex, maex = chain_excludants(lam, k)
-    return mex[k - 1], maex[k - 1]
+    """The r-chain mex and maex of lam, from one loop over the pairs from
+    the smallest value up: the first run of >= r missing values gives the
+    mex, the last one below the largest part the maex (0 when there is
+    none, exactly on the gap-bounded class).  Nothing is sized by r, so a
+    huge r costs no more than r = 1."""
+    if r < 1:
+        raise PartitionError("chain length r must be >= 1")
+    mex = maex = 0
+    below = 0      # the part just below the current run; 0 at the bottom
+    for v, _ in reversed(lam._pairs):
+        if v - below > r:              # the run below+1 .. v-1 is >= r long
+            if not mex:
+                mex = below + 1
+            maex = v - 1
+        below = v
+    return mex or below + 1, maex
 
 
 def chain_mex(lam: Partition, r: int) -> int:
@@ -371,35 +369,101 @@ def top_multiple_multiplicity(lam: Partition, r: int) -> int:
     return 0
 
 
-# -- enumeration -------------------------------------------------------------
+# -- enumeration with the chain scan ------------------------------------------
+#
+# The chain scan state of the distinct values v_1 > ... > v_k, read from the
+# largest down, is one flat tuple of 2 * depth entries: for r = 1..depth,
+# entry r - 1 is low[r], the start of the lowest run of >= r missing values
+# between v_k and v_1 (v_1 + 1 if there is none), and entry depth + r - 1 is
+# high[r], the top of the highest such run (0 if there is none).  high[r] is
+# set exactly for r up to the longest run so far, so the set entries are a
+# prefix of the high half.
 
-def partitions(n: int) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, in decreasing lexicographic
-    order of the parts list.
+def scan_start(largest: int, depth: int) -> tuple:
+    """The scan state of the largest value alone: no run yet."""
+    return (largest + 1,) * depth + (0,) * depth
 
-    The successor is computed on the (value, multiplicity) pairs in O(1)
-    steps (Zoghbi and Stojmenovic's ZS1 on the multiplicity encoding):
-    drop the run of 1s, take one copy of the smallest part v > 1, and
-    refill the freed weight greedily with parts v - 1 and one remainder.
+
+def scan_step(state: tuple, w: int, above: int, depth: int) -> tuple:
+    """The scan state after a value w is placed under the value ``above``:
+    the run w+1 .. above-1 becomes the lowest run, so it is low[r] for every
+    r up to its length, and the highest one for each such r that had none.
+    A value right under ``above`` adds no run and keeps the state.
+
+    Placing w = 0 under the smallest part (0 for the empty partition)
+    closes the scan: the result holds the r-chain mex of r = 1..depth in
+    its first half and the maex in its second."""
+    k = above - w - 1
+    if k > depth:
+        k = depth
+    if k <= 0:
+        return state
+    high = state[depth:]
+    if not high[k - 1]:
+        h = high.index(0)
+        high = high[:h] + (above - 1,) * (k - h) + high[k:]
+    return (w + 1,) * k + state[k:depth] + high
+
+
+def scan_state(pairs: tuple, depth: int) -> tuple:
+    """The scan state of the distinct values of ``pairs``, from scratch."""
+    state = scan_start(pairs[0][0] if pairs else 0, depth)
+    for (above, _), (w, _) in zip(pairs, pairs[1:]):
+        state = scan_step(state, w, above, depth)
+    return state
+
+
+def walk_scans(n: int, depth: int) -> Iterator[tuple]:
+    """Yield ``(pairs, state)`` for every partition of n exactly once, in
+    decreasing lexicographic order of the parts list: the (value,
+    multiplicity) pairs, values strictly decreasing, and the scan state of
+    its distinct values at chain lengths 1..depth (laid out as described
+    above ``scan_start``).
+
+    ``pairs`` is the walk's own stack, valid until the next step; copy it
+    to keep it.  The successor is computed on the stack in O(1) steps
+    (Zoghbi and Stojmenovic's ZS1 on the multiplicity encoding): drop the
+    run of 1s, take one copy of the smallest part v > 1, and refill the
+    freed weight greedily with parts v - 1 and one remainder.  Each stack
+    level keeps the state of the values down to its own, so a change of
+    multiplicity keeps the state and a pushed value pays one scan step.
     """
     if n < 0:
         raise PartitionError("cannot partition a negative integer")
-    pairs = [(n, 1)] if n else []   # (value, multiplicity), values strictly decreasing
-    from_pairs = Partition._from_pairs
+    pairs = [(n, 1)] if n else []
+    states = [scan_start(n, depth)]     # states[i]: the values down to pairs[i]
     while True:
-        yield from_pairs(tuple(pairs))
+        yield pairs, states[-1]
         if not pairs:
             return
-        v, m = pairs.pop()
+        v, m = pairs[-1]
         freed = 0
         if v == 1:
-            if not pairs:
+            if len(pairs) == 1:
                 return
+            pairs.pop()
+            states.pop()
             freed = m
-            v, m = pairs.pop()
+            v, m = pairs[-1]
         if m > 1:
-            pairs.append((v, m - 1))
+            pairs[-1] = (v, m - 1)
+            state = states[-1]          # v - 1 goes right under v
+        else:
+            pairs.pop()
+            states.pop()
+            state = (scan_step(states[-1], v - 1, pairs[-1][0], depth) if pairs
+                     else scan_start(v - 1, depth))
         q, rem = divmod(freed + v, v - 1)
         pairs.append((v - 1, q))
+        states.append(state)
         if rem:
             pairs.append((rem, 1))
+            states.append(scan_step(state, rem, v - 1, depth))
+
+
+def partitions(n: int) -> Iterator[Partition]:
+    """Yield every partition of n exactly once, in decreasing lexicographic
+    order of the parts list (``walk_scans`` at depth 0)."""
+    from_pairs = Partition._from_pairs
+    for pairs, _ in walk_scans(n, 0):
+        yield from_pairs(tuple(pairs))

@@ -6,10 +6,15 @@ calls the series builders or bijection code paths it is checking, so each
 comparison really is two independent routes to the same number.
 
 The brute-force side is one engine, ``tally``: a single walk over the
-partitions of n that reads the chain mex and maex for every r off one
-``chain_excludants`` scan per partition and fills every requested
-(statistic, r) and (family, r) cell.  Each statistic sum is then read off
-the tally, so ``check_theorem`` walks each n once, whatever the r range.
+partitions of n (``walk_scans``) that carries the chain scan state of every
+r on the enumerator's stack, so a pushed value pays one scan step and a
+partition pays none.  Partitions are counted under their (state, smallest
+part) key, each distinct key is closed into the chain mex and maex once,
+and every requested (statistic, r) and (family, r) cell is filled from
+these counts.  Each statistic sum is then read off the tally, so
+``check_theorem`` walks each n once, whatever the r range.  The bijection
+side reads the chain excludants through ``chain_mex_maex``, a one-r loop
+that shares no scan code with the walk.
 
 Bijection certification lists every partition of each weight up to n once.
 A partition map's domain and codomain are those partitions that pass its
@@ -36,7 +41,7 @@ from . import bijections as bij
 from . import qseries as qs
 from .bijections import DomainError
 from .partition import (
-    chain_excludants,
+    Partition,
     chain_maex,
     chain_mex,
     count_multiples,
@@ -47,8 +52,10 @@ from .partition import (
     mex_offset,
     parts_above,
     partitions,
+    scan_step,
     smallest_repeating,
     top_multiple_multiplicity,
+    walk_scans,
 )
 
 
@@ -62,19 +69,25 @@ class Tally:
     the family statistic j.  The per-r lists stop at chain length n: a
     partition of n has no run of n missing values below its largest part,
     so every longer chain has the same mex and maex.  ``mex_sum`` and
-    ``maex_counts`` read them for any r >= 1.
+    ``maex_counts`` read them for any r = 1..r_max.
     """
     count: int
     largest: int
     mex: list
     maex: list
     families: dict
+    r_max: int
+
+    def _index(self, r: int) -> int:
+        if not 1 <= r <= self.r_max:
+            raise ValueError(f"chain length r must be in 1..{self.r_max}, got {r}")
+        return min(r, len(self.mex)) - 1
 
     def mex_sum(self, r: int) -> int:
-        return self.mex[min(r, len(self.mex)) - 1]
+        return self.mex[self._index(r)]
 
     def maex_counts(self, r: int) -> Counter:
-        return self.maex[min(r, len(self.maex)) - 1]
+        return self.maex[self._index(r)]
 
     def maex_sum(self, r: int) -> int:
         return sum(m * c for m, c in self.maex_counts(r).items())
@@ -117,24 +130,52 @@ FAMILIES = tuple(_FAMILY_VALUES)
 def tally(n: int, r_max: int, family_cells=()) -> Tally:
     """Walk the partitions of n once and tally chain mex/maex for every
     r = 1..r_max and every (family, r) cell in ``family_cells``, which need
-    2 <= r <= r_max + 1.  Partitions are streamed, not stored."""
+    2 <= r <= r_max + 1.  Partitions are streamed, not stored.
+
+    The walk carries the chain scan state of each partition's distinct
+    values, so partitions are counted under the key (state, smallest part),
+    and each distinct key is closed at its smallest part into the mex and
+    maex once.  Family cells build each partition and read its closed key."""
+    if r_max < 1:
+        raise ValueError(f"chain length r must be >= 1, got {r_max}")
+    for fam, r in family_cells:
+        if not 2 <= r <= r_max + 1:
+            raise ValueError(f"family cell ({fam!r}, {r}) needs r in 2..{r_max + 1}")
     depth = min(r_max, max(n, 1))   # longer chains read the last entry
-    count = largest = 0
+    keys = Counter()
+    largest = 0
+    families = {cell: Counter() for cell in family_cells}
+    if families:
+        cells = [(families[fam, r], _FAMILY_VALUES[fam], r, min(r - 1, depth) - 1)
+                 for fam, r in families]
+        closed = {}
+        from_pairs = Partition._from_pairs
+        for pairs, state in walk_scans(n, depth):
+            lam = from_pairs(tuple(pairs))
+            smallest = lam.smallest or 0
+            key = state, smallest
+            keys[key] += 1
+            largest += lam.largest
+            ex = closed.get(key)
+            if ex is None:
+                ex = closed[key] = scan_step(state, 0, smallest, depth)
+            for counts, value, r, i in cells:
+                counts[value(lam, r, ex[i], ex[depth + i])] += 1
+    else:
+        for pairs, state in walk_scans(n, depth):
+            if pairs:
+                keys[state, pairs[-1][0]] += 1
+                largest += pairs[0][0]
+            else:
+                keys[state, 0] += 1
     mex_sums = [0] * depth
     maex_counts = [Counter() for _ in range(depth)]
-    families = {cell: Counter() for cell in family_cells}
-    cells = [(families[fam, r], _FAMILY_VALUES[fam], r, min(r - 1, depth) - 1)
-             for fam, r in families]
-    for lam in partitions(n):
-        mex, maex = chain_excludants(lam, depth)
-        count += 1
-        largest += lam.largest
+    for (state, smallest), count in keys.items():
+        ex = scan_step(state, 0, smallest, depth)
         for i in range(depth):
-            mex_sums[i] += mex[i]
-            maex_counts[i][maex[i]] += 1
-        for counts, value, r, i in cells:
-            counts[value(lam, r, mex[i], maex[i])] += 1
-    return Tally(count, largest, mex_sums, maex_counts, families)
+            mex_sums[i] += count * ex[i]
+            maex_counts[i][ex[depth + i]] += count
+    return Tally(keys.total(), largest, mex_sums, maex_counts, families, r_max)
 
 
 def sigma_stat(n: int, r: int, stat: str) -> int:

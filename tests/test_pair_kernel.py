@@ -20,6 +20,7 @@ from chainex.partition import (
     PartitionError,
     chain_maex,
     chain_mex,
+    chain_mex_maex,
     count_multiples,
     in_gap_class,
     is_strict,
@@ -37,6 +38,8 @@ from oracles import (
     flat_glaisher_merge,
     flat_glaisher_split,
     flat_shift_residues,
+    linear_maex,
+    linear_mex,
 )
 
 P = Partition
@@ -188,6 +191,14 @@ def test_one_scan_class_and_index_bounds_at_weight_60_to_200(data):
         with pytest.raises(DomainError) as info:
             forward(lam, top + 1, r)
         assert str(info.value) == f"index {top + 1} outside 1..{top} for {lam}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=partitions_of(60, 200))
+def test_one_r_scan_at_weight_60_to_200(lam):
+    for r in range(1, 13):
+        assert chain_mex_maex(lam, r) == (linear_mex(lam.parts, r), linear_maex(lam.parts, r))
+    assert chain_mex_maex(lam, 10 ** 12) == (lam.largest + 1, 0)
 
 
 @st.composite

@@ -18,8 +18,10 @@ from chainex.partition import (
     mex_offset,
     parts_above_mex,
     partitions,
+    scan_state,
     smallest_repeating,
     top_multiple_multiplicity,
+    walk_scans,
 )
 
 from oracles import (
@@ -329,3 +331,24 @@ class TestEnumeration:
     def test_negative_n(self):
         with pytest.raises(PartitionError):
             list(partitions(-1))
+        with pytest.raises(PartitionError):
+            list(walk_scans(-1, 3))
+
+
+class TestWalkScans:
+    def test_order_and_carried_state_to_22(self):
+        # the state carried on the stack equals the scan folded from scratch
+        for n in range(23):
+            expected = list(recursive_partitions(n))
+            for depth in range(1, 9):
+                seen = []
+                for pairs, state in walk_scans(n, depth):
+                    pairs = tuple(pairs)
+                    assert state == scan_state(pairs, depth), (pairs, depth)
+                    seen.append(P._from_pairs(pairs).parts)
+                assert seen == expected, (n, depth)
+
+    def test_state_layout(self):
+        # [12, 11, 7, 3, 3] above its smallest part: the runs 8..10 and 4..6
+        assert scan_state(P([12, 11, 7, 3, 3]).pairs, 4) == (4, 4, 4, 13, 10, 10, 10, 0)
+        assert scan_state((), 2) == (1, 1, 0, 0)

@@ -23,7 +23,14 @@ from chainex.verify import (
     tally,
 )
 
-from oracles import FAMILY_VALUES, STATISTIC_VALUES, linear_maex, recursive_partitions
+from oracles import (
+    FAMILY_VALUES,
+    STATISTIC_VALUES,
+    linear_maex,
+    linear_mex,
+    partition_count,
+    recursive_partitions,
+)
 
 
 class TestBruteForceAccumulators:
@@ -123,6 +130,62 @@ class TestEngineAgainstOracles:
                 expected = Counter(linear_maex(parts, r) for parts in recursive_partitions(n))
                 assert t.maex_counts(r) == expected
                 assert t.count == sum(expected.values())
+
+
+class TestTallyAgainstReference:
+    """Every tally read against sums of the oracle values over the oracle
+    enumerator, at n <= 22 and r_max = 1..8 and n + 1."""
+    N_MAX = 22
+
+    @staticmethod
+    def family_reference(lams, fam, r):
+        counts = Counter(FAMILY_VALUES[fam](parts, r) for parts in lams)
+        # the engine marks a partition on the gap-bounded class with -1
+        if None in counts:
+            counts[-1] = counts.pop(None)
+        return counts
+
+    def test_every_read_and_family_cell(self):
+        for n in range(self.N_MAX + 1):
+            lams = list(recursive_partitions(n))
+            mex = {r: sum(linear_mex(p, r) for p in lams) for r in range(1, n + 2)}
+            maex = {r: Counter(linear_maex(p, r) for p in lams) for r in range(1, n + 2)}
+            families = {}
+            for r_max in sorted(set(range(1, 9)) | {n + 1}):
+                # every cell up to r = 9, and the cells at chain length n
+                # and beyond, where the engine reads its last entry
+                rs = [r for r in (*range(2, 10), n + 1, n + 2) if 2 <= r <= r_max + 1]
+                cells = [(fam, r) for fam in FAMILIES for r in sorted(set(rs))]
+                t = tally(n, r_max, cells)
+                assert t.count == len(lams)
+                assert t.largest == sum(max(p, default=0) for p in lams)
+                for r in range(1, r_max + 1):
+                    assert t.mex_sum(r) == mex[min(r, n + 1)], (n, r_max, r)
+                    assert t.maex_counts(r) == maex[min(r, n + 1)], (n, r_max, r)
+                for cell in cells:
+                    if cell not in families:
+                        families[cell] = self.family_reference(lams, *cell)
+                    assert t.families[cell] == families[cell], (n, r_max, cell)
+
+    def test_count_is_the_partition_count_to_40(self):
+        for n in range(41):
+            assert tally(n, 1).count == partition_count(n)
+
+    def test_rejects_out_of_range_arguments(self):
+        # the 5-cell reads the 4-chain mex, which a 2-chain tally lacks
+        with pytest.raises(ValueError):
+            tally(8, 2, [("above-mex", 5)])
+        with pytest.raises(ValueError):
+            tally(8, 2, [("above-mex", 1)])
+        for n in (0, 8):
+            with pytest.raises(ValueError):
+                tally(n, 0)
+        assert tally(8, 4, [("above-mex", 5)]).families["above-mex", 5] == {0: 19, 1: 3}
+        t = tally(8, 2)
+        for read in (t.mex_sum, t.maex_counts, t.maex_sum, t.off_class):
+            for r in (0, -2, 3):
+                with pytest.raises(ValueError):
+                    read(r)
 
 
 class TestReport:
