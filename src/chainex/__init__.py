@@ -6,7 +6,6 @@ from .partition import (
     EMPTY,
     Partition,
     PartitionError,
-    chain_excludants,
     chain_maex,
     chain_mex,
     count_multiples,

@@ -250,31 +250,6 @@ def in_gap_class(lam: Partition, r: int) -> bool:
 
 # -- excludant statistics ----------------------------------------------------
 
-def chain_excludants(lam: Partition, r_max: int) -> tuple:
-    """The r-chain mex and maex for every r = 1..r_max, from one scan.
-
-    Returns lists ``(mex, maex)`` of length ``r_max``; entry ``r - 1`` holds
-    the values for chain length r.  A run of L >= r missing values is a
-    chain of length r.
-
-    * ``mex[r-1]`` is the start of the lowest run of >= r missing values;
-      the unbounded run above the largest part always qualifies.
-    * ``maex[r-1]`` is the top of the highest run of >= r missing values
-      below the largest part, and 0 when there is none, which happens
-      exactly on the gap-bounded class (see ``in_gap_class``).  A run of
-      length >= r ends at or above r, so the top is at least r.
-
-    The scan is ``scan_step`` folded over the distinct values from the
-    largest down, as ``walk_scans`` carries it along the enumeration, and
-    closed at the smallest part.
-    """
-    if r_max < 1:
-        raise PartitionError("chain length r must be >= 1")
-    pairs = lam._pairs
-    closed = scan_step(scan_state(pairs, r_max), 0, pairs[-1][0] if pairs else 0, r_max)
-    return list(closed[:r_max]), list(closed[r_max:])
-
-
 def chain_mex_maex(lam: Partition, r: int) -> tuple:
     """The r-chain mex and maex of lam, from one loop over the pairs from
     the smallest value up: the first run of >= r missing values gives the
@@ -403,14 +378,6 @@ def scan_step(state: tuple, w: int, above: int, depth: int) -> tuple:
         h = high.index(0)
         high = high[:h] + (above - 1,) * (k - h) + high[k:]
     return (w + 1,) * k + state[k:depth] + high
-
-
-def scan_state(pairs: tuple, depth: int) -> tuple:
-    """The scan state of the distinct values of ``pairs``, from scratch."""
-    state = scan_start(pairs[0][0] if pairs else 0, depth)
-    for (above, _), (w, _) in zip(pairs, pairs[1:]):
-        state = scan_step(state, w, above, depth)
-    return state
 
 
 def walk_scans(n: int, depth: int) -> Iterator[tuple]:

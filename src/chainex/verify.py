@@ -19,12 +19,12 @@ that shares no scan code with the walk.
 Bijection certification lists every partition of each weight up to n once.
 A partition map's domain and codomain are those partitions that pass its
 membership tests.  An index-to-pair map (gamma, gamma-star, delta) has as
-domain every (lambda, i) with i up to the index bound, and its codomain
-candidates are generated: an (r+1)-strict alpha paired with a beta whose
-multiplicities are all divisible by r+1 except at the map's free end (see
-``_follows_rule``), plus the colored empties of gamma-star.  Every candidate
-still goes through the public codomain checker, and only the pairs it
-accepts count; a pair whose beta breaks the rule is never built.
+domain every (lambda, i) with i up to the index bound, and as codomain
+exactly the pairs its public codomain checker accepts: the candidates are
+every partition on either side plus the r colored empties as beta, each
+side filtered by the checker, and every pair built from them goes through
+the checker again.  No codomain rule is written out here a second time, so
+a checker that accepts a pair the map never hits is shown that pair.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from . import bijections as bij
 from . import qseries as qs
 from .bijections import DomainError
 from .partition import (
+    EMPTY,
     Partition,
     chain_maex,
     chain_mex,
@@ -466,44 +467,33 @@ class _Map(namedtuple("_Map", "domain codomain forward inverse fiber")):
                 report.add(r, None, n, int(fibers), 1, "fiber")
 
 
-def _follows_rule(beta, r, free) -> bool:
-    """Whether beta follows a pairing codomain's multiplicity rule: every
-    multiplicity is divisible by r+1 except at the free end, the largest
-    value (``free == "top"``, whose multiplicity must not be divisible by
-    r+1) or the smallest (``free == "bottom"``, any multiplicity).  The
-    empty beta follows both."""
-    pairs = beta.pairs
-    if not pairs:
-        return True
-    if free == "top":
-        if not pairs[0][1] % (r + 1):
-            return False
-        rest = pairs[1:]
-    else:
-        rest = pairs[:-1]
-    return all(not m % (r + 1) for _, m in rest)
-
-
-class _Pairing(namedtuple("_Pairing", "bound forward inverse checker colored free")):
-    """An index-to-pair map: the index bound of lambda at r, the names of
-    the forward map, its inverse and its codomain checker in bijections,
-    whether the codomain has colored empties, and the free end of beta in
-    the codomain's multiplicity rule (see ``_follows_rule``)."""
+class _Pairing(namedtuple("_Pairing", "bound forward inverse checker")):
+    """An index-to-pair map: the index bound of lambda at r, and the names
+    of the forward map, its inverse and its codomain checker in bijections.
+    The codomain is whatever the checker accepts; all that is stated here
+    is that a beta may also be one of the r colored empties."""
 
     def codomains(self, r, by_weight):
         """Yield the codomain of every weight n in turn, as a set of (alpha,
-        beta).  The candidates of weight n pair an (r+1)-strict alpha of
-        weight a with a beta of weight n - a that follows the rule, or with
-        a colored empty when a = n; every one goes through the checker."""
+        beta).  The candidates are picked by the checker itself: the betas
+        (and colored empties) it accepts next to the empty alpha, and the
+        alphas it accepts next to the first beta of weight 0 it accepts.
+        Every pair built from them goes through the checker again, so the
+        set is exactly what it accepts as long as it tests alpha and beta
+        separately, as all three checkers do."""
         # looked up per call so that a patched module attribute is used
-        checker = getattr(bij, self.checker)
-        alphas = [[p for p in ps if is_strict(p, r + 1)] for ps in by_weight]
-        betas = [[p for p in ps if _follows_rule(p, r, self.free)] for ps in by_weight]
-        if self.colored:
-            betas[0] += [bij.ColoredEmpty(color) for color in range(1, r + 1)]
+        checker, pair = getattr(bij, self.checker), bij.PartitionPair
+        colored = [bij.ColoredEmpty(color) for color in range(1, r + 1)]
+        betas = [[beta for beta in ps if checker(pair(EMPTY, beta), r)]
+                 for ps in [by_weight[0] + colored] + by_weight[1:]]
+        # with no beta of weight 0 accepted every codomain is empty, and the
+        # nonempty domain at n = 0 fails
+        anchor = betas[0][:1]
+        alphas = [[alpha for alpha in ps for beta in anchor if checker(pair(alpha, beta), r)]
+                  for ps in by_weight]
         for n in range(len(by_weight)):
             yield {(alpha, beta) for a in range(n + 1) for alpha in alphas[a]
-                   for beta in betas[n - a] if checker(bij.PartitionPair(alpha, beta), r)}
+                   for beta in betas[n - a] if checker(pair(alpha, beta), r)}
 
     def certify(self, report, r, by_weight):
         # looked up per call so that a patched module attribute is used
@@ -535,12 +525,12 @@ _BIJECTIONS = {
         "top_multiple_to_repeats", "repeats_to_top_multiple",
         lambda lam, out, r: top_multiple_multiplicity(lam, r) == smallest_repeating(out, r)),
     "gamma": _Pairing(lambda lam, r: chain_mex(lam, r) + mex_offset(lam, r),
-                      "mex_pairing", "mex_pairing_inv", "in_mex_codomain", False, "top"),
+                      "mex_pairing", "mex_pairing_inv", "in_mex_codomain"),
     "gamma-star": _Pairing(lambda lam, r: chain_mex(lam, r) + r - 1,
                            "mex_pairing_colored", "mex_pairing_colored_inv",
-                           "in_colored_codomain", True, "top"),
+                           "in_colored_codomain"),
     "delta": _Pairing(lambda lam, r: lam.largest - chain_maex(lam, r) + maex_offset(lam, r),
-                      "maex_pairing", "maex_pairing_inv", "in_maex_codomain", False, "bottom"),
+                      "maex_pairing", "maex_pairing_inv", "in_maex_codomain"),
 }
 
 BIJECTIONS = tuple(_BIJECTIONS)

