@@ -19,17 +19,15 @@ and delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .partition import (
     Partition,
     _merge_pairs,
-    chain_mex,
     chain_mex_maex,
     is_regular,
     is_strict,
-    parts_above,
 )
 
 
@@ -52,18 +50,33 @@ class ColoredEmpty:
 BetaSide = Union[Partition, ColoredEmpty]
 
 
-@dataclass(frozen=True)
-class PartitionPair:
+class PartitionPair(NamedTuple):
     """Ordered pair (alpha, beta); beta may be a colored empty partition.
 
     ``case`` records which branch of the forward map produced the pair, and
     ``steps`` the intermediate steps that ``pairing_trace`` reports; both
-    are debugging metadata, excluded from equality, hash and repr.
+    are debugging metadata, excluded from equality and hash, and ``steps``
+    from the repr.  Every forward image and every codomain candidate builds
+    one, so the value is a tuple, which builds in less than half the time
+    of a frozen dataclass; it equals only another pair, never a plain tuple.
     """
     alpha: Partition
     beta: BetaSide
-    case: Optional[str] = field(default=None, compare=False)
-    steps: Optional[tuple] = field(default=None, compare=False, repr=False)
+    case: Optional[str] = None
+    steps: Optional[tuple] = None
+
+    def __eq__(self, other):
+        return (other.__class__ is PartitionPair
+                and self[0] == other[0] and self[1] == other[1])
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self[0], self[1]))
+
+    def __repr__(self):
+        return f"PartitionPair(alpha={self.alpha!r}, beta={self.beta!r}, case={self.case!r})"
 
     @property
     def weight(self) -> int:
@@ -194,29 +207,45 @@ def repeats_to_top_multiple(nu: Partition, r: int) -> Partition:
 # Pair operator: reduce beta multiplicities mod (r+1), one end kept intact
 # ---------------------------------------------------------------------------
 
-def _shift_residues(alpha: Partition, beta: Partition, r: int, keep: str):
-    """The pair operator of gamma (``keep="largest"``) and delta
-    (``keep="smallest"``).
+def _shift_residues(lp: Partition, cut: int, r: int, keep: str):
+    """Cut lp before its part number ``cut`` (1 <= cut <= num_parts + 1)
+    and apply the pair operator of gamma (``keep="largest"``: beta is the
+    lower piece) or delta (``keep="smallest"``: beta is the upper piece).
 
     Write each beta multiplicity as q(r+1)+h with 0 <= h <= r.  The kept
-    end (largest or smallest value) stays untouched; for every other value
-    the h leftover copies migrate to alpha.  Returns the new pair plus the
-    moved (value, copies) pairs for tracing.
+    end of beta, the value next to the cut, stays untouched; for every
+    other value the h leftover copies migrate to alpha, the other piece.
+    They lie strictly below the upper piece (gamma) or above the lower
+    piece (delta), so alpha is that piece with the moved pairs appended or
+    prepended.  Returns (alpha, beta, moved), moved being the (value,
+    copies) pairs for tracing.
     """
-    pairs = beta.pairs
-    if not pairs:
-        return alpha, beta, ()
-    kept_index = 0 if keep == "largest" else len(pairs) - 1
+    pairs = lp._pairs
+    idx, end = 0, len(pairs)
+    above = cut - 1             # parts left to place above the cut
+    while idx < end and above >= pairs[idx][1]:
+        above -= pairs[idx][1]
+        idx += 1
+    if above:                   # the cut splits the copies of pairs[idx]
+        v, m = pairs[idx]
+        upper, lower = pairs[:idx] + ((v, above),), ((v, m - above),) + pairs[idx + 1:]
+    else:
+        upper, lower = pairs[:idx], pairs[idx:]
+    gamma = keep == "largest"
+    shifted = lower[1:] if gamma else upper[:-1]
     stay, moved = [], []
-    for idx, (v, m) in enumerate(pairs):
-        h = 0 if idx == kept_index else m % (r + 1)
+    for v, m in shifted:
+        h = m % (r + 1)
         if h:
             moved.append((v, h))
         if m > h:
             stay.append((v, m - h))
     moved = tuple(moved)
-    return (Partition._from_pairs(_merge_pairs(alpha.pairs, moved)),
-            Partition._from_pairs(tuple(stay)), moved)
+    if gamma:
+        return (Partition._from_pairs(upper + moved),
+                Partition._from_pairs(lower[:1] + tuple(stay)), moved)
+    return (Partition._from_pairs(moved + lower),
+            Partition._from_pairs(tuple(stay) + upper[-1:]), moved)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +337,17 @@ def _mex_pairing(lam: Partition, i: int, r: int, colored: bool) -> PartitionPair
     lp = lam.conjugate()
     if colored and gap_bounded and i >= m:
         return PartitionPair(lp, ColoredEmpty(i - m + 1), "colored", (lp, None, (), None))
-    alpha, beta, moved = _shift_residues(*lp.cut(i), r, "largest")
+    alpha, beta, moved = _shift_residues(lp, i, r, "largest")
     extra = None
     if gap_bounded or i <= m - 1:
         case = "case1" if gap_bounded else "case2"
     else:
-        g = parts_above(lam, m)
-        assert g > 0, "a part above the chain mex must exist off the gap class"
-        k = lp.multiplicity(g)
+        # g = parts_above(lam, m) is the largest value of lp with more than
+        # r copies (see _mex_unpairing), and k its multiplicity; off the gap
+        # class the run at the mex lies below a part, so g exists
+        for g, k in lp._pairs:
+            if k > r:
+                break
         if (k - (i - m)) % (r + 1) == 0:
             case = "case3.2"
             copies = r - (i - m)
@@ -337,18 +369,31 @@ def mex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
 def _mex_unpairing(pair: PartitionPair, r: int) -> IndexedPartition:
     """mex_pairing_inv on a pair already checked against its codomain."""
     alpha, beta = pair.alpha, pair.beta
-    union = alpha.concat(beta)
-    lam = union.conjugate()
-    m = chain_mex(lam, r)
-    g = parts_above(lam, m)
+    union = _merge_pairs(alpha._pairs, beta._pairs)
+    # lam is the conjugate of the union, so its parts are the running
+    # counts of union parts, and a run of >= r values missing from lam is
+    # a union value with more than r copies.  The r-chain mex m of lam is 1
+    # plus the number of union parts above the largest such value g, and g
+    # is the number of parts of lam above m (g = 0 when there is none).
+    m, g = 1, 0
+    for v, k in union:
+        if k > r:
+            g = v
+            break
+        m += k
+    top = beta.largest
     # The branch that moved extra copies leaves exactly r copies of g in
     # alpha and keeps g on top of beta; outside it beta's largest value
     # exceeds g whenever g occurs in alpha at all.
-    if g > 0 and alpha.multiplicity(g) == r and not beta.is_empty and beta.largest == g:
-        i = m + (union.multiplicity(g) % (r + 1))
+    if g and top == g and alpha.multiplicity(g) == r:
+        i = m + k % (r + 1)
     else:
-        i = 1 + sum(mult for v, mult in alpha.pairs if v >= beta.largest)
-    return IndexedPartition(lam, i)
+        i = 1
+        for v, c in alpha._pairs:
+            if v < top:
+                break
+            i += c
+    return IndexedPartition(Partition._from_pairs(union).conjugate(), i)
 
 
 def mex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:
@@ -402,9 +447,7 @@ def maex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
     _check_index(i, top - maex + (r if maex else 1), lam)
     lp = lam.conjugate()
     cut = top + 2 - i
-    # alpha grows out of the lower piece, beta out of the upper piece
-    upper, lower = lp.cut(cut)
-    alpha, beta, moved = _shift_residues(lower, upper, r, "smallest")
+    alpha, beta, moved = _shift_residues(lp, cut, r, "smallest")
     return PartitionPair(alpha, beta, "cut", (lp, cut, moved, None))
 
 
@@ -414,9 +457,12 @@ def maex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:
     if not in_maex_codomain(pair, r):
         raise DomainError(f"pair {pair.to_json()} violates the codomain constraints")
     alpha, beta = pair.alpha, pair.beta
-    lam = alpha.concat(beta).conjugate()
     if beta.is_empty:
         below = alpha.num_parts
     else:
-        below = sum(mult for v, mult in alpha.pairs if v <= beta.smallest)
-    return IndexedPartition(lam, 1 + below)
+        below, bottom = 0, beta.smallest
+        for v, c in reversed(alpha._pairs):
+            if v > bottom:
+                break
+            below += c
+    return IndexedPartition(alpha.concat(beta).conjugate(), 1 + below)

@@ -27,7 +27,8 @@ def _merge_pairs(a: tuple, b: tuple) -> tuple:
         return a or b
     out = []
     i = j = 0
-    while i < len(a) and j < len(b):
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
         va, vb = a[i][0], b[j][0]
         if va > vb:
             out.append(a[i])
@@ -113,11 +114,17 @@ class Partition:
 
     @property
     def weight(self) -> int:
-        return sum(v * m for v, m in self._pairs)
+        total = 0
+        for v, m in self._pairs:
+            total += v * m
+        return total
 
     @property
     def num_parts(self) -> int:
-        return sum(m for _, m in self._pairs)
+        total = 0
+        for _, m in self._pairs:
+            total += m
+        return total
 
     @property
     def largest(self) -> int:
@@ -204,14 +211,19 @@ class Partition:
 
     def with_copies(self, value: int, delta: int) -> "Partition":
         """Return a copy with the multiplicity of ``value`` changed by delta."""
-        have = self.multiplicity(value)
+        pairs = self._pairs
+        idx = 0                 # the position of value among the pairs
+        while idx < len(pairs) and pairs[idx][0] > value:
+            idx += 1
+        have = pairs[idx][1] if idx < len(pairs) and pairs[idx][0] == value else 0
         new = have + delta
         if new < 0:
             raise PartitionError(f"cannot remove {-delta} copies of {value}; only {have} present")
         if new and (not _is_count(value) or value < 1):
             raise PartitionError(f"parts must be positive integers, got {value!r}")
-        rest = tuple(p for p in self._pairs if p[0] != value)
-        return Partition._from_pairs(_merge_pairs(rest, ((value, new),)) if new else rest)
+        rest = pairs[idx + 1:] if have else pairs[idx:]
+        return Partition._from_pairs(pairs[:idx] + ((value, new),) + rest if new
+                                     else pairs[:idx] + rest)
 
 
 EMPTY = Partition()

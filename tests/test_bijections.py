@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from chainex.bijections import (
@@ -120,18 +122,22 @@ class TestTopMultipleToRepeats:
 
 class TestPairOperators:
     def test_keep_largest_moves_leftovers(self):
-        alpha, beta, moved = _shift_residues(P([5]), P([3, 3, 2, 2, 2, 2]), 2, "largest")
+        # the cut at 2 leaves [5] above and [3,3,2,2,2,2] below
+        alpha, beta, moved = _shift_residues(P([5, 3, 3, 2, 2, 2, 2]), 2, 2, "largest")
         assert beta == P([3, 3, 2, 2, 2])
         assert alpha == P([5, 2])
         assert moved == ((2, 1),)
 
     def test_keep_smallest_mirror(self):
-        alpha, beta, _ = _shift_residues(P([5]), P([3, 3, 3, 3, 2, 2]), 2, "smallest")
+        # the cut at 7 leaves [3,3,3,3,2,2] above and [1] below
+        alpha, beta, moved = _shift_residues(P([3, 3, 3, 3, 2, 2, 1]), 7, 2, "smallest")
         assert beta == P([3, 3, 3, 2, 2])
-        assert alpha == P([5, 3])
+        assert alpha == P([3, 1])
+        assert moved == ((3, 1),)
 
     def test_empty_beta_untouched(self):
-        assert _shift_residues(P([4, 1]), EMPTY, 3, "largest") == (P([4, 1]), EMPTY, ())
+        assert _shift_residues(P([4, 1]), 3, 3, "largest") == (P([4, 1]), EMPTY, ())
+        assert _shift_residues(P([4, 1]), 1, 3, "smallest") == (P([4, 1]), EMPTY, ())
 
     def test_pair_weight_and_json(self):
         pair = PartitionPair(P([3, 1]), P([2]))
@@ -144,6 +150,76 @@ class TestPairOperators:
     def test_case_excluded_from_equality(self):
         assert PartitionPair(P([2]), EMPTY, case="case1") == \
             PartitionPair(P([2]), EMPTY, case="case2")
+        # so are the steps, and the hash agrees
+        pair = PartitionPair(P([3, 1]), P([2]), "case1", (P([2, 1]), 1, (), None))
+        bare = PartitionPair(P([3, 1]), P([2]))
+        assert pair == bare and not pair != bare
+        assert hash(pair) == hash(bare)
+        assert len({pair, bare}) == 1
+        assert pair != PartitionPair(P([3, 1]), P([1, 1]), "case1")
+        assert pair != PartitionPair(P([3]), P([2]))
+
+
+class TestPairValue:
+    """The rest of the pair value's contract (equality and hash are in
+    TestPairOperators): a pair is a tuple underneath but never equal to a
+    plain one, it is immutable, its repr leaves the steps out, and the
+    trace built from its steps is the same JSON on every branch."""
+
+    def test_never_equal_to_a_plain_tuple(self):
+        pair = PartitionPair(P([3, 1]), P([2]))
+        for plain in ((P([3, 1]), P([2])), (P([3, 1]), P([2]), None, None)):
+            assert pair != plain and plain != pair
+            assert not pair == plain and not plain == pair
+        assert (P([3, 1]), P([2])) not in {pair}
+
+    def test_immutable(self):
+        pair = PartitionPair(P([3, 1]), P([2]), "case1")
+        for name in ("alpha", "beta", "case", "steps", "other"):
+            with pytest.raises(AttributeError):
+                setattr(pair, name, None)
+        assert pair.alpha == P([3, 1]) and pair.case == "case1"
+
+    def test_repr_leaves_steps_out(self):
+        pair = mex_pairing(P([5, 3, 1]), 2, 2)
+        assert pair.steps is not None
+        assert repr(pair) == ("PartitionPair(alpha=Partition([3, 1, 1]), "
+                              "beta=Partition([2, 2]), case='case1')")
+        colored = mex_pairing_colored(P([2, 1]), 4, 3)
+        assert repr(colored) == ("PartitionPair(alpha=Partition([2, 1]), "
+                                 "beta=ColoredEmpty(color=2), case='colored')")
+
+    @pytest.mark.parametrize("forward, lam, i, r, expected", [
+        (mex_pairing, [2, 1], 1, 2,
+         '{"input": {"lambda": "[2,1]", "i": 1, "r": 2}, "case": "case1", '
+         '"intermediate": {"conjugate": "[2,1]", "cut_index": 1, '
+         '"moves": [{"value": 1, "copies": 1}]}, "output": {"alpha": "[1]", "beta": "[2]"}}'),
+        (mex_pairing, [5, 1], 1, 2,
+         '{"input": {"lambda": "[5,1]", "i": 1, "r": 2}, "case": "case2", '
+         '"intermediate": {"conjugate": "[2,1,1,1,1]", "cut_index": 1, '
+         '"moves": [{"value": 1, "copies": 1}]}, '
+         '"output": {"alpha": "[1]", "beta": "[2,1,1,1]"}}'),
+        (mex_pairing, [4, 3], 2, 2,
+         '{"input": {"lambda": "[4,3]", "i": 2, "r": 2}, "case": "case3.1", '
+         '"intermediate": {"conjugate": "[2,2,2,1]", "cut_index": 2, '
+         '"moves": [{"value": 1, "copies": 1}]}, "output": {"alpha": "[2,1]", "beta": "[2,2]"}}'),
+        (mex_pairing, [4, 3], 1, 2,
+         '{"input": {"lambda": "[4,3]", "i": 1, "r": 2}, "case": "case3.2", '
+         '"intermediate": {"conjugate": "[2,2,2,1]", "cut_index": 1, '
+         '"moves": [{"value": 1, "copies": 1}], "extra_move": {"value": 2, "copies": 2}}, '
+         '"output": {"alpha": "[2,2,1]", "beta": "[2]"}}'),
+        (mex_pairing_colored, [2, 1], 4, 3,
+         '{"input": {"lambda": "[2,1]", "i": 4, "r": 3}, "case": "colored", '
+         '"intermediate": {"conjugate": "[2,1]"}, '
+         '"output": {"alpha": "[2,1]", "beta": {"empty_color": 2}}}'),
+        (maex_pairing, [4, 2, 1], 2, 2,
+         '{"input": {"lambda": "[4,2,1]", "i": 2, "r": 2}, "case": "cut", '
+         '"intermediate": {"conjugate": "[3,2,1,1]", "cut_index": 4, '
+         '"moves": [{"value": 3, "copies": 1}, {"value": 2, "copies": 1}]}, '
+         '"output": {"alpha": "[3,2,1]", "beta": "[1]"}}'),
+    ])
+    def test_trace_json_of_every_branch(self, forward, lam, i, r, expected):
+        assert json.dumps(pairing_trace(P(lam), i, r, forward(P(lam), i, r))) == expected
 
 
 class TestMexPairing:

@@ -27,6 +27,7 @@ from chainex.partition import (
     largest_repeating,
     maex_offset,
     mex_offset,
+    parts_above,
     smallest_repeating,
     top_multiple_multiplicity,
 )
@@ -89,10 +90,17 @@ def test_concat_matches_flat_reference(a, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(small, small, st.integers(1, 5), st.booleans())
-def test_shift_residues_match_flat_reference(alpha, beta, r, keep_largest):
-    a, b, _ = bij._shift_residues(alpha, beta, r, "largest" if keep_largest else "smallest")
-    flat_a, flat_b = flat_shift_residues(alpha.parts, beta.parts, r, keep_largest)
+@given(st.data())
+def test_shift_residues_match_flat_reference(data):
+    lam = data.draw(small, label="lambda")
+    cut = data.draw(st.integers(1, lam.num_parts + 1), label="cut")
+    r = data.draw(st.integers(1, 5), label="r")
+    keep_largest = data.draw(st.booleans(), label="keep_largest")
+    # gamma pairs the upper piece with the lower one, delta the other way
+    upper, lower = flat_cut(lam.parts, cut)
+    alpha, beta = (upper, lower) if keep_largest else (lower, upper)
+    a, b, _ = bij._shift_residues(lam, cut, r, "largest" if keep_largest else "smallest")
+    flat_a, flat_b = flat_shift_residues(alpha, beta, r, keep_largest)
     assert (a, b) == (P(flat_a), P(flat_b))
 
 
@@ -110,6 +118,20 @@ def test_conjugate_at_weight_60_to_200(lam):
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(m >= 1 for _, m in conjugate.pairs)
     assert conjugate.conjugate() == lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions_of(60, 200), st.integers(1, 12))
+def test_chain_mex_read_from_the_conjugate(lam, r):
+    # The parts of lam are the running counts of the conjugate's parts, so
+    # a run of >= r values missing from lam is a conjugate value g with
+    # more than r copies.  The gamma inverse reads the mex this way from
+    # the union alpha + beta, the conjugate of its preimage.
+    conjugate = lam.conjugate()
+    g = largest_repeating(conjugate, r + 1)     # 0 when there is none
+    mex = chain_mex(lam, r)
+    assert mex == 1 + sum(m for v, m in conjugate.pairs if v > g)
+    assert parts_above(lam, mex) == g
 
 
 @settings(max_examples=100, deadline=None)

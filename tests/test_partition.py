@@ -145,6 +145,9 @@ class TestConcatAndCut:
         assert P([3, 1]).with_copies(1, -1) == P([3])
         assert P([3, 1]).with_copies(2, 2).pairs == ((3, 1), (2, 2), (1, 1))
         assert P([3, 1]).with_copies(5, 0).pairs == ((3, 1), (1, 1))
+        assert P([3]).with_copies(1, 2).pairs == ((3, 1), (1, 2))
+        assert P([4, 2, 1]).with_copies(2, -1).pairs == ((4, 1), (1, 1))
+        assert EMPTY.with_copies(2, 1) == P([2])
         with pytest.raises(PartitionError, match="cannot remove 2 copies of 1; only 1 present"):
             P([3, 1]).with_copies(1, -2)
         with pytest.raises(PartitionError, match="parts must be positive integers, got 0"):
