@@ -24,10 +24,12 @@ from typing import NamedTuple, Optional, Union
 
 from .partition import (
     Partition,
+    _cut_pairs,
     _merge_pairs,
     chain_mex_maex,
     is_regular,
     is_strict,
+    largest_repeating,
 )
 
 
@@ -220,17 +222,7 @@ def _shift_residues(lp: Partition, cut: int, r: int, keep: str):
     prepended.  Returns (alpha, beta, moved), moved being the (value,
     copies) pairs for tracing.
     """
-    pairs = lp._pairs
-    idx, end = 0, len(pairs)
-    above = cut - 1             # parts left to place above the cut
-    while idx < end and above >= pairs[idx][1]:
-        above -= pairs[idx][1]
-        idx += 1
-    if above:                   # the cut splits the copies of pairs[idx]
-        v, m = pairs[idx]
-        upper, lower = pairs[:idx] + ((v, above),), ((v, m - above),) + pairs[idx + 1:]
-    else:
-        upper, lower = pairs[:idx], pairs[idx:]
+    upper, lower = _cut_pairs(lp._pairs, cut)
     gamma = keep == "largest"
     shifted = lower[1:] if gamma else upper[:-1]
     stay, moved = [], []
@@ -345,9 +337,9 @@ def _mex_pairing(lam: Partition, i: int, r: int, colored: bool) -> PartitionPair
         # g = parts_above(lam, m) is the largest value of lp with more than
         # r copies (see _mex_unpairing), and k its multiplicity; off the gap
         # class the run at the mex lies below a part, so g exists
-        for g, k in lp._pairs:
-            if k > r:
-                break
+        g = largest_repeating(lp, r + 1)
+        assert g > 0, f"no part above the chain mex of {lam} at r={r}"
+        k = lp.multiplicity(g)
         if (k - (i - m)) % (r + 1) == 0:
             case = "case3.2"
             copies = r - (i - m)

@@ -45,6 +45,22 @@ def _merge_pairs(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _cut_pairs(pairs: tuple, i: int) -> tuple:
+    """Split a pair tuple before its part number i (1 <= i <= parts + 1)
+    in one walk: the pairs of the first i-1 parts and of the rest."""
+    above = i - 1               # parts left to place above the cut
+    if above >= 0:
+        for idx, (v, m) in enumerate(pairs):
+            if above < m:
+                if not above:
+                    return pairs[:idx], pairs[idx:]
+                return pairs[:idx] + ((v, above),), ((v, m - above),) + pairs[idx + 1:]
+            above -= m
+        if not above:
+            return pairs, ()
+    raise PartitionError(f"cut index {i} out of range 1..{sum(m for _, m in pairs) + 1}")
+
+
 class Partition:
     """A partition of a non-negative integer (the empty partition is valid)."""
 
@@ -193,37 +209,20 @@ class Partition:
 
     def cut(self, i: int) -> tuple:
         """The first i-1 parts and the parts from position i onward, as two
-        partitions, from one walk of the pairs; 1 <= i <= num_parts + 1."""
-        pairs = self._pairs
-        above = i - 1           # parts left to place above the cut
-        if above >= 0:
-            for idx, (v, m) in enumerate(pairs):
-                if above < m:
-                    if not above:
-                        up, down = pairs[:idx], pairs[idx:]
-                    else:
-                        up, down = pairs[:idx] + ((v, above),), ((v, m - above),) + pairs[idx + 1:]
-                    return Partition._from_pairs(up), Partition._from_pairs(down)
-                above -= m
-            if not above:
-                return self, EMPTY
-        raise PartitionError(f"cut index {i} out of range 1..{self.num_parts + 1}")
+        partitions; 1 <= i <= num_parts + 1."""
+        up, down = _cut_pairs(self._pairs, i)
+        return Partition._from_pairs(up), Partition._from_pairs(down)
 
     def with_copies(self, value: int, delta: int) -> "Partition":
         """Return a copy with the multiplicity of ``value`` changed by delta."""
-        pairs = self._pairs
-        idx = 0                 # the position of value among the pairs
-        while idx < len(pairs) and pairs[idx][0] > value:
-            idx += 1
-        have = pairs[idx][1] if idx < len(pairs) and pairs[idx][0] == value else 0
+        have = self.multiplicity(value)
         new = have + delta
         if new < 0:
             raise PartitionError(f"cannot remove {-delta} copies of {value}; only {have} present")
         if new and (not _is_count(value) or value < 1):
             raise PartitionError(f"parts must be positive integers, got {value!r}")
-        rest = pairs[idx + 1:] if have else pairs[idx:]
-        return Partition._from_pairs(pairs[:idx] + ((value, new),) + rest if new
-                                     else pairs[:idx] + rest)
+        rest = tuple(p for p in self._pairs if p[0] != value)
+        return Partition._from_pairs(_merge_pairs(rest, ((value, new),)) if new else rest)
 
 
 EMPTY = Partition()

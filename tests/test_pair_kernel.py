@@ -104,6 +104,16 @@ def test_shift_residues_match_flat_reference(data):
     assert (a, b) == (P(flat_a), P(flat_b))
 
 
+@pytest.mark.parametrize("cut", [-1, 0, 5, 6])
+@pytest.mark.parametrize("keep", ["largest", "smallest"])
+def test_shift_residues_refuses_the_cuts_partition_cut_refuses(cut, keep):
+    lam = P([3, 3, 1])
+    with pytest.raises(PartitionError, match="out of range 1..4"):
+        lam.cut(cut)
+    with pytest.raises(PartitionError, match="out of range 1..4"):
+        bij._shift_residues(lam, cut, 2, keep)
+
+
 # ---------------------------------------------------------------------------
 # Conjugation and the pair value type far past the exhaustive range
 # ---------------------------------------------------------------------------
