@@ -313,7 +313,12 @@ def maex_offset(lam: Partition, r: int) -> int:
 
 def parts_above(lam: Partition, bound: int) -> int:
     """Number of parts strictly greater than ``bound``."""
-    return sum(m for v, m in lam.pairs if v > bound)
+    total = 0
+    for v, m in lam._pairs:
+        if v <= bound:          # values decrease: no later part is above
+            break
+        total += m
+    return total
 
 
 def parts_above_mex(lam: Partition, r: int) -> int:
@@ -328,7 +333,7 @@ def parts_above_maex(lam: Partition, r: int) -> int:
 
 def largest_repeating(lam: Partition, r: int) -> int:
     """Largest part value with multiplicity >= r; 0 if none."""
-    for v, m in lam.pairs:
+    for v, m in lam._pairs:
         if m >= r:
             return v
     return 0
@@ -336,7 +341,7 @@ def largest_repeating(lam: Partition, r: int) -> int:
 
 def smallest_repeating(lam: Partition, r: int) -> int:
     """Smallest part value with multiplicity >= r; 0 if none."""
-    for v, m in reversed(lam.pairs):
+    for v, m in reversed(lam._pairs):
         if m >= r:
             return v
     return 0
@@ -344,13 +349,17 @@ def smallest_repeating(lam: Partition, r: int) -> int:
 
 def count_multiples(lam: Partition, r: int) -> int:
     """Number of parts divisible by r, counted with multiplicity."""
-    return sum(m for v, m in lam.pairs if v % r == 0)
+    total = 0
+    for v, m in lam._pairs:
+        if not v % r:
+            total += m
+    return total
 
 
 def top_multiple_multiplicity(lam: Partition, r: int) -> int:
     """Multiplicity of the largest part divisible by r; 0 if none."""
-    for v, m in lam.pairs:
-        if v % r == 0:
+    for v, m in lam._pairs:
+        if not v % r:
             return m
     return 0
 
@@ -392,26 +401,29 @@ def scan_step(state: tuple, w: int, above: int, depth: int) -> tuple:
 
 
 def walk_scans(n: int, depth: int) -> Iterator[tuple]:
-    """Yield ``(pairs, state)`` for every partition of n exactly once, in
+    """Yield ``(pairs, states)`` for every partition of n exactly once, in
     decreasing lexicographic order of the parts list: the (value,
-    multiplicity) pairs, values strictly decreasing, and the scan state of
-    its distinct values at chain lengths 1..depth (laid out as described
-    above ``scan_start``).
+    multiplicity) pairs, values strictly decreasing, and for each level i
+    the scan state of the values down to ``pairs[i][0]`` at chain lengths
+    1..depth (laid out as described above ``scan_start``), so
+    ``states[-1]`` is the partition's own state (the empty partition has
+    no pairs and the one state of its empty scan).
 
-    ``pairs`` is the walk's own stack, valid until the next step; copy it
-    to keep it.  The successor is computed on the stack in O(1) steps
-    (Zoghbi and Stojmenovic's ZS1 on the multiplicity encoding): drop the
-    run of 1s, take one copy of the smallest part v > 1, and refill the
-    freed weight greedily with parts v - 1 and one remainder.  Each stack
-    level keeps the state of the values down to its own, so a change of
-    multiplicity keeps the state and a pushed value pays one scan step.
+    ``pairs`` and ``states`` are the walk's own stacks, valid until the
+    next step; copy them to keep them.  The successor is computed on the
+    stack in O(1) steps (Zoghbi and Stojmenovic's ZS1 on the multiplicity
+    encoding): drop the run of 1s, take one copy of the smallest part
+    v > 1, and refill the freed weight greedily with parts v - 1 and one
+    remainder.  Each stack level keeps the state of the values down to its
+    own, so a change of multiplicity keeps the state and a pushed value pays
+    one scan step.
     """
     if n < 0:
         raise PartitionError("cannot partition a negative integer")
     pairs = [(n, 1)] if n else []
     states = [scan_start(n, depth)]     # states[i]: the values down to pairs[i]
     while True:
-        yield pairs, states[-1]
+        yield pairs, states
         if not pairs:
             return
         v, m = pairs[-1]

@@ -5,14 +5,27 @@ uses the partition-core primitives (enumeration plus statistics); it never
 calls the series builders or bijection code paths it is checking, so each
 comparison really is two independent routes to the same number.
 
-The brute-force side is one engine, ``tally``: a single walk over the
-partitions of n (``walk_scans``) that carries the chain scan state of every
-r on the enumerator's stack, so a pushed value pays one scan step and a
-partition pays none.  Partitions are counted under their (state, smallest
-part) key, each distinct key is closed into the chain mex and maex once,
-and every requested (statistic, r) and (family, r) cell is filled from
-these counts.  Each statistic sum is then read off the tally, so
-``check_theorem`` walks each n once, whatever the r range.  The bijection
+The brute-force side is one engine, ``tallies``.  It uses only the
+partition core: the walk (``walk_scans``), the chain scan (``scan_start``,
+``scan_step``) and the family statistics; no series builder and no
+bijection code.  One walk over the partitions of n_max tallies every
+n <= n_max through a bijection: each partition of n splits uniquely as
+mu + 1^j, where the head mu has no part 1 and |mu| + j = n, and the heads
+of weight w are exactly the partitions of n_max with their n_max - w 1s
+removed.  So the pairs (lambda of n_max, j up to lambda's number of 1s)
+list every partition of every n <= n_max exactly once.
+
+The walk carries the chain scan state of every r on the enumerator's
+stack, so a pushed value pays one scan step and a partition pays none, and
+a head's state is the stack level under the walked partition's 1s.
+Partitions are counted under their (state, smallest part) key: a head once
+under its own key at its weight, and once under the walked partition's key
+at every larger weight, since mu + 1^j has that key for every j >= 1.
+Each distinct key is closed into the chain mex and maex once, and every
+requested (statistic, r) and (family, r) cell is filled from these counts;
+family cells build every partition mu + 1^j and evaluate it.  Each
+statistic sum is then read off the tally of its n, so ``check_theorem``
+walks the partitions of n_max once, whatever the r range.  The bijection
 side reads the chain excludants through ``chain_mex_maex``, a one-r loop
 that shares no scan code with the walk.
 
@@ -53,6 +66,7 @@ from .partition import (
     mex_offset,
     parts_above,
     partitions,
+    scan_start,
     scan_step,
     smallest_repeating,
     top_multiple_multiplicity,
@@ -62,7 +76,7 @@ from .partition import (
 
 @dataclass
 class Tally:
-    """What one walk over the partitions of n gathers.
+    """What the engine gathers over the partitions of one n.
 
     ``count`` partitions, ``largest`` the sum of their largest parts,
     ``mex[i]`` the sum of their (i+1)-chain mex, ``maex[i][m]`` how many
@@ -128,55 +142,111 @@ STATISTICS = tuple(_STAT_SUMS)
 FAMILIES = tuple(_FAMILY_VALUES)
 
 
-def tally(n: int, r_max: int, family_cells=()) -> Tally:
-    """Walk the partitions of n once and tally chain mex/maex for every
-    r = 1..r_max and every (family, r) cell in ``family_cells``, which need
-    2 <= r <= r_max + 1.  Partitions are streamed, not stored.
+def tallies(n_max: int, r_max: int, family_cells=()) -> list:
+    """The tally of every n = 0..n_max from one walk over the partitions of
+    n_max: chain mex/maex for every r = 1..r_max and every (family, r) cell
+    in ``family_cells``, which need 2 <= r <= r_max + 1.  Partitions are
+    streamed, not stored.
 
-    The walk carries the chain scan state of each partition's distinct
-    values, so partitions are counted under the key (state, smallest part),
-    and each distinct key is closed at its smallest part into the mex and
-    maex once.  Family cells build each partition and read its closed key."""
+    Each partition mu + 1^j of n is counted through its head mu (the parts
+    above 1; see the module docstring): under mu's own key (state, smallest
+    part) at j = 0, and under the key of the walked partition, (state, 1),
+    for j >= 1.  Each distinct key is closed once, at every chain length
+    the walk carries; an entry for r does not depend on how many chain
+    lengths the state carries, so each tally keeps its entries up to its
+    own n.  Family cells build every mu + 1^j and read its closed key."""
     if r_max < 1:
         raise ValueError(f"chain length r must be >= 1, got {r_max}")
     for fam, r in family_cells:
         if not 2 <= r <= r_max + 1:
             raise ValueError(f"family cell ({fam!r}, {r}) needs r in 2..{r_max + 1}")
-    depth = min(r_max, max(n, 1))   # longer chains read the last entry
-    keys = Counter()
-    largest = 0
-    families = {cell: Counter() for cell in family_cells}
-    if families:
-        cells = [(families[fam, r], _FAMILY_VALUES[fam], r, min(r - 1, depth) - 1)
-                 for fam, r in families]
-        closed = {}
-        from_pairs = Partition._from_pairs
-        for pairs, state in walk_scans(n, depth):
-            lam = from_pairs(tuple(pairs))
-            smallest = lam.smallest or 0
-            key = state, smallest
-            keys[key] += 1
-            largest += lam.largest
-            ex = closed.get(key)
-            if ex is None:
-                ex = closed[key] = scan_step(state, 0, smallest, depth)
-            for counts, value, r, i in cells:
-                counts[value(lam, r, ex[i], ex[depth + i])] += 1
-    else:
-        for pairs, state in walk_scans(n, depth):
-            if pairs:
-                keys[state, pairs[-1][0]] += 1
-                largest += pairs[0][0]
-            else:
-                keys[state, 0] += 1
+    depth = min(r_max, max(n_max, 1))   # longer chains read the last entry
+    # heads[w] counts the own keys of the heads of weight w, and ones[n]
+    # the keys of the heads of weight n - 1 with their 1s, which count
+    # again at every later n
+    heads = [Counter() for _ in range(n_max + 1)]
+    ones = [Counter() for _ in range(n_max + 1)]
+    heads_largest = [0] * (n_max + 1)
+    ones_largest = [0] * (n_max + 1)
+    specs = {(fam, r): (_FAMILY_VALUES[fam], r, min(r - 1, depth) - 1)
+             for fam, r in family_cells}
+    families = [{cell: Counter() for cell in specs} for _ in range(n_max + 1)]
+    cells = [[(fams[cell], *spec) for cell, spec in specs.items()] for fams in families]
+    closed = {}
+
+    def close(key):
+        ex = closed.get(key)
+        if ex is None:
+            ex = closed[key] = scan_step(key[0], 0, key[1], depth)
+        return ex
+
+    def evaluate(lam, n, ex):
+        for counts, value, r, i in cells[n]:
+            counts[value(lam, r, ex[i], ex[depth + i])] += 1
+
+    from_pairs = Partition._from_pairs
+    for pairs, states in walk_scans(n_max, depth):
+        if not pairs:           # the partition of 0, the empty head: counted below
+            continue
+        smallest, k = pairs[-1]
+        top = pairs[0][0]
+        if smallest == 1:
+            w = n_max - k
+            ones_key = states[-1], 1
+            ones[w + 1][ones_key] += 1
+            ones_largest[w + 1] += top
+            head_key = (states[-2], pairs[-2][0]) if w else None
+        else:
+            w, k = n_max, 0
+            head_key = states[-1], smallest
+        if w:
+            heads[w][head_key] += 1
+            heads_largest[w] += top
+        if specs:
+            head = tuple(pairs[:-1] if k else pairs)
+            if w:
+                evaluate(from_pairs(head), w, close(head_key))
+            if k:
+                ex = close(ones_key)
+                for j in range(1, k + 1):
+                    evaluate(from_pairs(head + ((1, j),)), w + j, ex)
+    # the one head of weight 0: the empty partition
+    empty_key = scan_start(0, depth), 0
+    heads[0][empty_key] += 1
+    if specs:
+        evaluate(EMPTY, 0, close(empty_key))
+
+    def fold(keys, mex, maex):
+        for key, count in keys.items():
+            ex = close(key)
+            for i in range(len(mex)):
+                mex[i] += count * ex[i]
+                maex[i][ex[depth + i]] += count
+
+    # running sums over the heads with their 1s, each entered at the least
+    # weight it reaches; a maex is below the largest part, so below n_max
     mex_sums = [0] * depth
-    maex_counts = [Counter() for _ in range(depth)]
-    for (state, smallest), count in keys.items():
-        ex = scan_step(state, 0, smallest, depth)
-        for i in range(depth):
-            mex_sums[i] += count * ex[i]
-            maex_counts[i][ex[depth + i]] += count
-    return Tally(keys.total(), largest, mex_sums, maex_counts, families, r_max)
+    maex_counts = [[0] * max(n_max, 1) for _ in range(depth)]
+    count = largest = 0
+    out = []
+    for n in range(n_max + 1):
+        fold(ones[n], mex_sums, maex_counts)
+        count += ones[n].total()
+        largest += ones_largest[n]
+        cut = min(r_max, max(n, 1))
+        mex, maex = mex_sums[:cut], [c[:] for c in maex_counts[:cut]]
+        fold(heads[n], mex, maex)
+        maex = [Counter({m: c for m, c in enumerate(counts) if c}) for counts in maex]
+        out.append(Tally(count + heads[n].total(), largest + heads_largest[n],
+                         mex, maex, families[n], r_max))
+        ones[n] = heads[n] = None   # folded
+    return out
+
+
+def tally(n: int, r_max: int, family_cells=()) -> Tally:
+    """The tally of the partitions of n: the last entry of ``tallies(n,
+    ...)``, whose one walk of n tallies every smaller n on the way."""
+    return tallies(n, r_max, family_cells)[n]
 
 
 def sigma_stat(n: int, r: int, stat: str) -> int:
@@ -272,11 +342,6 @@ class VerificationReport:
 # Theorem harness
 # ---------------------------------------------------------------------------
 
-def _tallies(n_max, r_max, family_cells=()):
-    """The tally of every n = 0..n_max, one walk each."""
-    return [tally(n, r_max, family_cells) for n in range(n_max + 1)]
-
-
 def _resolve(values, default, name, least):
     """A list of the requested values, or of ``default`` when unset; an
     empty list or a value below ``least`` is rejected."""
@@ -307,10 +372,10 @@ def _series_rows(spec, report, r_values, j_values, n_max, top, order):
     """The statistic sum of every tally against the series coefficient, for
     every r, and the series against its product form if it has one."""
     builder = getattr(qs, spec.series)
-    tallies = _tallies(n_max, max(r_values))
+    by_n = tallies(n_max, max(r_values))
     for r in r_values:
         series = builder(r, top) if "r" in spec.takes else builder(top)
-        for n, t in enumerate(tallies):
+        for n, t in enumerate(by_n):
             report.add(r, None, n, spec.stat(t, r), series.coeff(n))
         if spec.product is not None:
             other = getattr(qs, spec.product)(r, qs.DEFAULT_ORDER if order is None else order)
@@ -322,14 +387,14 @@ def _family_rows(spec, report, r_values, j_values, n_max, top, order):
     """Every family's count of partitions with statistic j against the
     first family's, for every r and j, and against the series if any."""
     families = spec.families
-    tallies = _tallies(n_max, max(r_values) - 1,
-                       [(fam, r) for r in r_values for fam in families])
+    by_n = tallies(n_max, max(r_values) - 1,
+                   [(fam, r) for r in r_values for fam in families])
     for r in r_values:
         for j in j_values:
             # the closed-form series counts the smallest-repeating
             # family, so it cross-checks the thm-1.10 triple only
             series = None if spec.series is None else getattr(qs, spec.series)(r, j, top)
-            for n, t in enumerate(tallies):
+            for n, t in enumerate(by_n):
                 ref = t.families[families[0], r][j]
                 for fam in families[1:]:
                     report.add(r, j, n, t.families[fam, r][j], ref, fam)
@@ -348,7 +413,7 @@ def _q_binomial_rows(spec, report, r_values, j_values, n_max, top, order):
 
 
 def _maex_distribution_rows(spec, report, r_values, j_values, n_max, top, order):
-    tallies = _tallies(n_max, max(r_values))
+    by_n = tallies(n_max, max(r_values))
     for r in r_values:
         # a partition of n <= n_max has maex below its largest part, so at
         # most n_max - 1, whatever r
@@ -356,7 +421,7 @@ def _maex_distribution_rows(spec, report, r_values, j_values, n_max, top, order)
         series = qs.maex_bivariate(r, z_top, n_max)
         other = qs.maex_bivariate_double_sum(r, z_top, n_max)
         for m in range(z_top + 1):
-            for n, t in enumerate(tallies):
+            for n, t in enumerate(by_n):
                 # maex 0 marks the gap-bounded class, which the
                 # bivariate series leave out
                 count = t.maex_counts(r)[m] if m else 0

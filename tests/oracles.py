@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's own implementations: the partition
-counter uses the Euler pentagonal recurrence, the transpose walks a filled
-Ferrers grid, the mex and maex are plain linear searches over candidate
-values, and ``recursive_partitions`` recurses on the first part, as the
+counter uses the Euler pentagonal recurrence (and the largest-part sum reads
+it through conjugation), the transpose walks a filled Ferrers grid, the mex
+and maex are plain linear searches over candidate values, and
+``recursive_partitions`` recurses on the first part, as the
 reference for the library's iterative enumerator.  The per-partition
 statistics in ``STATISTIC_VALUES`` and ``FAMILY_VALUES`` are written on
 flat parts tuples from the definitions, as the reference for the
@@ -51,6 +52,14 @@ def partition_count(n: int) -> int:
         total += sign * (partition_count(n - g1) + partition_count(n - g2))
         k += 1
     return total
+
+
+def largest_part_sum(n: int) -> int:
+    """The sum of the largest parts of the partitions of n.  By conjugation
+    it is the sum of their numbers of parts, and the partitions of n with
+    at least m copies of v are p(n - m*v) in number."""
+    return sum(partition_count(n - m * v) for v in range(1, n + 1)
+               for m in range(1, n // v + 1))
 
 
 def pentagonal_signs(order: int):

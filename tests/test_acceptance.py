@@ -24,8 +24,8 @@ def _announce(capsys, label, ok):
 
 
 def test_criterion_1_classic_mex_sum(capsys):
-    ok = check_theorem("thm-1.4", n_max=40).passed
-    _announce(capsys, "1 classic mex sum to n=40", ok)
+    ok = check_theorem("thm-1.4", n_max=50).passed
+    _announce(capsys, "1 classic mex sum to n=50", ok)
 
 
 def test_criterion_2_chain_mex_shifted_sum(capsys):

@@ -15,6 +15,7 @@ from chainex.partition import (
     largest_repeating,
     maex_offset,
     mex_offset,
+    parts_above,
     parts_above_mex,
     partitions,
     smallest_repeating,
@@ -277,6 +278,12 @@ class TestRepeatsAndMultiples:
 
 
 class TestPartsAboveMex:
+    def test_parts_above_a_bound(self):
+        # a part equal to the bound is not above it
+        lam = P([7, 5, 5, 3, 1])
+        assert [parts_above(lam, b) for b in (0, 3, 4, 5, 6, 7)] == [5, 3, 3, 1, 1, 0]
+        assert parts_above(EMPTY, 0) == 0
+
     def test_values(self):
         assert parts_above_mex(EMPTY, 3) == 0
         assert parts_above_mex(P([5, 3, 2, 2, 1]), 2) == 0
@@ -336,14 +343,18 @@ class TestEnumeration:
 
 class TestWalkScans:
     def test_order_and_carried_state_to_22(self):
-        # the state carried on the stack equals the scan folded from scratch
+        # the state at every level of the stack equals the scan folded from
+        # scratch over the values down to that level; the empty partition
+        # has the one level of its empty scan
         for n in range(23):
             expected = list(recursive_partitions(n))
             for depth in range(1, 9):
                 seen = []
-                for pairs, state in walk_scans(n, depth):
+                for pairs, states in walk_scans(n, depth):
                     pairs = tuple(pairs)
-                    assert state == scan_state(pairs, depth), (pairs, depth)
+                    assert len(states) == max(len(pairs), 1), (pairs, depth)
+                    for i, state in enumerate(states):
+                        assert state == scan_state(pairs[:i + 1], depth), (pairs, i, depth)
                     seen.append(P._from_pairs(pairs).parts)
                 assert seen == expected, (n, depth)
 

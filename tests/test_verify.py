@@ -6,7 +6,7 @@ import pytest
 
 from chainex import bijections
 from chainex.bijections import ColoredEmpty, PartitionPair
-from chainex.partition import chain_mex, partitions
+from chainex.partition import chain_mex, partitions, walk_scans
 from chainex.verify import (
     _BIJECTIONS,
     BIJECTIONS,
@@ -20,12 +20,14 @@ from chainex.verify import (
     report_to_format,
     run_check,
     sigma_stat,
+    tallies,
     tally,
 )
 
 from oracles import (
     FAMILY_VALUES,
     STATISTIC_VALUES,
+    largest_part_sum,
     linear_maex,
     linear_mex,
     partition_count,
@@ -133,8 +135,9 @@ class TestEngineAgainstOracles:
 
 
 class TestTallyAgainstReference:
-    """Every tally read against sums of the oracle values over the oracle
-    enumerator, at n <= 22 and r_max = 1..8 and n + 1."""
+    """Every entry of one walk read against sums of the oracle values over
+    the oracle enumerator: the tallies of every n <= 22 from one call per
+    r_max = 1..8 and 23, which is above every n."""
     N_MAX = 22
 
     @staticmethod
@@ -146,30 +149,37 @@ class TestTallyAgainstReference:
         return counts
 
     def test_every_read_and_family_cell(self):
-        for n in range(self.N_MAX + 1):
-            lams = list(recursive_partitions(n))
-            mex = {r: sum(linear_mex(p, r) for p in lams) for r in range(1, n + 2)}
-            maex = {r: Counter(linear_maex(p, r) for p in lams) for r in range(1, n + 2)}
-            families = {}
-            for r_max in sorted(set(range(1, 9)) | {n + 1}):
-                # every cell up to r = 9, and the cells at chain length n
-                # and beyond, where the engine reads its last entry
-                rs = [r for r in (*range(2, 10), n + 1, n + 2) if 2 <= r <= r_max + 1]
-                cells = [(fam, r) for fam in FAMILIES for r in sorted(set(rs))]
-                t = tally(n, r_max, cells)
-                assert t.count == len(lams)
-                assert t.largest == sum(max(p, default=0) for p in lams)
+        lams = [list(recursive_partitions(n)) for n in range(self.N_MAX + 1)]
+        mex = [{r: sum(linear_mex(p, r) for p in ps) for r in range(1, n + 2)}
+               for n, ps in enumerate(lams)]
+        maex = [{r: Counter(linear_maex(p, r) for p in ps) for r in range(1, n + 2)}
+                for n, ps in enumerate(lams)]
+        families = {}
+        for r_max in (*range(1, 9), self.N_MAX + 1):
+            # every cell up to r = 9, and cells at chain lengths 11 and 16,
+            # at 22 = N_MAX and beyond, where the tallies below read their
+            # last entry
+            rs = [r for r in (*range(2, 10), 12, 17, self.N_MAX + 1, self.N_MAX + 2)
+                  if r <= r_max + 1]
+            cells = [(fam, r) for fam in FAMILIES for r in rs]
+            by_n = tallies(self.N_MAX, r_max, cells)
+            assert len(by_n) == self.N_MAX + 1
+            for n, (t, ps) in enumerate(zip(by_n, lams)):
+                assert t.count == len(ps)
+                assert t.largest == sum(max(p, default=0) for p in ps)
+                assert len(t.mex) == len(t.maex) == min(r_max, max(n, 1))
                 for r in range(1, r_max + 1):
-                    assert t.mex_sum(r) == mex[min(r, n + 1)], (n, r_max, r)
-                    assert t.maex_counts(r) == maex[min(r, n + 1)], (n, r_max, r)
+                    assert t.mex_sum(r) == mex[n][min(r, n + 1)], (n, r_max, r)
+                    assert t.maex_counts(r) == maex[n][min(r, n + 1)], (n, r_max, r)
                 for cell in cells:
-                    if cell not in families:
-                        families[cell] = self.family_reference(lams, *cell)
-                    assert t.families[cell] == families[cell], (n, r_max, cell)
+                    if (n, cell) not in families:
+                        families[n, cell] = self.family_reference(ps, *cell)
+                    assert t.families[cell] == families[n, cell], (n, r_max, cell)
 
     def test_count_is_the_partition_count_to_40(self):
-        for n in range(41):
-            assert tally(n, 1).count == partition_count(n)
+        by_n = tallies(40, 1)
+        assert [t.count for t in by_n] == [partition_count(n) for n in range(41)]
+        assert [t.largest for t in by_n] == [largest_part_sum(n) for n in range(41)]
 
     def test_rejects_out_of_range_arguments(self):
         # the 5-cell reads the 4-chain mex, which a 2-chain tally lacks
@@ -180,6 +190,10 @@ class TestTallyAgainstReference:
         for n in (0, 8):
             with pytest.raises(ValueError):
                 tally(n, 0)
+        for bad in (lambda: tallies(-1, 2), lambda: tallies(0, 0),
+                    lambda: tallies(8, 2, [("above-mex", 4)])):
+            with pytest.raises(ValueError):
+                bad()
         assert tally(8, 4, [("above-mex", 5)]).families["above-mex", 5] == {0: 19, 1: 3}
         t = tally(8, 2)
         for read in (t.mex_sum, t.maex_counts, t.maex_sum, t.off_class):
@@ -277,9 +291,25 @@ class TestTheoremHarness:
         ("thm-1.10", 0, "^j must be >= 1, got 0$"),
     ])
     def test_j_below_the_least_rejected_before_any_walk(self, theorem, j, message):
-        with mock.patch("chainex.verify.partitions", side_effect=AssertionError("walked")):
+        with mock.patch("chainex.verify.walk_scans", side_effect=AssertionError("walked")):
             with pytest.raises(ValueError, match=message):
                 check_theorem(theorem, j_values=[j])
+
+    @pytest.mark.parametrize("theorem, n_max", [("thm-1.4", 40), ("thm-1.5", 25)])
+    def test_one_walk_of_the_top_weight(self, theorem, n_max):
+        # every n <= n_max is tallied from the partitions of n_max alone:
+        # 37,338 at n = 40 and 1,958 at n = 25, not the sum over all n
+        walked = 0
+
+        def counted(n, depth):
+            nonlocal walked
+            for step in walk_scans(n, depth):
+                walked += 1
+                yield step
+
+        with mock.patch("chainex.verify.walk_scans", counted):
+            assert check_theorem(theorem, n_max=n_max).passed
+        assert walked == partition_count(n_max) == {40: 37338, 25: 1958}[n_max]
 
     @pytest.mark.parametrize("theorem, kwargs, message", [
         ("thm-1.4", {"r_values": [5]},
