@@ -19,8 +19,7 @@ and delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from collections import namedtuple
 
 from .partition import (
     Partition,
@@ -37,10 +36,18 @@ class DomainError(ValueError):
     """Raised when an input violates a map's domain contract."""
 
 
-@dataclass(frozen=True)
-class ColoredEmpty:
-    """An empty beta side carrying one of r colors (1-based)."""
-    color: int
+class ColoredEmpty(namedtuple("ColoredEmpty", "color")):
+    """An empty beta side carrying one of r colors (1-based).  It is a
+    tuple underneath but equals only another colored empty."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is ColoredEmpty and self[0] == other[0]
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def to_json(self):
         return {"empty_color": self.color}
@@ -49,11 +56,9 @@ class ColoredEmpty:
         return f"[]#{self.color}"
 
 
-BetaSide = Union[Partition, ColoredEmpty]
-
-
-class PartitionPair(NamedTuple):
-    """Ordered pair (alpha, beta); beta may be a colored empty partition.
+class PartitionPair(namedtuple("PartitionPair", "alpha beta case steps",
+                               defaults=(None, None))):
+    """Ordered pair (alpha, beta); beta is a Partition or a ColoredEmpty.
 
     ``case`` records which branch of the forward map produced the pair, and
     ``steps`` the intermediate steps that ``pairing_trace`` reports; both
@@ -62,10 +67,7 @@ class PartitionPair(NamedTuple):
     one, so the value is a tuple, which builds in less than half the time
     of a frozen dataclass; it equals only another pair, never a plain tuple.
     """
-    alpha: Partition
-    beta: BetaSide
-    case: Optional[str] = None
-    steps: Optional[tuple] = None
+    __slots__ = ()
 
     def __eq__(self, other):
         return (other.__class__ is PartitionPair
@@ -91,9 +93,7 @@ class PartitionPair(NamedTuple):
         return {"alpha": str(self.alpha), "beta": beta}
 
 
-class IndexedPartition(NamedTuple):
-    lam: Partition
-    i: int
+IndexedPartition = namedtuple("IndexedPartition", "lam i")
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,14 @@ def _parse_range(text: str):
 
 
 def _emit(text: str, out_path):
+    # the same bytes to stdout and to --out, ending in one newline; print
+    # writes that newline apart, which raises BrokenPipeError when the
+    # reader left during the long write (a cut-short write raises nothing)
+    text = text.removesuffix("\n")
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text + "\n")
         except OSError as exc:
             raise ValueError(f"cannot write --out {out_path!r}: {exc.strerror}") from None
     else:

@@ -24,7 +24,7 @@ only the arithmetic primitives; neither side is defined through the other.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from collections.abc import Iterable
 
 
 class SeriesError(ValueError):
@@ -151,14 +151,14 @@ class PowerSeries:
 # Sparse Pochhammer kernel: in-place passes over a coefficient list
 # ---------------------------------------------------------------------------
 
-def _const(order: int, value: int) -> List[int]:
+def _const(order: int, value: int) -> list[int]:
     """Coefficients of the constant series ``value`` truncated at ``order``."""
     if order < 0:
         raise SeriesError(f"truncation order must be >= 0, got {order}")
     return [value] + [0] * order
 
 
-def _mul_factor(c: List[int], e: int, sign: int) -> None:
+def _mul_factor(c: list[int], e: int, sign: int) -> None:
     """c *= (1 + sign*q^e) in place.  Every read sees the old coefficient,
     as in a loop over descending n; e = 0 scales by the constant 1 + sign."""
     if e < 0:
@@ -169,7 +169,7 @@ def _mul_factor(c: List[int], e: int, sign: int) -> None:
         c[e:] = [a + sign * b for a, b in zip(c[e:], c)]
 
 
-def _div_factor(c: List[int], e: int, sign: int) -> None:
+def _div_factor(c: list[int], e: int, sign: int) -> None:
     """c /= (1 + sign*q^e) in place: c[n] -= sign*c[n-e] over ascending n,
     one block of e coefficients at a time, each from the one before.  The
     factor is a unit only for e >= 1."""
@@ -179,15 +179,15 @@ def _div_factor(c: List[int], e: int, sign: int) -> None:
         c[k:k + e] = [a - sign * b for a, b in zip(c[k:k + e], c[k - e:k])]
 
 
-def _add_shifted(acc: List[int], c: List[int], shift: int) -> None:
+def _add_shifted(acc: list[int], c: list[int], shift: int) -> None:
     """acc += q^shift * c in place, truncated at the length of acc."""
     n = min(len(c), len(acc) - shift)
     if n > 0:
         acc[shift:shift + n] = [a + b for a, b in zip(acc[shift:shift + n], c)]
 
 
-def _poch(c: List[int], first: int, step: int, count=None, sign: int = -1,
-          divide: bool = False) -> List[int]:
+def _poch(c: list[int], first: int, step: int, count=None, sign: int = -1,
+          divide: bool = False) -> list[int]:
     """c *= prod (1 + sign*q^e), or c /= it when ``divide``, in place, over
     e = first, first+step, ...: ``count`` factors, or every e up to the
     order when None (later factors are 1 + O(q^(order+1)))."""

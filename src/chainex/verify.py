@@ -47,8 +47,6 @@ import io
 import json
 import time
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
-from typing import List, Optional
 
 from . import bijections as bij
 from . import qseries as qs
@@ -74,8 +72,7 @@ from .partition import (
 )
 
 
-@dataclass
-class Tally:
+class Tally(namedtuple("Tally", "count largest mex maex families r_max")):
     """What the engine gathers over the partitions of one n.
 
     ``count`` partitions, ``largest`` the sum of their largest parts,
@@ -86,12 +83,7 @@ class Tally:
     so every longer chain has the same mex and maex.  ``mex_sum`` and
     ``maex_counts`` read them for any r = 1..r_max.
     """
-    count: int
-    largest: int
-    mex: list
-    maex: list
-    families: dict
-    r_max: int
+    __slots__ = ()
 
     def _index(self, r: int) -> int:
         if not 1 <= r <= self.r_max:
@@ -271,25 +263,23 @@ def count_family(n: int, r: int, j: int, family: str) -> int:
     return tally(n, r - 1, [(family, r)]).families[family, r][j]
 
 
-@dataclass
-class Row:
-    r: Optional[int]
-    j: Optional[int]
-    n: int
-    lhs: int
-    rhs: int
-    label: str = ""
+class Row(namedtuple("Row", "r j n lhs rhs label", defaults=("",))):
+    """One comparison: lhs against rhs at n, and at r and j (None where the
+    check reads none), with an optional label naming what is compared."""
+    __slots__ = ()
 
     @property
     def match(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass
 class VerificationReport:
-    theorem: str
-    rows: List[Row] = field(default_factory=list)
-    wall_time: float = 0.0
+    """The rows of one verification id, with its wall time in seconds."""
+
+    def __init__(self, theorem: str, rows: list[Row] | None = None, wall_time: float = 0.0):
+        self.theorem = theorem
+        self.rows = [] if rows is None else rows
+        self.wall_time = wall_time
 
     @property
     def vacuous(self) -> bool:
@@ -319,7 +309,7 @@ class VerificationReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["theorem", "r", "j", "n", "lhs", "rhs", "match"])
         for row in self.rows:
             name = self.theorem + (f"/{row.label}" if row.label else "")

@@ -5,6 +5,7 @@ import pytest
 from chainex.bijections import (
     ColoredEmpty,
     DomainError,
+    IndexedPartition,
     PartitionPair,
     glaisher_merge,
     glaisher_split,
@@ -164,14 +165,20 @@ class TestPairValue:
     """The rest of the pair value's contract (equality and hash are in
     TestPairOperators): a pair is a tuple underneath but never equal to a
     plain one, it is immutable, its repr leaves the steps out, and the
-    trace built from its steps is the same JSON on every branch."""
+    trace built from its steps is the same JSON on every branch.  A colored
+    empty keeps the same contract: it equals only another colored empty."""
 
     def test_never_equal_to_a_plain_tuple(self):
         pair = PartitionPair(P([3, 1]), P([2]))
-        for plain in ((P([3, 1]), P([2])), (P([3, 1]), P([2]), None, None)):
-            assert pair != plain and plain != pair
-            assert not pair == plain and not plain == pair
-        assert (P([3, 1]), P([2])) not in {pair}
+        colored = ColoredEmpty(1)
+        for value, other in [(pair, (P([3, 1]), P([2]))),
+                             (pair, (P([3, 1]), P([2]), None, None)),
+                             (colored, (1,)), (colored, P([1])), (colored, EMPTY),
+                             (colored, ColoredEmpty(2)), (colored, 1)]:
+            assert value != other and other != value
+            assert not value == other and not other == value
+            assert other not in {value}
+        assert colored == ColoredEmpty(color=1) and not colored != ColoredEmpty(1)
 
     def test_immutable(self):
         pair = PartitionPair(P([3, 1]), P([2]), "case1")
@@ -179,6 +186,30 @@ class TestPairValue:
             with pytest.raises(AttributeError):
                 setattr(pair, name, None)
         assert pair.alpha == P([3, 1]) and pair.case == "case1"
+        colored = ColoredEmpty(2)
+        for name in ("color", "other"):
+            with pytest.raises(AttributeError):
+                setattr(colored, name, 3)
+        assert colored.color == 2
+
+    def test_colored_empty_hash_and_text(self):
+        a, b = ColoredEmpty(2), ColoredEmpty(2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ColoredEmpty(1)}) == 2
+        assert {a: "x"}[b] == "x"
+        assert (repr(a), str(a), a.to_json()) == ("ColoredEmpty(color=2)", "[]#2",
+                                                  {"empty_color": 2})
+
+    def test_fields_in_order(self):
+        steps = (P([2, 1]), 1, (), None)
+        pair = PartitionPair(P([3, 1]), P([2]), "case1", steps)
+        assert (pair.alpha, pair.beta, pair.case, pair.steps) == \
+            (P([3, 1]), P([2]), "case1", steps)
+        bare = PartitionPair(P([3, 1]), ColoredEmpty(1))
+        assert (bare.case, bare.steps) == (None, None)
+        indexed = IndexedPartition(P([2, 1]), 3)
+        assert (indexed.lam, indexed.i) == (P([2, 1]), 3)
+        assert indexed == (P([2, 1]), 3)
 
     def test_repr_leaves_steps_out(self):
         pair = mex_pairing(P([5, 3, 1]), 2, 2)

@@ -311,6 +311,30 @@ class TestOutFile:
         assert out == ""
         assert err == f"error: cannot write --out {str(target)!r}: No such file or directory\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("stats", "[3,1,1]", "--r", "2", "--format", "text"),
+        ("stats", "[3,1,1]", "--r", "2", "--format", "json"),
+        ("enumerate", "--n", "4", "--format", "text"),
+        ("enumerate", "--n", "4", "--format", "json"),
+        ("series", "chain-mex", "--r", "2", "--order", "6", "--format", "text"),
+        ("series", "chain-mex", "--r", "2", "--order", "6", "--format", "json"),
+        ("series", "chain-mex", "--r", "2", "--order", "6", "--format", "csv"),
+        ("bijection", "gamma", "--lambda", "[4,3]", "--i", "1", "--r", "2", "--trace",
+         "--format", "json"),
+        ("verify", "thm-1.8", "--n", "3", "--format", "text"),
+        ("verify", "thm-1.8", "--n", "3", "--format", "json"),
+        ("verify", "thm-1.8", "--n", "3", "--format", "csv"),
+    ])
+    def test_stdout_and_out_file_hold_the_same_bytes(self, capsys, tmp_path, argv):
+        target = tmp_path / "out"
+        # a fixed clock, so the JSON report's wall_time is the same twice
+        with mock.patch.object(vf, "time", mock.Mock(monotonic=lambda: 0.0)):
+            code, out, _ = call(capsys, *argv)
+            assert call(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert code == 0
+        assert out.encode() == target.read_bytes()
+        assert out.endswith("\n") and not out.endswith("\n\n") and "\r" not in out
+
 
 class TestParser:
     def test_missing_subcommand(self, capsys):
@@ -506,6 +530,16 @@ def cli_command(*argv):
     """A command line and environment that run this checkout's chainex."""
     src = os.path.dirname(os.path.dirname(chainex.__file__))
     return [sys.executable, "-m", "chainex.cli", *argv], dict(os.environ, PYTHONPATH=src)
+
+
+def test_import_leaves_out_dataclasses_typing_and_inspect():
+    # -S: no site, so no .pth file of the host adds modules
+    _, env = cli_command()
+    code = ("import sys, chainex.cli; chainex.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -13,6 +13,8 @@ from chainex.verify import (
     FAMILIES,
     STATISTICS,
     THEOREMS,
+    Row,
+    Tally,
     VerificationReport,
     certify_bijection,
     check_theorem,
@@ -247,6 +249,21 @@ class TestReport:
         lines = csv_text.strip().splitlines()
         assert lines[0] == "theorem,r,j,n,lhs,rhs,match"
         assert lines[1].startswith("demo/extra,2,,5,1,1,True")
+        # lines end in \n, as in every other CSV the CLI writes
+        assert csv_text == "theorem,r,j,n,lhs,rhs,match\ndemo/extra,2,,5,1,1,True\n"
+
+    def test_built_from_its_fields(self):
+        row = Row(2, 3, 5, 7, 8, "x")
+        assert (row.r, row.j, row.n, row.lhs, row.rhs, row.label) == (2, 3, 5, 7, 8, "x")
+        assert Row(None, None, 5, 7, 7).label == "" and Row(None, None, 5, 7, 7).match
+        rows = [row]
+        rep = VerificationReport("x", rows, 1.5)
+        assert (rep.theorem, rep.rows, rep.wall_time) == ("x", rows, 1.5)
+        assert rep.rows is rows and not rep.passed
+        t = Tally(3, 4, [5], [Counter({0: 3})], {}, 1)
+        assert (t.count, t.largest, t.mex, t.maex, t.families, t.r_max) == \
+            (3, 4, [5], [Counter({0: 3})], {}, 1)
+        assert (t.mex_sum(1), t.maex_sum(1), t.off_class(1)) == (5, 0, 0)
 
 
 class TestTheoremHarness:
