@@ -246,19 +246,6 @@ def is_strict(lam: Partition, r: int) -> bool:
     return True
 
 
-def in_gap_class(lam: Partition, r: int) -> bool:
-    """Membership in the gap-bounded class: every gap between successive
-    parts is at most r and the smallest part is at most r.  The empty
-    partition is a member.  The complement is exactly where the r-chain
-    maximal excludant is positive."""
-    below = 0      # the part below the current one; 0 under the smallest
-    for v, _ in reversed(lam._pairs):
-        if v - below > r:
-            return False
-        below = v
-    return True
-
-
 # -- excludant statistics ----------------------------------------------------
 
 def chain_mex_maex(lam: Partition, r: int) -> tuple:
@@ -297,6 +284,13 @@ def chain_maex(lam: Partition, r: int) -> int:
     of the gap-bounded class, and then it is at least r.
     """
     return chain_mex_maex(lam, r)[1]
+
+
+def in_gap_class(lam: Partition, r: int) -> bool:
+    """Membership in the gap-bounded class: every gap between successive
+    parts is at most r and the smallest part is at most r.  The empty
+    partition is a member.  It is exactly where the r-chain maex is 0."""
+    return not chain_mex_maex(lam, r)[1]
 
 
 def mex_offset(lam: Partition, r: int) -> int:

@@ -332,12 +332,19 @@ class VerificationReport:
 # Theorem harness
 # ---------------------------------------------------------------------------
 
+def _check_ints(name, values):
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _resolve(values, default, name, least):
     """A list of the requested values, or of ``default`` when unset; an
-    empty list or a value below ``least`` is rejected."""
+    empty list, a value not an int, or one below ``least`` is rejected."""
     values = list(default if values is None else values)
     if not values:
         raise ValueError(f"empty {name} range")
+    _check_ints(name, values)
     if min(values) < least:
         raise ValueError(f"{name} must be >= {least}, got {min(values)}")
     return values
@@ -347,6 +354,8 @@ def _resolve_n(n_max, default, order):
     """(n_max, series order) with their defaults filled in; a series
     truncated below n_max would leave coefficients unchecked.  An id that
     reads no n (``default`` None) gets the default series order."""
+    _check_ints("n", [] if n_max is None else [n_max])
+    _check_ints("order", [] if order is None else [order])
     if default is None:
         return None, qs.DEFAULT_ORDER if order is None else order
     n_max = default if n_max is None else n_max
@@ -358,7 +367,7 @@ def _resolve_n(n_max, default, order):
     return n_max, max(n_max, 1) if order is None else order
 
 
-def _series_rows(spec, report, r_values, j_values, n_max, top, order):
+def _series_rows(spec, report, r_values, j_values, n_max, top):
     """The statistic sum of every tally against the series coefficient, for
     every r, and the series against its product form if it has one."""
     builder = getattr(qs, spec.series)
@@ -368,12 +377,12 @@ def _series_rows(spec, report, r_values, j_values, n_max, top, order):
         for n, t in enumerate(by_n):
             report.add(r, None, n, spec.stat(t, r), series.coeff(n))
         if spec.product is not None:
-            other = getattr(qs, spec.product)(r, qs.DEFAULT_ORDER if order is None else order)
-            for n in range(min(series.order, other.order) + 1):
+            other = getattr(qs, spec.product)(r, top)
+            for n in range(top + 1):
                 report.add(r, None, n, series.coeff(n), other.coeff(n), "sum-vs-product")
 
 
-def _family_rows(spec, report, r_values, j_values, n_max, top, order):
+def _family_rows(spec, report, r_values, j_values, n_max, top):
     """Every family's count of partitions with statistic j against the
     first family's, for every r and j, and against the series if any."""
     families = spec.families
@@ -392,7 +401,7 @@ def _family_rows(spec, report, r_values, j_values, n_max, top, order):
                     report.add(r, j, n, ref, series.coeff(n), "series")
 
 
-def _q_binomial_rows(spec, report, r_values, j_values, n_max, top, order):
+def _q_binomial_rows(spec, report, r_values, j_values, n_max, top):
     cases = [(None, 1, False), (1, 1, False), (1, 2, True), (2, 1, False), (None, 2, False)]
     for a_exp, z_exp, a_negate in cases:
         lhs = qs.q_binomial_sum(a_exp, z_exp, top, a_negate)
@@ -402,7 +411,7 @@ def _q_binomial_rows(spec, report, r_values, j_values, n_max, top, order):
             report.add(None, None, n, lhs.coeff(n), rhs.coeff(n), label)
 
 
-def _maex_distribution_rows(spec, report, r_values, j_values, n_max, top, order):
+def _maex_distribution_rows(spec, report, r_values, j_values, n_max, top):
     by_n = tallies(n_max, max(r_values))
     for r in r_values:
         # a partition of n <= n_max has maex below its largest part, so at
@@ -473,7 +482,7 @@ def check_theorem(theorem: str, r_values=None, n_max: int = None,
     r_values = _resolve(r_values, spec.r, "r", spec.r.start)
     if spec.j is not None:
         j_values = _resolve(j_values, spec.j, "j", spec.j.start)
-    spec.rows(spec, report, r_values, j_values, n_max, top, order)
+    spec.rows(spec, report, r_values, j_values, n_max, top)
     report.wall_time = time.monotonic() - start
     return report
 
@@ -491,11 +500,13 @@ def _round_trips(inverse, image, r, preimage) -> bool:
         return False
 
 
-class _Map(namedtuple("_Map", "domain codomain forward inverse fiber")):
+class _Map(namedtuple("_Map", "domain codomain forward inverse fiber takes n least_r",
+                      defaults=(("r", "n"), 16, 2))):
     """A map between two families of partitions of the same weight: the
     domain and codomain membership tests (None: every partition), the
     names of the map and its inverse in bijections, and the fiber test,
-    whether the image carries the input's statistic (None: no fiber)."""
+    whether the image carries the input's statistic (None: no fiber);
+    then its options, default n and least r (the maps raise below 2)."""
 
     def certify(self, report, r, by_weight):
         # looked up per call so that a patched module attribute is used
@@ -522,11 +533,13 @@ class _Map(namedtuple("_Map", "domain codomain forward inverse fiber")):
                 report.add(r, None, n, int(fibers), 1, "fiber")
 
 
-class _Pairing(namedtuple("_Pairing", "bound forward inverse checker")):
+class _Pairing(namedtuple("_Pairing", "bound forward inverse checker takes n least_r",
+                          defaults=(("r", "n"), 16, 1))):
     """An index-to-pair map: the index bound of lambda at r, and the names
-    of the forward map, its inverse and its codomain checker in bijections.
-    The codomain is whatever the checker accepts; all that is stated here
-    is that a beta may also be one of the r colored empties."""
+    of the forward map, its inverse and its codomain checker in bijections,
+    then its options, default n and least r as for ``_Map``.  The codomain
+    is whatever the checker accepts; all that is stated here is that a
+    beta may also be one of the r colored empties."""
 
     def codomains(self, r, by_weight):
         """Yield the codomain of every weight n in turn, as a set of (alpha,
@@ -590,27 +603,23 @@ _BIJECTIONS = {
 
 BIJECTIONS = tuple(_BIJECTIONS)
 
-# the weight a bijection is certified up to when no n is given, and the
-# least r of every map (the gamma and delta maps cover r-chains from r = 1)
-BIJECTION_N = 16
-BIJECTION_R = 1
-
 
 def certify_bijection(name: str, r: int, n_max: int = None) -> VerificationReport:
     """Exhaustively certify one constructive map for all weights <= n_max
-    (default ``BIJECTION_N``): forward output lands in the codomain, the
+    (default 16, the entry's n): forward output lands in the codomain, the
     inverse round-trips, and independently enumerated domain and codomain
     cardinalities agree."""
     if name not in _BIJECTIONS:
         raise ValueError(f"unknown bijection id {name!r}")
-    _resolve([r], None, "r", BIJECTION_R)
-    n_max, _ = _resolve_n(n_max, BIJECTION_N, None)
+    spec = _BIJECTIONS[name]
+    _resolve([r], None, "r", spec.least_r)
+    n_max, _ = _resolve_n(n_max, spec.n, None)
     start = time.monotonic()
     report = VerificationReport(f"bijection:{name}")
     # the partitions of every weight, listed once for this call: the domain
     # walks them and the codomain is built from them
     by_weight = [list(partitions(w)) for w in range(n_max + 1)]
-    _BIJECTIONS[name].certify(report, r, by_weight)
+    spec.certify(report, r, by_weight)
     report.wall_time = time.monotonic() - start
     return report
 
@@ -619,18 +628,14 @@ def certify_bijection(name: str, r: int, n_max: int = None) -> VerificationRepor
 # Any verification id
 # ---------------------------------------------------------------------------
 
-# verification id -> the options it reads, named as the CLI options
-ARGUMENTS = {theorem: spec.takes for theorem, spec in _THEOREMS.items()}
-ARGUMENTS.update(dict.fromkeys(BIJECTIONS, ("r", "n")))
-
-
 def check_arguments(vid: str, r=None, j=None, n=None, order=None) -> None:
     """Raise ``ValueError`` for an unknown verification id, or for an option
-    it does not read (None means unset)."""
-    if vid not in ARGUMENTS:
+    it does not read (None means unset), named as the CLI options."""
+    spec = {**_THEOREMS, **_BIJECTIONS}.get(vid)
+    if spec is None:
         raise ValueError(f"unknown verification id {vid!r}; theorems: "
                          + ", ".join(THEOREMS) + "; bijections: " + ", ".join(BIJECTIONS))
-    takes = ARGUMENTS[vid]
+    takes = spec.takes
     for name, value in (("r", r), ("j", j), ("n", n), ("order", order)):
         if value is not None and name not in takes:
             raise ValueError(f"verify {vid} does not take --{name}; it takes "
@@ -646,7 +651,7 @@ def run_check(vid: str, r_values=None, n_max: int = None, j_values=None,
     check_arguments(vid, r_values, j_values, n_max, order)
     if r_values is None:
         raise ValueError("bijection verification requires --r")
-    r_values = _resolve(r_values, None, "r", BIJECTION_R)
+    r_values = _resolve(r_values, None, "r", _BIJECTIONS[vid].least_r)
     report = VerificationReport(f"bijection:{vid}")
     for r in r_values:
         sub = certify_bijection(vid, r, n_max)

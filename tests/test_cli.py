@@ -280,6 +280,11 @@ class TestVerify:
         code, _, err = call(capsys, "verify", "thm-1.6", "--r", "0..2", "--n", "5")
         assert code == 2
         assert "r must be >= 1, got 0" in err
+        # a partition map's whole r range is checked before any partition is listed
+        with mock.patch("chainex.verify.partitions", side_effect=AssertionError("listed")):
+            for vid in ("glaisher", "multiples-repeats", "top-multiple"):
+                code, out, err = call(capsys, "verify", vid, "--r", "1..3", "--n", "40")
+                assert (code, out, err) == (2, "", "error: r must be >= 2, got 1\n")
 
     def test_bijection_bad_range_exits_2(self, capsys):
         assert call(capsys, "verify", "gamma", "--r", "2..1", "--n", "4")[0] == 2
@@ -521,9 +526,13 @@ class TestFaultyMap:
         assert f"  MISMATCH r={r} j=None n=10 roundtrip lhs=0 rhs=1" in out.splitlines()
 
     def test_forward_errors_still_exit_2(self, capsys):
-        code, out, err = call(capsys, "verify", "glaisher", "--r", "1", "--n", "3")
+        def refuses(lam, r):
+            raise bijections.DomainError(f"refused {lam}")
+
+        with mock.patch.object(bijections, "glaisher_merge", refuses):
+            code, out, err = call(capsys, "verify", "glaisher", "--r", "2", "--n", "3")
         assert (code, out) == (2, "")
-        assert err == "error: merge modulus r must be >= 2\n"
+        assert err == "error: refused []\n"
 
 
 def cli_command(*argv):

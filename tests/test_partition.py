@@ -26,6 +26,7 @@ from chainex.partition import (
 from oracles import (
     ferrers_transpose,
     folded_excludants,
+    gap_bounded,
     linear_maex,
     linear_mex,
     partition_count,
@@ -196,7 +197,7 @@ class TestChainMaex:
             for r in (1, 2, 3):
                 for lam in partitions(n):
                     m = chain_maex(lam, r)
-                    assert (m > 0) == (not in_gap_class(lam, r))
+                    assert (m > 0) == (not gap_bounded(lam.parts, r))
                     if m > 0:
                         assert m >= r
 
@@ -245,6 +246,8 @@ class TestClassAndOffsets:
         assert not in_gap_class(P([4, 1, 1, 1]), 2)
         assert in_gap_class(EMPTY, 5)
         assert in_gap_class(P([3, 2, 1]), 1)
+        with pytest.raises(PartitionError):
+            in_gap_class(P([3, 2, 1]), 0)
 
     def test_offset_values(self):
         assert mex_offset(EMPTY, 4) == 0

@@ -298,10 +298,27 @@ class TestTheoremHarness:
         ("thm-1.4", {"n_max": -1}, "n must be >= 0"),
         ("thm-1.7", {"n_max": 11, "order": 10}, "order 10 is below n 11"),
         ("thm-1.11", {"n_max": 11, "order": 10}, "order 10 is below n 11"),
+        ("thm-1.6", {"r_values": [1.5]}, "^r must be an integer, got 1.5$"),
+        ("thm-1.6", {"r_values": [True, 2]}, "^r must be an integer, got True$"),
+        ("thm-1.5", {"j_values": [0.5]}, "^j must be an integer, got 0.5$"),
+        ("thm-1.4", {"n_max": 2.5}, "^n must be an integer, got 2.5$"),
+        ("thm-1.4", {"n_max": "5"}, "^n must be an integer, got '5'$"),
+        ("q-binomial", {"order": 7.0}, "^order must be an integer, got 7.0$"),
+        ("gamma", {"r_values": [2], "n_max": 3.5}, "^n must be an integer, got 3.5$"),
+        ("glaisher", {"r_values": [1, 2]}, "^r must be >= 2, got 1$"),
     ])
     def test_bad_arguments_rejected_up_front(self, theorem, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            check_theorem(theorem, **kwargs)
+        with mock.patch("chainex.verify.walk_scans", side_effect=AssertionError("walked")), \
+                mock.patch("chainex.verify.partitions", side_effect=AssertionError("listed")):
+            with pytest.raises(ValueError, match=message):
+                run_check(theorem, **kwargs)
+
+    def test_product_rows_reach_n_past_the_default_order(self):
+        # with no order given, the product side is built at n like the sum
+        with mock.patch("chainex.qseries.DEFAULT_ORDER", 10):
+            report = check_theorem("thm-1.11", [1], 14)
+        assert report.passed
+        assert [row.n for row in report.rows if row.label == "sum-vs-product"] == list(range(15))
 
     @pytest.mark.parametrize("theorem, j, message", [
         ("thm-1.5", -1, "^j must be >= 0, got -1$"),
