@@ -29,15 +29,16 @@ walks the partitions of n_max once, whatever the r range.  The bijection
 side reads the chain excludants through ``chain_mex_maex``, a one-r loop
 that shares no scan code with the walk.
 
-Bijection certification lists every partition of each weight up to n once.
-A partition map's domain and codomain are those partitions that pass its
-membership tests.  An index-to-pair map (gamma, gamma-star, delta) has as
-domain every (lambda, i) with i up to the index bound, and as codomain
-exactly the pairs its public codomain checker accepts: the candidates are
-every partition on either side plus the r colored empties as beta, each
-side filtered by the checker, and every pair built from them goes through
-the checker again.  No codomain rule is written out here a second time, so
-a checker that accepts a pair the map never hits is shown that pair.
+Bijection certification lists every partition of each weight up to n once
+and counts: a weight passes when every image lies in the codomain of that
+weight and round-trips, so the map is injective, and domain and codomain
+have the same size, so it is onto.  A partition map's domain and codomain
+are the partitions that pass its membership tests.  An index-to-pair map
+(gamma, gamma-star, delta) has as domain every (lambda, i) with i up to
+the index bound, and as codomain exactly the pairs its public codomain
+checker accepts among candidates it picks; counting needs it to test
+alpha and beta separately.  No codomain rule is written out twice, so a
+checker that accepts a pair the map never hits is shown that pair.
 """
 
 from __future__ import annotations
@@ -245,8 +246,8 @@ def sigma_stat(n: int, r: int, stat: str) -> int:
     """Exact sum of the chosen statistic over all partitions of n."""
     if stat not in _STAT_SUMS:
         raise ValueError(f"unknown statistic {stat!r}")
-    if r < 1:
-        raise ValueError(f"chain length r must be >= 1, got {r}")
+    _resolve([n], None, "n", 0)
+    _resolve([r], None, "r", 1)
     return _STAT_SUMS[stat](tally(n, r), r)
 
 
@@ -254,8 +255,9 @@ def count_family(n: int, r: int, j: int, family: str) -> int:
     """Count partitions of n in one of the equinumerous families."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if r < 2:
-        raise ValueError("family counts need r >= 2")
+    _resolve([n], None, "n", 0)
+    _resolve([r], None, "r", 2)
+    _check_ints("j", [j])
     # the least j is that of the theorem comparing the family
     least = next(spec.j.start for spec in _THEOREMS.values() if family in spec.families)
     if j < least:
@@ -508,26 +510,27 @@ class _Map(namedtuple("_Map", "domain codomain forward inverse fiber takes n lea
     whether the image carries the input's statistic (None: no fiber);
     then its options, default n and least r (the maps raise below 2)."""
 
-    def certify(self, report, r, by_weight):
+    def certify(self, report, r, n_max):
         # looked up per call so that a patched module attribute is used
         forward, inverse = getattr(bij, self.forward), getattr(bij, self.inverse)
-        for n, weight_n in enumerate(by_weight):
-            domain = [lam for lam in weight_n if self.domain(lam, r)] if self.domain else weight_n
-            codomain = ([nu for nu in weight_n if self.codomain(nu, r)] if self.codomain
-                        else weight_n)
-            images = set()
+        for n in range(n_max + 1):
+            domain_size = codomain_size = 0
             ok = fibers = True
-            for lam in domain:
+            for lam in partitions(n):
+                codomain_size += self.codomain is None or self.codomain(lam, r)
+                if self.domain is not None and not self.domain(lam, r):
+                    continue
+                domain_size += 1
                 out = forward(lam, r)
                 if self.fiber is not None:
                     fibers &= self.fiber(lam, out, r)
                 ok &= _round_trips(inverse, out, r, lam)
-                images.add(out)
-            # equal sets: every image has weight n and passes the codomain test
-            ok &= images == set(codomain)
+                ok &= out.weight == n and (self.codomain is None or self.codomain(out, r))
+            # injective into a codomain of the same size, so onto
+            ok &= domain_size == codomain_size
             # between all partitions of n the cardinalities agree trivially
             if self.domain is not None:
-                report.add(r, None, n, len(domain), len(codomain), "cardinality")
+                report.add(r, None, n, domain_size, codomain_size, "cardinality")
             report.add(r, None, n, int(ok), 1, "roundtrip")
             if self.fiber is not None:
                 report.add(r, None, n, int(fibers), 1, "fiber")
@@ -538,47 +541,46 @@ class _Pairing(namedtuple("_Pairing", "bound forward inverse checker takes n lea
     """An index-to-pair map: the index bound of lambda at r, and the names
     of the forward map, its inverse and its codomain checker in bijections,
     then its options, default n and least r as for ``_Map``.  The codomain
-    is whatever the checker accepts; all that is stated here is that a
-    beta may also be one of the r colored empties."""
+    is whatever the checker accepts among candidates it picks itself: the
+    betas (and the r colored empties) it accepts next to the empty alpha,
+    and the alphas it accepts next to the first beta of weight 0 it
+    accepts.  An image is in the codomain of weight n when its alpha is a
+    candidate of weight a <= n and its beta one of weight n - a, as long as
+    the checker tests alpha and beta separately, as all three do, and so
+    accepts every candidate pair; a weight where it does not fails."""
 
-    def codomains(self, r, by_weight):
-        """Yield the codomain of every weight n in turn, as a set of (alpha,
-        beta).  The candidates are picked by the checker itself: the betas
-        (and colored empties) it accepts next to the empty alpha, and the
-        alphas it accepts next to the first beta of weight 0 it accepts.
-        Every pair built from them goes through the checker again, so the
-        set is exactly what it accepts as long as it tests alpha and beta
-        separately, as all three checkers do."""
-        # looked up per call so that a patched module attribute is used
-        checker, pair = getattr(bij, self.checker), bij.PartitionPair
-        colored = [bij.ColoredEmpty(color) for color in range(1, r + 1)]
-        betas = [[beta for beta in ps if checker(pair(EMPTY, beta), r)]
-                 for ps in [by_weight[0] + colored] + by_weight[1:]]
-        # with no beta of weight 0 accepted every codomain is empty, and the
-        # nonempty domain at n = 0 fails
-        anchor = betas[0][:1]
-        alphas = [[alpha for alpha in ps for beta in anchor if checker(pair(alpha, beta), r)]
-                  for ps in by_weight]
-        for n in range(len(by_weight)):
-            yield {(alpha, beta) for a in range(n + 1) for alpha in alphas[a]
-                   for beta in betas[n - a] if checker(pair(alpha, beta), r)}
-
-    def certify(self, report, r, by_weight):
+    def certify(self, report, r, n_max):
         # looked up per call so that a patched module attribute is used
         forward, inverse = getattr(bij, self.forward), getattr(bij, self.inverse)
-        for n, (weight_n, codomain) in enumerate(zip(by_weight, self.codomains(r, by_weight))):
-            ok = True
-            images = set()
+        checker, pair = getattr(bij, self.checker), bij.PartitionPair
+        colored = [bij.ColoredEmpty(color) for color in range(1, r + 1)]
+        alphas, betas = [], []
+        for n in range(n_max + 1):
+            weight_n = list(partitions(n))
+            accepted = [beta for beta in (weight_n + colored if n == 0 else weight_n)
+                        if checker(pair(EMPTY, beta), r)]
+            betas.append(set(accepted))
+            if n == 0:
+                # with no beta of weight 0 accepted every codomain is empty,
+                # and the nonempty domain at n = 0 fails
+                anchor = accepted[:1]
+            alphas.append({alpha for alpha in weight_n for beta in anchor
+                           if checker(pair(alpha, beta), r)})
+            codomain_size = sum(checker(pair(alpha, beta), r) for a in range(n + 1)
+                                for alpha in alphas[a] for beta in betas[n - a])
+            # every candidate pair accepted: the codomain is all of them
+            ok = codomain_size == sum(len(alphas[a]) * len(betas[n - a]) for a in range(n + 1))
             domain_size = 0
             for lam in weight_n:
                 for i in range(1, self.bound(lam, r) + 1):
                     domain_size += 1
-                    pair = forward(lam, i, r)
-                    ok &= _round_trips(inverse, pair, r, (lam, i))
-                    images.add((pair.alpha, pair.beta))
-            # the round trips make the map injective: domain_size images
-            ok &= images == codomain
-            report.add(r, None, n, domain_size, len(codomain), "cardinality")
+                    image = forward(lam, i, r)
+                    ok &= _round_trips(inverse, image, r, (lam, i))
+                    a = image.alpha.weight
+                    ok &= a <= n and image.alpha in alphas[a] and image.beta in betas[n - a]
+            # injective into a codomain of the same size, so onto
+            ok &= domain_size == codomain_size
+            report.add(r, None, n, domain_size, codomain_size, "cardinality")
             report.add(r, None, n, int(ok), 1, "roundtrip")
 
 
@@ -606,9 +608,9 @@ BIJECTIONS = tuple(_BIJECTIONS)
 
 def certify_bijection(name: str, r: int, n_max: int = None) -> VerificationReport:
     """Exhaustively certify one constructive map for all weights <= n_max
-    (default 16, the entry's n): forward output lands in the codomain, the
-    inverse round-trips, and independently enumerated domain and codomain
-    cardinalities agree."""
+    (default 16, the entry's n), each weight listed once: forward output
+    lands in the codomain of its weight, the inverse round-trips, and the
+    independently counted domain and codomain cardinalities agree."""
     if name not in _BIJECTIONS:
         raise ValueError(f"unknown bijection id {name!r}")
     spec = _BIJECTIONS[name]
@@ -616,10 +618,7 @@ def certify_bijection(name: str, r: int, n_max: int = None) -> VerificationRepor
     n_max, _ = _resolve_n(n_max, spec.n, None)
     start = time.monotonic()
     report = VerificationReport(f"bijection:{name}")
-    # the partitions of every weight, listed once for this call: the domain
-    # walks them and the codomain is built from them
-    by_weight = [list(partitions(w)) for w in range(n_max + 1)]
-    spec.certify(report, r, by_weight)
+    spec.certify(report, r, n_max)
     report.wall_time = time.monotonic() - start
     return report
 

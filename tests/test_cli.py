@@ -447,6 +447,43 @@ class TestFaultyMap:
         assert (code, err) == (1, "")
         assert "  MISMATCH r=2 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
 
+    def test_partition_image_of_another_weight(self, capsys):
+        # [4] is 2-strict and comes back as [3], so only its weight is wrong
+        merge, split = bijections.glaisher_merge, bijections.glaisher_split
+        three, four = Partition([3]), Partition([4])
+
+        def faulty_merge(lam, r):
+            return four if lam == three else merge(lam, r)
+
+        def faulty_split(nu, r):
+            return three if nu == four else split(nu, r)
+
+        with mock.patch.object(bijections, "glaisher_merge", faulty_merge), \
+                mock.patch.object(bijections, "glaisher_split", faulty_split):
+            code, out, err = call(capsys, "verify", "glaisher", "--r", "2", "--n", "4")
+        assert (code, err) == (1, "")
+        assert "  MISMATCH r=2 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
+
+    def test_pairing_image_of_another_weight(self, capsys):
+        # the image of ([3], 1) is a codomain pair of weight 4 that comes
+        # back as ([3], 1), so only its weight is wrong
+        pairing, unpairing = bijections.mex_pairing, bijections.mex_pairing_inv
+        source = (Partition([3]), 1)
+        image = pairing(Partition([3, 1]), 1, 1)
+        assert image.weight == 4 and bijections.in_mex_codomain(image, 1)
+
+        def faulty_pairing(lam, i, r):
+            return image if (lam, i) == source else pairing(lam, i, r)
+
+        def faulty_unpairing(pair, r):
+            return source if pair == image else unpairing(pair, r)
+
+        with mock.patch.object(bijections, "mex_pairing", faulty_pairing), \
+                mock.patch.object(bijections, "mex_pairing_inv", faulty_unpairing):
+            code, out, err = call(capsys, "verify", "gamma", "--r", "1", "--n", "4")
+        assert (code, err) == (1, "")
+        assert "  MISMATCH r=1 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
+
     def test_checker_that_rejects_a_member(self, capsys):
         honest = bijections.in_maex_codomain
         member = bijections.PartitionPair(Partition([1]), Partition([7]))

@@ -53,6 +53,13 @@ class TestBruteForceAccumulators:
         with pytest.raises(ValueError):
             sigma_stat(3, 1, "median")
 
+    @pytest.mark.parametrize("n, r, name", [
+        (True, 1, "n"), (2.5, 1, "n"), ("5", 1, "n"), (-1, 1, "n"),
+        (5, True, "r"), (5, 1.5, "r"), (5, 0, "r")])
+    def test_sigma_validation(self, n, r, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sigma_stat(n, r, "mex")
+
     def test_count_family_worked_example(self):
         # five partitions of 7 sit off the gap class with one part above
         # the 2-chain maex
@@ -67,6 +74,11 @@ class TestBruteForceAccumulators:
             count_family(5, 1, 1, "multiples")
         with pytest.raises(ValueError):
             count_family(5, 2, 0, "top-multiple")
+        for n, r, j, name in [(True, 2, 0, "n"), (2.5, 2, 0, "n"), (-1, 2, 0, "n"),
+                              (5, True, 0, "r"), (5, 2.0, 0, "r"),
+                              (5, 2, 0.5, "j"), (5, 2, True, "j")]:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                count_family(n, r, j, "multiples")
 
     @pytest.mark.parametrize("family,least", [
         ("multiples", 0), ("largest-repeating", 0), ("above-mex", 0),
@@ -416,23 +428,23 @@ class TestBijectionCertification:
 
 
 class TestGeneratedCodomain:
-    """The codomain candidates that certification generates, against the
-    checker run over every (alpha, beta) pair of each weight: every alpha,
-    every beta and the colored empties."""
+    """The codomain size that certification counts from the candidates it
+    generates, against the checker run over every (alpha, beta) pair of
+    each weight: every alpha, every beta and the colored empties."""
     N_MAX = 14
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", ["gamma", "gamma-star", "delta"])
     def test_generated_equals_the_full_filter(self, name, r):
-        spec = _BIJECTIONS[name]
-        checker = getattr(bijections, spec.checker)
+        checker = getattr(bijections, _BIJECTIONS[name].checker)
         by_weight = [list(partitions(w)) for w in range(self.N_MAX + 1)]
         colored = [ColoredEmpty(color) for color in range(1, r + 1)]
-        generated = list(spec.codomains(r, by_weight))
-        assert len(generated) == self.N_MAX + 1
-        for n, codomain in enumerate(generated):
-            full = {(alpha, beta) for a in range(n + 1) for alpha in by_weight[a]
-                    for beta in by_weight[n - a] + (colored if a == n else [])
-                    if checker(PartitionPair(alpha, beta), r)}
-            assert codomain == full, (n, full - codomain)
-        assert certify_bijection(name, r, self.N_MAX).passed
+        report = certify_bijection(name, r, self.N_MAX)
+        counted = [row.rhs for row in report.rows if row.label == "cardinality"]
+        assert len(counted) == self.N_MAX + 1
+        for n, size in enumerate(counted):
+            full = sum(checker(PartitionPair(alpha, beta), r) for a in range(n + 1)
+                       for alpha in by_weight[a]
+                       for beta in by_weight[n - a] + (colored if a == n else []))
+            assert size == full, n
+        assert report.passed
