@@ -8,12 +8,20 @@ reading a coefficient beyond the truncation order raises instead of
 silently returning zero.
 
 Every product side of the paper's identities is a ratio of q-Pochhammer
-products, so the builders run a sparse kernel over coefficient lists:
-multiplying by one factor (1 + s*q^e) is one O(order) pass, and dividing
-by it is a strided prefix sum, also O(order).  A builder that sums over n
-grows the n-th term from the (n-1)-th with one or two such steps.  The
-dense ``PowerSeries.__mul__`` and ``invert`` remain for products of two
-general series.
+products, so the builders run a sparse kernel over coefficient lists.
+Each pass is O(order) additions, and its per-coefficient loop runs inside
+C builtins (``map`` over ``operator.add``/``sub``, ``itertools.accumulate``),
+so the Python-level work is one slice assignment per call or per block:
+- multiplying by one factor (1 + s*q^e) is one ``map`` over the list and
+  the list shifted by e;
+- dividing by (1 - q^e) is a prefix sum along each residue class mod e.
+  With e^2 < len it runs as e strided ``accumulate`` calls, otherwise as
+  len/e blocks of e coefficients, each ``map``-ed from the block before;
+  the threshold picks the shape with fewer Python-level steps;
+- dividing by (1 + q^e) always runs as blocks.
+A builder that sums over n grows the n-th term from the (n-1)-th with one
+or two such steps.  The dense ``PowerSeries.__mul__`` and ``invert``
+remain for products of two general series.
 
 The verifier compares pairs of builders as two routes to one series:
 ``series_chain_maex_sum`` / ``series_chain_maex_product``,
@@ -25,6 +33,8 @@ only the arithmetic primitives; neither side is defined through the other.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import accumulate
+from operator import add, sub
 
 
 class SeriesError(ValueError):
@@ -159,31 +169,45 @@ def _const(order: int, value: int) -> list[int]:
 
 
 def _mul_factor(c: list[int], e: int, sign: int) -> None:
-    """c *= (1 + sign*q^e) in place.  Every read sees the old coefficient,
-    as in a loop over descending n; e = 0 scales by the constant 1 + sign."""
+    """c *= (1 + sign*q^e) in place, for sign 1 or -1 (any other sign
+    raises).  Every read sees the old coefficient, as in a loop over
+    descending n; e = 0 scales by the constant 1 + sign."""
+    if sign != 1 and sign != -1:
+        raise SeriesError(f"a factor's sign must be 1 or -1, got {sign!r}")
     if e < 0:
         raise SeriesError(f"factor exponent must be >= 0, got {e}")
-    if e == 0:
-        c[:] = [(1 + sign) * a for a in c]
-    elif e < len(c):
-        c[e:] = [a + sign * b for a, b in zip(c[e:], c)]
+    if e < len(c):
+        c[e:] = map(add if sign == 1 else sub, c[e:], c)
 
 
 def _div_factor(c: list[int], e: int, sign: int) -> None:
-    """c /= (1 + sign*q^e) in place: c[n] -= sign*c[n-e] over ascending n,
-    one block of e coefficients at a time, each from the one before.  The
-    factor is a unit only for e >= 1."""
+    """c /= (1 + sign*q^e) in place, for sign 1 or -1 (any other sign
+    raises): c[n] -= sign*c[n-e] over ascending n.  The factor is a unit
+    only for e >= 1.
+
+    Each residue class mod e is a running sum (alternating for sign 1).
+    For sign -1 and e^2 < len the classes are summed one at a time by e
+    strided ``accumulate`` calls; otherwise the list is swept in len/e
+    blocks of e coefficients, each from the one before.  Either shape does
+    len additions in C, so the Python-level steps decide: e against len/e,
+    and the first is fewer exactly when e < sqrt(len)."""
+    if sign != 1 and sign != -1:
+        raise SeriesError(f"a factor's sign must be 1 or -1, got {sign!r}")
     if e < 1:
         raise SeriesError(f"dividing needs a factor exponent >= 1, got {e}")
+    if sign == -1 and e * e < len(c):
+        for k in range(e):
+            c[k::e] = accumulate(c[k::e])
+        return
+    op = add if sign == -1 else sub
     for k in range(e, len(c), e):
-        c[k:k + e] = [a - sign * b for a, b in zip(c[k:k + e], c[k - e:k])]
+        c[k:k + e] = map(op, c[k:k + e], c[k - e:k])
 
 
 def _add_shifted(acc: list[int], c: list[int], shift: int) -> None:
     """acc += q^shift * c in place, truncated at the length of acc."""
-    n = min(len(c), len(acc) - shift)
-    if n > 0:
-        acc[shift:shift + n] = [a + b for a, b in zip(acc[shift:shift + n], c)]
+    end = shift + len(c)
+    acc[shift:end] = map(add, acc[shift:end], c)
 
 
 def _poch(c: list[int], first: int, step: int, count=None, sign: int = -1,

@@ -147,9 +147,12 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     for j >= 1.  Each distinct key is closed once, at every chain length
     the walk carries; an entry for r does not depend on how many chain
     lengths the state carries, so each tally keeps its entries up to its
-    own n.  Family cells build every mu + 1^j and read its closed key."""
-    if r_max < 1:
-        raise ValueError(f"chain length r must be >= 1, got {r_max}")
+    own n.  Family cells build every mu + 1^j and read its closed key.
+
+    n_max >= 0 and r_max >= 1 must be ints (not bools); anything else
+    raises ValueError before the walk, as in the theorem harness."""
+    _resolve([n_max], None, "n", 0)
+    _resolve([r_max], None, "r", 1)
     for fam, r in family_cells:
         if not 2 <= r <= r_max + 1:
             raise ValueError(f"family cell ({fam!r}, {r}) needs r in 2..{r_max + 1}")
@@ -246,8 +249,6 @@ def sigma_stat(n: int, r: int, stat: str) -> int:
     """Exact sum of the chosen statistic over all partitions of n."""
     if stat not in _STAT_SUMS:
         raise ValueError(f"unknown statistic {stat!r}")
-    _resolve([n], None, "n", 0)
-    _resolve([r], None, "r", 1)
     return _STAT_SUMS[stat](tally(n, r), r)
 
 
@@ -255,7 +256,6 @@ def count_family(n: int, r: int, j: int, family: str) -> int:
     """Count partitions of n in one of the equinumerous families."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    _resolve([n], None, "n", 0)
     _resolve([r], None, "r", 2)
     _check_ints("j", [j])
     # the least j is that of the theorem comparing the family

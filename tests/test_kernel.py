@@ -128,22 +128,58 @@ def test_multiply_then_divide_is_identity(c, e, sign):
     assert work == c
 
 
+def assert_multiply_matches_dense_product(c, e, sign):
+    work = list(c)
+    _mul_factor(work, e, sign)
+    assert work == (oracles.dense_factor(e, len(c) - 1, sign) * PowerSeries(c)).coeffs, (c, e, sign)
+
+
+def assert_divide_matches_dense_inverse(c, e, sign):
+    work = list(c)
+    _div_factor(work, e, sign)
+    inverse = oracles.dense_factor(e, len(c) - 1, sign).invert()
+    assert work == (PowerSeries(c) * inverse).coeffs, (c, e, sign)
+
+
 @settings(max_examples=150, deadline=None)
 @given(series_lists, st.integers(0, 210), signs)
 def test_multiply_agrees_with_dense_product(c, e, sign):
-    order = len(c) - 1
-    work = list(c)
-    _mul_factor(work, e, sign)
-    assert work == (PowerSeries(c) * oracles.dense_factor(e, order, sign)).coeffs
+    assert_multiply_matches_dense_product(c, e, sign)
 
 
 @settings(max_examples=150, deadline=None)
 @given(series_lists, st.integers(1, 210), signs)
 def test_divide_agrees_with_dense_inverse(c, e, sign):
-    order = len(c) - 1
-    work = list(c)
-    _div_factor(work, e, sign)
-    assert work == (PowerSeries(c) * oracles.dense_factor(e, order, sign).invert()).coeffs
+    assert_divide_matches_dense_inverse(c, e, sign)
+
+
+@pytest.mark.parametrize("sign", (-1, 1))
+def test_every_factor_shape_agrees_with_dense_reference(sign):
+    # every exponent below, at and above sqrt(len) and len: division by
+    # 1 - q^e sums residue classes when e^2 < len and sweeps blocks otherwise
+    for length in range(1, 41):
+        c = [(37 * i * i + 11 * i + 5) % 61 - 30 for i in range(length)]
+        for e in range(46):
+            assert_multiply_matches_dense_product(c, e, sign)
+            if e:
+                assert_divide_matches_dense_inverse(c, e, sign)
+
+
+@pytest.mark.parametrize("sign", (0, 2, -2, 3, "1", None))
+def test_factor_sign_other_than_one_or_minus_one_raises(sign):
+    for call in (lambda: _mul_factor([1, 2, 3], 1, sign),
+                 lambda: _div_factor([1, 2, 3], 1, sign),
+                 lambda: qs._poch([1, 2, 3], 1, 1, 2, sign),
+                 lambda: qs._poch([1, 2, 3], 1, 1, None, sign, divide=True)):
+        with pytest.raises(qs.SeriesError, match="sign must be 1 or -1"):
+            call()
+
+
+def test_partition_count_at_order_1000():
+    # 1/(q;q)_inf divides by 1 - q^e for e = 1..1000: e <= 31 sums residue
+    # classes, the rest sweep blocks
+    assert qs.series_partition_count(1000).coeffs == \
+        [oracles.partition_count(n) for n in range(1001)]
 
 
 @settings(max_examples=10, deadline=None)

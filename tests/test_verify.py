@@ -195,6 +195,19 @@ class TestTallyAgainstReference:
         assert [t.count for t in by_n] == [partition_count(n) for n in range(41)]
         assert [t.largest for t in by_n] == [largest_part_sum(n) for n in range(41)]
 
+    @pytest.mark.parametrize("n, r_max, message", [
+        (True, 1, "^n must be an integer, got True$"),
+        (2.5, 1, "^n must be an integer, got 2.5$"),
+        (-1, 1, "^n must be >= 0, got -1$"),
+        (3, 1.5, "^r must be an integer, got 1.5$"),
+        (3, True, "^r must be an integer, got True$"),
+        (3, 0, "^r must be >= 1, got 0$")])
+    def test_rejects_bad_arguments_before_any_walk(self, n, r_max, message):
+        with mock.patch("chainex.verify.walk_scans", side_effect=AssertionError("walked")):
+            for read in (tally, tallies):
+                with pytest.raises(ValueError, match=message):
+                    read(n, r_max)
+
     def test_rejects_out_of_range_arguments(self):
         # the 5-cell reads the 4-chain mex, which a 2-chain tally lacks
         with pytest.raises(ValueError):
