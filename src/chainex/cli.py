@@ -47,32 +47,19 @@ SERIES_BUILDERS = {
 }
 
 
-# CLI name -> the partition map
-PARTITION_MAPS = {
-    "glaisher": bij.glaisher_merge,
-    "glaisher-inv": bij.glaisher_split,
-    "multiples-to-repeats": bij.multiples_to_repeats,
-    "repeats-to-multiples": bij.repeats_to_multiples,
-    "top-multiple": bij.top_multiple_to_repeats,
-    "top-multiple-inv": bij.repeats_to_top_multiple,
-}
-
-# CLI name -> (the index-to-pair map, the trace keys printed untraced)
-PAIRING_MAPS = {
-    "gamma": (bij.mex_pairing, ("input", "output")),
-    "gamma-star": (bij.mex_pairing_colored, ("input", "case", "output")),
-    "delta": (bij.maex_pairing, ("input", "output")),
-}
+# the old CLI names of the multiples-repeats map and its inverse
+ALIASES = {"multiples-to-repeats": "multiples-repeats",
+           "repeats-to-multiples": "multiples-repeats-inv"}
 
 
-def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty range {text!r}: the upper end is below the lower")
-        return values
-    return [int(text)]
+def _parse_range(text: str) -> range:
+    # checked from its two ends, never listed: a huge range costs nothing
+    lo, dots, hi = text.partition("..")
+    lo = int(lo)
+    hi = int(hi) if dots else lo
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}: the upper end is below the lower")
+    return range(lo, hi + 1)
 
 
 def _emit(text: str, out_path):
@@ -168,22 +155,25 @@ def cmd_series(args) -> int:
 def cmd_bijection(args) -> int:
     lam = Partition.parse(args.lam, sort=args.sort)
     r = args.r
-    name = args.name
-    if name in PAIRING_MAPS:
+    # an id names its forward map and, for a partition map, the id plus
+    # -inv its inverse; looked up per call, as certification does
+    name = ALIASES.get(args.name, args.name)
+    vid = name.removesuffix("-inv")
+    spec = vf._BIJECTIONS.get(vid)
+    if isinstance(spec, vf._Pairing) and name == vid:
         if args.i is None:
             raise ValueError(f"bijection {name!r} requires --i")
-        forward, untraced = PAIRING_MAPS[name]
-        payload = bij.pairing_trace(lam, args.i, r, forward(lam, args.i, r))
+        payload = bij.pairing_trace(lam, args.i, r, getattr(bij, spec.forward)(lam, args.i, r))
         if not args.trace:
-            payload = {key: payload[key] for key in untraced}
-    else:
-        if name not in PARTITION_MAPS:
-            raise ValueError(f"unknown bijection {name!r}")
+            payload = {key: payload[key] for key in spec.untraced}
+    elif isinstance(spec, vf._Map):
         for option, given in (("i", args.i is not None), ("trace", args.trace)):
             if given:
-                raise ValueError(f"bijection {name} does not take --{option}")
-        out = PARTITION_MAPS[name](lam, r)
+                raise ValueError(f"bijection {args.name} does not take --{option}")
+        out = getattr(bij, spec.forward if name == vid else spec.inverse)(lam, r)
         payload = {"input": {"lambda": str(lam), "r": r}, "output": str(out)}
+    else:
+        raise ValueError(f"unknown bijection {args.name!r}")
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 

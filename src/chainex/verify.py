@@ -341,14 +341,19 @@ def _check_ints(name, values):
 
 
 def _resolve(values, default, name, least):
-    """A list of the requested values, or of ``default`` when unset; an
-    empty list, a value not an int, or one below ``least`` is rejected."""
-    values = list(default if values is None else values)
+    """The requested values, or ``default`` when unset: a range as it is,
+    read from its two ends and never listed, anything else as a list; an
+    empty one, a value not an int, or one below ``least`` is rejected."""
+    values = default if values is None else values
+    ranged = isinstance(values, range)
+    if not ranged:
+        values = list(values)
+        _check_ints(name, values)
     if not values:
         raise ValueError(f"empty {name} range")
-    _check_ints(name, values)
-    if min(values) < least:
-        raise ValueError(f"{name} must be >= {least}, got {min(values)}")
+    low = min(values[0], values[-1]) if ranged else min(values)
+    if low < least:
+        raise ValueError(f"{name} must be >= {least}, got {low}")
     return values
 
 
@@ -536,15 +541,16 @@ class _Map(namedtuple("_Map", "domain codomain forward inverse fiber takes n lea
                 report.add(r, None, n, int(fibers), 1, "fiber")
 
 
-class _Pairing(namedtuple("_Pairing", "bound forward inverse checker takes n least_r",
-                          defaults=(("r", "n"), 16, 1))):
+class _Pairing(namedtuple("_Pairing", "bound forward inverse checker takes n least_r untraced",
+                          defaults=(("r", "n"), 16, 1, ("input", "output")))):
     """An index-to-pair map: the index bound of lambda at r, and the names
     of the forward map, its inverse and its codomain checker in bijections,
-    then its options, default n and least r as for ``_Map``.  The codomain
-    is whatever the checker accepts among candidates it picks itself: the
-    betas (and the r colored empties) it accepts next to the empty alpha,
-    and the alphas it accepts next to the first beta of weight 0 it
-    accepts.  An image is in the codomain of weight n when its alpha is a
+    then its options, default n and least r as for ``_Map``, and the keys
+    of its trace that ``chainex bijection`` prints without --trace.  The
+    codomain is whatever the checker accepts among candidates it picks
+    itself: the betas (and the r colored empties) it accepts next to the
+    empty alpha, and the alphas it accepts next to the first beta of
+    weight 0 it accepts.  An image is in the codomain of weight n when its alpha is a
     candidate of weight a <= n and its beta one of weight n - a, as long as
     the checker tests alpha and beta separately, as all three do, and so
     accepts every candidate pair; a weight where it does not fails."""
@@ -598,7 +604,7 @@ _BIJECTIONS = {
                       "mex_pairing", "mex_pairing_inv", "in_mex_codomain"),
     "gamma-star": _Pairing(lambda lam, r: chain_mex(lam, r) + r - 1,
                            "mex_pairing_colored", "mex_pairing_colored_inv",
-                           "in_colored_codomain"),
+                           "in_colored_codomain", untraced=("input", "case", "output")),
     "delta": _Pairing(lambda lam, r: lam.largest - chain_maex(lam, r) + maex_offset(lam, r),
                       "maex_pairing", "maex_pairing_inv", "in_maex_codomain"),
 }

@@ -36,11 +36,15 @@ from chainex.qseries import BivariateSeries, PowerSeries
 
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    """p(n) by the pentagonal-number recurrence."""
+    """p(n) by the pentagonal-number recurrence.  Every smaller value is
+    read first, in ascending order, so each finds its own in the cache and
+    no call goes more than two levels deep, whatever n."""
     if n < 0:
         return 0
     if n == 0:
         return 1
+    for m in range(n):
+        partition_count(m)
     total = 0
     k = 1
     while True:

@@ -11,16 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainex
-from chainex import bijections
 from chainex import verify as vf
-from chainex.cli import PAIRING_MAPS, PARTITION_MAPS, SERIES_BUILDERS, run
-from chainex.partition import Partition
+from chainex.cli import ALIASES, SERIES_BUILDERS, run
 
-
-def call(capsys, *argv):
-    code = run(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+# the planted bijection faults live in test_faults.py; imported here too, so
+# that they are also collected under this module's test ids
+from test_faults import TestFaultyMap, call  # noqa: F401
 
 
 class TestStats:
@@ -206,6 +202,74 @@ class TestBijection:
                             "--r", "2")
         assert code == 2
         assert "requires --i" in err
+
+    # every bijection name that predates the -inv and alias names, with the
+    # JSON it prints untraced and traced, byte for byte; a traced partition
+    # map exits 2
+    PINNED = [
+        ("glaisher --lambda [2,2,2,1] --r 3",
+         '{"input": {"lambda": "[2,2,2,1]", "r": 3}, "output": "[6,1]"}', None),
+        ("glaisher-inv --lambda [6,1] --r 3",
+         '{"input": {"lambda": "[6,1]", "r": 3}, "output": "[2,2,2,1]"}', None),
+        ("multiples-to-repeats --lambda [6,3,3,1] --r 3",
+         '{"input": {"lambda": "[6,3,3,1]", "r": 3}, "output": "[3,3,3,1,1,1,1]"}', None),
+        ("repeats-to-multiples --lambda [3,3,3,3,1,1,1] --r 3",
+         '{"input": {"lambda": "[3,3,3,3,1,1,1]", "r": 3}, "output": "[6,3,3,1,1,1]"}', None),
+        ("top-multiple --lambda [6,3,1] --r 3",
+         '{"input": {"lambda": "[6,3,1]", "r": 3}, "output": "[2,2,2,1,1,1,1]"}', None),
+        ("top-multiple-inv --lambda [2,2,2,1] --r 3",
+         '{"input": {"lambda": "[2,2,2,1]", "r": 3}, "output": "[3,3,1]"}', None),
+        ("gamma --lambda [5,3,1] --i 2 --r 2",
+         '{"input": {"lambda": "[5,3,1]", "i": 2, "r": 2}, '
+         '"output": {"alpha": "[3,1,1]", "beta": "[2,2]"}}',
+         '{"input": {"lambda": "[5,3,1]", "i": 2, "r": 2}, "case": "case1", '
+         '"intermediate": {"conjugate": "[3,2,2,1,1]", "cut_index": 2, '
+         '"moves": [{"value": 1, "copies": 2}]}, '
+         '"output": {"alpha": "[3,1,1]", "beta": "[2,2]"}}'),
+        ("gamma-star --lambda [4,3] --i 1 --r 2",
+         '{"input": {"lambda": "[4,3]", "i": 1, "r": 2}, "case": "case3.2", '
+         '"output": {"alpha": "[2,2,1]", "beta": "[2]"}}',
+         '{"input": {"lambda": "[4,3]", "i": 1, "r": 2}, "case": "case3.2", '
+         '"intermediate": {"conjugate": "[2,2,2,1]", "cut_index": 1, '
+         '"moves": [{"value": 1, "copies": 1}], "extra_move": {"value": 2, "copies": 2}}, '
+         '"output": {"alpha": "[2,2,1]", "beta": "[2]"}}'),
+        ("gamma-star --lambda [2,1] --i 4 --r 3",
+         '{"input": {"lambda": "[2,1]", "i": 4, "r": 3}, "case": "colored", '
+         '"output": {"alpha": "[2,1]", "beta": {"empty_color": 2}}}',
+         '{"input": {"lambda": "[2,1]", "i": 4, "r": 3}, "case": "colored", '
+         '"intermediate": {"conjugate": "[2,1]"}, '
+         '"output": {"alpha": "[2,1]", "beta": {"empty_color": 2}}}'),
+        ("delta --lambda [6,1] --i 1 --r 2",
+         '{"input": {"lambda": "[6,1]", "i": 1, "r": 2}, '
+         '"output": {"alpha": "[2]", "beta": "[1,1,1,1,1]"}}',
+         '{"input": {"lambda": "[6,1]", "i": 1, "r": 2}, "case": "cut", '
+         '"intermediate": {"conjugate": "[2,1,1,1,1,1]", "cut_index": 7, '
+         '"moves": [{"value": 2, "copies": 1}]}, '
+         '"output": {"alpha": "[2]", "beta": "[1,1,1,1,1]"}}'),
+    ]
+
+    @pytest.mark.parametrize("args, untraced, traced", PINNED,
+                             ids=[case[0].split()[0] + "@" + case[0].split()[2]
+                                  for case in PINNED])
+    def test_old_names_print_the_same_bytes(self, capsys, args, untraced, traced):
+        for extra, expected in (([], untraced), (["--trace"], traced)):
+            code, out, _ = call(capsys, "bijection", *args.split(), *extra)
+            if expected is None:
+                assert (code, out) == (2, "")
+            else:
+                assert (code, out) == (0, json.dumps(json.loads(expected), indent=2) + "\n")
+
+    def test_old_names_are_aliases_of_registry_names(self, capsys):
+        for old, new in ALIASES.items():
+            argv = ["--lambda", "[6,3,3,1]", "--r", "3"]
+            assert call(capsys, "bijection", old, *argv) == call(capsys, "bijection", new, *argv)
+
+    @pytest.mark.parametrize("name", ["gamma-inv", "gamma-star-inv", "delta-inv",
+                                      "glaisher-inv-inv", "identity"])
+    def test_unknown_names_exit_2(self, capsys, name):
+        code, out, err = call(capsys, "bijection", name, "--lambda", "[2,1]",
+                              "--i", "1", "--r", "2")
+        assert (code, out, err) == (2, "", f"error: unknown bijection {name!r}\n")
 
 
 class TestVerify:
@@ -407,6 +471,20 @@ class TestVerifyArguments:
         assert code == 0
         assert "PASS (4 checks)" in out
 
+    def test_a_huge_range_is_handed_over_unlisted(self, capsys):
+        report = vf.VerificationReport("thm-1.6")
+        with mock.patch.object(vf, "run_check", return_value=report) as run_check:
+            call(capsys, "verify", "thm-1.6", "--r", "1..100000000000", "--n", "3")
+        r_values = run_check.call_args.args[1]
+        assert type(r_values) is range
+        assert (r_values[0], r_values[-1], len(r_values)) == (1, 10**11, 10**11)
+
+    @pytest.mark.parametrize("vid, least", [("gamma", 1), ("glaisher", 2), ("thm-1.6", 1)])
+    def test_a_huge_range_below_the_least_r_exits_2(self, capsys, vid, least):
+        code, out, err = call(capsys, "verify", vid, "--r", f"{least - 1}..100000000000",
+                              "--n", "2")
+        assert (code, out, err) == (2, "", f"error: r must be >= {least}, got {least - 1}\n")
+
 
 class TestBijectionError:
     def test_index_error_text(self, capsys):
@@ -415,161 +493,6 @@ class TestBijectionError:
         assert code == 2
         assert out == ""
         assert err == "error: index 9 outside 1..6 for [5,3,1]\n"
-
-
-class TestFaultyMap:
-    """A map whose image lies outside its codomain fails certification
-    (exit 1) instead of being reported as bad input (exit 2)."""
-
-    def test_pairing_image_outside_the_codomain(self, capsys):
-        honest = bijections.mex_pairing
-
-        def faulty(lam, i, r):
-            if lam == Partition([6]) and i == 1:
-                # alpha is not (r+1)-strict at r = 1
-                return bijections.PartitionPair(Partition([1, 1]), Partition([1, 1, 1, 1]))
-            return honest(lam, i, r)
-
-        with mock.patch.object(bijections, "mex_pairing", faulty):
-            code, out, err = call(capsys, "verify", "gamma", "--r", "1", "--n", "6")
-        assert (code, err) == (1, "")
-        assert "  MISMATCH r=1 j=None n=6 roundtrip lhs=0 rhs=1" in out.splitlines()
-
-    def test_partition_image_outside_the_codomain(self, capsys):
-        honest = bijections.glaisher_merge
-
-        def faulty(lam, r):
-            # [1,1,1] is not 2-strict
-            return Partition([1, 1, 1]) if lam == Partition([3]) else honest(lam, r)
-
-        with mock.patch.object(bijections, "glaisher_merge", faulty):
-            code, out, err = call(capsys, "verify", "glaisher", "--r", "2", "--n", "4")
-        assert (code, err) == (1, "")
-        assert "  MISMATCH r=2 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
-
-    def test_partition_image_of_another_weight(self, capsys):
-        # [4] is 2-strict and comes back as [3], so only its weight is wrong
-        merge, split = bijections.glaisher_merge, bijections.glaisher_split
-        three, four = Partition([3]), Partition([4])
-
-        def faulty_merge(lam, r):
-            return four if lam == three else merge(lam, r)
-
-        def faulty_split(nu, r):
-            return three if nu == four else split(nu, r)
-
-        with mock.patch.object(bijections, "glaisher_merge", faulty_merge), \
-                mock.patch.object(bijections, "glaisher_split", faulty_split):
-            code, out, err = call(capsys, "verify", "glaisher", "--r", "2", "--n", "4")
-        assert (code, err) == (1, "")
-        assert "  MISMATCH r=2 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
-
-    def test_pairing_image_of_another_weight(self, capsys):
-        # the image of ([3], 1) is a codomain pair of weight 4 that comes
-        # back as ([3], 1), so only its weight is wrong
-        pairing, unpairing = bijections.mex_pairing, bijections.mex_pairing_inv
-        source = (Partition([3]), 1)
-        image = pairing(Partition([3, 1]), 1, 1)
-        assert image.weight == 4 and bijections.in_mex_codomain(image, 1)
-
-        def faulty_pairing(lam, i, r):
-            return image if (lam, i) == source else pairing(lam, i, r)
-
-        def faulty_unpairing(pair, r):
-            return source if pair == image else unpairing(pair, r)
-
-        with mock.patch.object(bijections, "mex_pairing", faulty_pairing), \
-                mock.patch.object(bijections, "mex_pairing_inv", faulty_unpairing):
-            code, out, err = call(capsys, "verify", "gamma", "--r", "1", "--n", "4")
-        assert (code, err) == (1, "")
-        assert "  MISMATCH r=1 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
-
-    def test_checker_that_rejects_a_member(self, capsys):
-        honest = bijections.in_maex_codomain
-        member = bijections.PartitionPair(Partition([1]), Partition([7]))
-        assert honest(member, 2)
-
-        def faulty(pair, r):
-            return pair != member and honest(pair, r)
-
-        with mock.patch.object(bijections, "in_maex_codomain", faulty):
-            code, out, err = call(capsys, "verify", "delta", "--r", "2", "--n", "8")
-        assert (code, err) == (1, "")
-        lines = out.splitlines()
-        assert lines[0] == "bijection:delta: FAIL (18 checks)"
-        # the member is left out of the codomain, and its preimage's inverse
-        # call is rejected
-        assert lines[1:] == ["  MISMATCH r=2 j=None n=8 cardinality lhs=78 rhs=77",
-                             "  MISMATCH r=2 j=None n=8 roundtrip lhs=0 rhs=1"]
-
-    @pytest.mark.parametrize("vid, r, checker, side, stranger, first", [
-        ("gamma", 1, "in_mex_codomain", "beta", Partition([2, 1]), "lhs=6 rhs=7"),
-        # in_colored_codomain reads in_mex_codomain for a nonempty beta
-        ("gamma-star", 1, "in_mex_codomain", "beta", Partition([2, 1]), "lhs=6 rhs=7"),
-        # [1,1,1] is not 3-strict
-        ("delta", 2, "in_maex_codomain", "alpha", Partition([1, 1, 1]), "lhs=8 rhs=9"),
-    ], ids=["gamma", "gamma-star", "delta"])
-    def test_checker_that_accepts_a_stranger(self, capsys, vid, r, checker, side, stranger,
-                                             first):
-        # certification asks the checker about every candidate, so a pair
-        # the map never hits is shown to it and counted
-        honest = getattr(bijections, checker)
-
-        def faulty(pair, r):
-            return honest(pair, r) or getattr(pair, side) == stranger
-
-        with mock.patch.object(bijections, checker, faulty):
-            code, out, err = call(capsys, "verify", vid, "--r", str(r), "--n", "8")
-        assert (code, err) == (1, "")
-        assert out.splitlines()[1] == f"  MISMATCH r={r} j=None n=3 cardinality {first}"
-
-    # each map at r, with an object of weight 10 the fault is planted on and
-    # another object of the map's domain of the same weight
-    WRONG_ON_ONE = [
-        ("glaisher", 2, (Partition([9, 1]),), (Partition([7, 3]),)),
-        ("multiples-repeats", 2, (Partition([10]),), (Partition([9, 1]),)),
-        ("top-multiple", 2, (Partition([10]),), (Partition([8, 2]),)),
-        ("gamma", 1, (Partition([10]), 1), (Partition([9, 1]), 1)),
-        ("gamma-star", 2, (Partition([10]), 1), (Partition([9, 1]), 1)),
-        ("delta", 2, (Partition([10]), 1), (Partition([9, 1]), 1)),
-    ]
-
-    def test_wrong_on_one_covers_every_map(self):
-        assert [case[0] for case in self.WRONG_ON_ONE] == list(vf.BIJECTIONS)
-
-    @pytest.mark.parametrize("side", ["forward", "inverse"])
-    @pytest.mark.parametrize("vid, r, target, other", WRONG_ON_ONE,
-                             ids=[case[0] for case in WRONG_ON_ONE])
-    def test_map_wrong_on_one_object(self, capsys, side, vid, r, target, other):
-        spec = vf._BIJECTIONS[vid]
-        forward, inverse = getattr(bijections, spec.forward), getattr(bijections, spec.inverse)
-        image, wrong = forward(*target, r), forward(*other, r)
-        if side == "forward":
-            # the target goes where the other object goes
-            name = spec.forward
-
-            def faulty(*args):
-                return wrong if args[:-1] == target else forward(*args)
-        else:
-            # the target's image comes back as the other object
-            name = spec.inverse
-
-            def faulty(out, r):
-                return inverse(wrong if out == image else out, r)
-
-        with mock.patch.object(bijections, name, faulty):
-            code, out, err = call(capsys, "verify", vid, "--r", str(r), "--n", "10")
-        assert (code, err) == (1, "")
-        assert f"  MISMATCH r={r} j=None n=10 roundtrip lhs=0 rhs=1" in out.splitlines()
-
-    def test_forward_errors_still_exit_2(self, capsys):
-        def refuses(lam, r):
-            raise bijections.DomainError(f"refused {lam}")
-
-        with mock.patch.object(bijections, "glaisher_merge", refuses):
-            code, out, err = call(capsys, "verify", "glaisher", "--r", "2", "--n", "3")
-        assert (code, out) == (2, "")
-        assert err == "error: refused []\n"
 
 
 def cli_command(*argv):
@@ -632,8 +555,11 @@ def values(low, high):
 
 
 VALUES = values(-8, 8)
+# a huge range below every least r and j exits 2 at once; a huge range
+# that starts at a valid value would run, so none is drawn
 RANGES = st.one_of(VALUES, st.tuples(st.integers(-8, 8), st.integers(-8, 8))
-                   .map(lambda ends: f"{ends[0]}..{ends[1]}"))
+                   .map(lambda ends: f"{ends[0]}..{ends[1]}"),
+                   st.just("-1..100000000000"))
 SIZES = values(-2, 10)
 ORDERS = values(-2, 30)
 PARTS = st.one_of(st.lists(st.integers(1, 4), max_size=4).map(lambda ps: sorted(ps, reverse=True)),
@@ -660,6 +586,10 @@ def positional(values):
     return values.map(lambda v: [v])
 
 
+# the registry ids, each with -inv (a pairing has none), the aliases and
+# an unknown name
+BIJECTION_NAMES = (vf.BIJECTIONS + tuple(vid + "-inv" for vid in vf.BIJECTIONS)
+                   + tuple(ALIASES) + ("identity",))
 VERIFY_IDS = st.sampled_from(vf.THEOREMS + vf.BIJECTIONS + ("thm-9", ""))
 COMMANDS = st.one_of(
     st.tuples(st.just(["stats"]), positional(LAMBDAS), required("--r", VALUES),
@@ -673,8 +603,7 @@ COMMANDS = st.one_of(
               option("--r", VALUES), option("--j", VALUES), option("--order", ORDERS),
               option("--format", FORMATS)),
     st.tuples(st.just(["bijection"]),
-              positional(st.sampled_from(tuple(PARTITION_MAPS) + tuple(PAIRING_MAPS)
-                                         + ("identity",))),
+              positional(st.sampled_from(BIJECTION_NAMES)),
               required("--lambda", LAMBDAS), option("--i", VALUES), required("--r", VALUES),
               switch("--sort"), switch("--trace"), option("--format", FORMATS)),
     # --n is always given (unset, it defaults to 16..40), except to

@@ -1,20 +1,34 @@
 """Planted faults: a verifier that cannot fail shows nothing.
 
-Each case makes one side of one theorem wrong by 1 at the largest n of the
-theorem's default range: the series builder its rows read, or, for
-thm-1.5, which reads no series, one family statistic on one partition of
-that n.  ``chainex verify <id>`` at its defaults must then exit 1 with
+Each theorem case makes one side of one theorem wrong by 1 at the largest
+n of the theorem's default range: the series builder its rows read, or,
+for thm-1.5, which reads no series, one family statistic on one partition
+of that n.  ``chainex verify <id>`` at its defaults must then exit 1 with
 MISMATCH lines, each at that n.
+
+``TestFaultyMap`` plants faults in the bijection side: each map's forward
+and inverse wrong on one object, each pairing's codomain checker over- or
+under-accepting, and images outside the codomain or of another weight;
+``chainex verify <id>`` must exit 1.  Every name ``chainex bijection``
+accepts must print something else once the map it calls is patched in
+``chainex.bijections``, since the command looks its maps up per call.
 """
 
 from unittest import mock
 
 import pytest
 
+from chainex import bijections
 from chainex import qseries as qs
 from chainex import verify as vf
-from chainex.cli import run
+from chainex.cli import ALIASES, run
 from chainex.partition import Partition
+
+
+def call(capsys, *argv):
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def coefficient_plus_one(builder, n):
@@ -67,3 +81,196 @@ def test_a_fault_at_the_largest_n_fails_verify(capsys, vid):
     mismatches = [line for line in out.splitlines() if "MISMATCH" in line]
     assert code == 1 and out.startswith(f"{vid}: FAIL")
     assert mismatches and all(f" n={n} " in line for line in mismatches)
+
+
+class TestFaultyMap:
+    """A map whose image lies outside its codomain fails certification
+    (exit 1) instead of being reported as bad input (exit 2)."""
+
+    def test_pairing_image_outside_the_codomain(self, capsys):
+        honest = bijections.mex_pairing
+
+        def faulty(lam, i, r):
+            if lam == Partition([6]) and i == 1:
+                # alpha is not (r+1)-strict at r = 1
+                return bijections.PartitionPair(Partition([1, 1]), Partition([1, 1, 1, 1]))
+            return honest(lam, i, r)
+
+        with mock.patch.object(bijections, "mex_pairing", faulty):
+            code, out, err = call(capsys, "verify", "gamma", "--r", "1", "--n", "6")
+        assert (code, err) == (1, "")
+        assert "  MISMATCH r=1 j=None n=6 roundtrip lhs=0 rhs=1" in out.splitlines()
+
+    def test_partition_image_outside_the_codomain(self, capsys):
+        honest = bijections.glaisher_merge
+
+        def faulty(lam, r):
+            # [1,1,1] is not 2-strict
+            return Partition([1, 1, 1]) if lam == Partition([3]) else honest(lam, r)
+
+        with mock.patch.object(bijections, "glaisher_merge", faulty):
+            code, out, err = call(capsys, "verify", "glaisher", "--r", "2", "--n", "4")
+        assert (code, err) == (1, "")
+        assert "  MISMATCH r=2 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
+
+    def test_partition_image_of_another_weight(self, capsys):
+        # [4] is 2-strict and comes back as [3], so only its weight is wrong
+        merge, split = bijections.glaisher_merge, bijections.glaisher_split
+        three, four = Partition([3]), Partition([4])
+
+        def faulty_merge(lam, r):
+            return four if lam == three else merge(lam, r)
+
+        def faulty_split(nu, r):
+            return three if nu == four else split(nu, r)
+
+        with mock.patch.object(bijections, "glaisher_merge", faulty_merge), \
+                mock.patch.object(bijections, "glaisher_split", faulty_split):
+            code, out, err = call(capsys, "verify", "glaisher", "--r", "2", "--n", "4")
+        assert (code, err) == (1, "")
+        assert "  MISMATCH r=2 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
+
+    def test_pairing_image_of_another_weight(self, capsys):
+        # the image of ([3], 1) is a codomain pair of weight 4 that comes
+        # back as ([3], 1), so only its weight is wrong
+        pairing, unpairing = bijections.mex_pairing, bijections.mex_pairing_inv
+        source = (Partition([3]), 1)
+        image = pairing(Partition([3, 1]), 1, 1)
+        assert image.weight == 4 and bijections.in_mex_codomain(image, 1)
+
+        def faulty_pairing(lam, i, r):
+            return image if (lam, i) == source else pairing(lam, i, r)
+
+        def faulty_unpairing(pair, r):
+            return source if pair == image else unpairing(pair, r)
+
+        with mock.patch.object(bijections, "mex_pairing", faulty_pairing), \
+                mock.patch.object(bijections, "mex_pairing_inv", faulty_unpairing):
+            code, out, err = call(capsys, "verify", "gamma", "--r", "1", "--n", "4")
+        assert (code, err) == (1, "")
+        assert "  MISMATCH r=1 j=None n=3 roundtrip lhs=0 rhs=1" in out.splitlines()
+
+    def test_checker_that_rejects_a_member(self, capsys):
+        honest = bijections.in_maex_codomain
+        member = bijections.PartitionPair(Partition([1]), Partition([7]))
+        assert honest(member, 2)
+
+        def faulty(pair, r):
+            return pair != member and honest(pair, r)
+
+        with mock.patch.object(bijections, "in_maex_codomain", faulty):
+            code, out, err = call(capsys, "verify", "delta", "--r", "2", "--n", "8")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == "bijection:delta: FAIL (18 checks)"
+        # the member is left out of the codomain, and its preimage's inverse
+        # call is rejected
+        assert lines[1:] == ["  MISMATCH r=2 j=None n=8 cardinality lhs=78 rhs=77",
+                             "  MISMATCH r=2 j=None n=8 roundtrip lhs=0 rhs=1"]
+
+    @pytest.mark.parametrize("vid, r, checker, side, stranger, first", [
+        ("gamma", 1, "in_mex_codomain", "beta", Partition([2, 1]), "lhs=6 rhs=7"),
+        # in_colored_codomain reads in_mex_codomain for a nonempty beta
+        ("gamma-star", 1, "in_mex_codomain", "beta", Partition([2, 1]), "lhs=6 rhs=7"),
+        # [1,1,1] is not 3-strict
+        ("delta", 2, "in_maex_codomain", "alpha", Partition([1, 1, 1]), "lhs=8 rhs=9"),
+    ], ids=["gamma", "gamma-star", "delta"])
+    def test_checker_that_accepts_a_stranger(self, capsys, vid, r, checker, side, stranger,
+                                             first):
+        # certification asks the checker about every candidate, so a pair
+        # the map never hits is shown to it and counted
+        honest = getattr(bijections, checker)
+
+        def faulty(pair, r):
+            return honest(pair, r) or getattr(pair, side) == stranger
+
+        with mock.patch.object(bijections, checker, faulty):
+            code, out, err = call(capsys, "verify", vid, "--r", str(r), "--n", "8")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[1] == f"  MISMATCH r={r} j=None n=3 cardinality {first}"
+
+    # each map at r, with an object of weight 10 the fault is planted on and
+    # another object of the map's domain of the same weight
+    WRONG_ON_ONE = [
+        ("glaisher", 2, (Partition([9, 1]),), (Partition([7, 3]),)),
+        ("multiples-repeats", 2, (Partition([10]),), (Partition([9, 1]),)),
+        ("top-multiple", 2, (Partition([10]),), (Partition([8, 2]),)),
+        ("gamma", 1, (Partition([10]), 1), (Partition([9, 1]), 1)),
+        ("gamma-star", 2, (Partition([10]), 1), (Partition([9, 1]), 1)),
+        ("delta", 2, (Partition([10]), 1), (Partition([9, 1]), 1)),
+    ]
+
+    def test_wrong_on_one_covers_every_map(self):
+        assert [case[0] for case in self.WRONG_ON_ONE] == list(vf.BIJECTIONS)
+
+    @pytest.mark.parametrize("side", ["forward", "inverse"])
+    @pytest.mark.parametrize("vid, r, target, other", WRONG_ON_ONE,
+                             ids=[case[0] for case in WRONG_ON_ONE])
+    def test_map_wrong_on_one_object(self, capsys, side, vid, r, target, other):
+        spec = vf._BIJECTIONS[vid]
+        forward, inverse = getattr(bijections, spec.forward), getattr(bijections, spec.inverse)
+        image, wrong = forward(*target, r), forward(*other, r)
+        if side == "forward":
+            # the target goes where the other object goes
+            name = spec.forward
+
+            def faulty(*args):
+                return wrong if args[:-1] == target else forward(*args)
+        else:
+            # the target's image comes back as the other object
+            name = spec.inverse
+
+            def faulty(out, r):
+                return inverse(wrong if out == image else out, r)
+
+        with mock.patch.object(bijections, name, faulty):
+            code, out, err = call(capsys, "verify", vid, "--r", str(r), "--n", "10")
+        assert (code, err) == (1, "")
+        assert f"  MISMATCH r={r} j=None n=10 roundtrip lhs=0 rhs=1" in out.splitlines()
+
+    def test_forward_errors_still_exit_2(self, capsys):
+        def refuses(lam, r):
+            raise bijections.DomainError(f"refused {lam}")
+
+        with mock.patch.object(bijections, "glaisher_merge", refuses):
+            code, out, err = call(capsys, "verify", "glaisher", "--r", "2", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: refused []\n"
+
+
+# every name chainex bijection accepts: the bijections function it calls,
+# the r, an input the command is given, and another input of the same map,
+# whose image the planted map returns
+BIJECTION_NAMES = {
+    "glaisher": ("glaisher_merge", 3, ([2, 2, 2, 1],), ([4, 1],)),
+    "glaisher-inv": ("glaisher_split", 3, ([6, 1],), ([4, 1],)),
+    "multiples-repeats": ("multiples_to_repeats", 3, ([6, 3, 3, 1],), ([5, 1],)),
+    "multiples-repeats-inv": ("repeats_to_multiples", 3, ([6, 3, 3, 1],), ([5, 1],)),
+    "multiples-to-repeats": ("multiples_to_repeats", 3, ([6, 3, 3, 1],), ([5, 1],)),
+    "repeats-to-multiples": ("repeats_to_multiples", 3, ([6, 3, 3, 1],), ([5, 1],)),
+    "top-multiple": ("top_multiple_to_repeats", 2, ([4, 1],), ([2, 1],)),
+    "top-multiple-inv": ("repeats_to_top_multiple", 2, ([1, 1],), ([2, 2, 1],)),
+    "gamma": ("mex_pairing", 2, ([5, 3, 1], 2), ([6, 1], 1)),
+    "gamma-star": ("mex_pairing_colored", 3, ([2, 1], 4), ([4, 3], 1)),
+    "delta": ("maex_pairing", 2, ([6, 1], 1), ([5, 3, 1], 1)),
+}
+
+
+def test_every_bijection_name_has_a_planted_map():
+    inverses = [vid + "-inv" for vid, spec in vf._BIJECTIONS.items()
+                if isinstance(spec, vf._Map)]
+    assert sorted(BIJECTION_NAMES) == sorted([*vf.BIJECTIONS, *inverses, *ALIASES])
+
+
+@pytest.mark.parametrize("name", BIJECTION_NAMES)
+def test_a_planted_map_changes_chainex_bijection(capsys, name):
+    attr, r, given, other = BIJECTION_NAMES[name]
+    honest = getattr(bijections, attr)
+    argv = ["bijection", name, "--lambda", str(Partition(given[0])), "--r", str(r)]
+    argv += [] if len(given) == 1 else ["--i", str(given[1])]
+    image = honest(Partition(other[0]), *other[1:], r)
+    code, out, err = call(capsys, *argv)
+    with mock.patch.object(bijections, attr, lambda *args: image):
+        planted = call(capsys, *argv)
+    assert (code, err) == (0, "") and planted[0] == 0
+    assert planted[1] != out

@@ -182,6 +182,12 @@ def test_partition_count_at_order_1000():
         [oracles.partition_count(n) for n in range(1001)]
 
 
+def test_partition_count_oracle_from_a_cold_cache():
+    # nothing cached: a call that recursed once per smaller n would overflow
+    oracles.partition_count.cache_clear()
+    assert oracles.partition_count(1000) == 24061467864032622473692149727991
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 1000))
 @example(1000)

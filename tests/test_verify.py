@@ -9,6 +9,7 @@ from chainex.bijections import ColoredEmpty, PartitionPair
 from chainex.partition import chain_mex, partitions, walk_scans
 from chainex.verify import (
     _BIJECTIONS,
+    _resolve,
     BIJECTIONS,
     FAMILIES,
     STATISTICS,
@@ -418,6 +419,20 @@ class TestBijectionCertification:
             with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
                 run_check("gamma", [2, 0], 3)
         assert not forward.called
+
+    def test_a_range_is_read_from_its_ends(self):
+        huge = range(1, 10**12)
+        assert _resolve(huge, None, "r", 1) is huge
+        with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
+            _resolve(range(0, 10**12), None, "r", 1)
+        with pytest.raises(ValueError, match="^r must be >= 2, got 1$"):
+            _resolve(range(5, 0, -1), None, "r", 2)
+        with pytest.raises(ValueError, match="^empty r range$"):
+            _resolve(range(3, 3), None, "r", 1)
+        # a list from a library caller is still listed and checked
+        assert _resolve((3, 2), None, "r", 1) == [3, 2]
+        with pytest.raises(ValueError, match="^r must be an integer, got True$"):
+            _resolve([2, True], None, "r", 1)
 
     def test_run_check_certifies_every_r_to_the_default_n(self):
         rep = run_check("glaisher", r_values=[2, 3])
