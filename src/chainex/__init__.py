@@ -42,7 +42,7 @@ from .bijections import (
     repeats_to_top_multiple,
     top_multiple_to_repeats,
 )
-from .qseries import BivariateSeries, PowerSeries, SeriesError
+from .qseries import PowerSeries, SeriesError
 from .verify import VerificationReport, certify_bijection, check_theorem, count_family, sigma_stat
 
 __version__ = "0.1.0"

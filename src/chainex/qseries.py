@@ -1,11 +1,11 @@
 """Truncated formal power series with exact integer coefficients, plus
 builders for every closed-form generating function used by the verifier.
 
-Arithmetic is exact: Python integers never overflow, and every identity
-check in this project is an exact coefficient-by-coefficient equality.
-Binary operations carry the minimum truncation order of their operands;
-reading a coefficient beyond the truncation order raises instead of
-silently returning zero.
+``PowerSeries`` is the one series type.  Arithmetic is exact: Python
+integers never overflow, and every identity check in this project is an
+exact coefficient-by-coefficient equality.  Binary operations carry the
+minimum truncation order of their operands; reading a coefficient beyond
+the truncation order raises instead of silently returning zero.
 
 Every product side of the paper's identities is a ratio of q-Pochhammer
 products, so the builders run a sparse kernel over coefficient lists.
@@ -14,14 +14,24 @@ C builtins (``map`` over ``operator.add``/``sub``, ``itertools.accumulate``),
 so the Python-level work is one slice assignment per call or per block:
 - multiplying by one factor (1 + s*q^e) is one ``map`` over the list and
   the list shifted by e;
-- dividing by (1 - q^e) is a prefix sum along each residue class mod e.
-  With e^2 < len it runs as e strided ``accumulate`` calls, otherwise as
-  len/e blocks of e coefficients, each ``map``-ed from the block before;
-  the threshold picks the shape with fewer Python-level steps;
-- dividing by (1 + q^e) always runs as blocks.
+- dividing by (1 - q^e), the only division, is a prefix sum along each
+  residue class mod e.  With e^2 < len it runs as e strided
+  ``accumulate`` calls, otherwise as len/e blocks of e coefficients, each
+  ``map``-ed from the block before; the threshold picks the shape with
+  fewer Python-level steps.
 A builder that sums over n grows the n-th term from the (n-1)-th with one
-or two such steps.  The dense ``PowerSeries.__mul__`` and ``invert``
-remain for products of two general series.
+or two such steps, and a builder that multiplies a series by a Pochhammer
+ratio runs the ratio as passes over that series' coefficients.  The dense
+``PowerSeries.__mul__`` (series by series) has two library callers:
+``series_maex_defect``, and ``series_chain_maex_product``, whose factor
+``series_bottom_multiplicity_count`` divides by (q^(r+1);q^(r+1))_inf, so
+the strict ratio run as passes over it would cancel that division and
+leave the sum form's own terms: the two routes would then agree under any
+linear fault of the (q;q)_inf division.  ``invert`` has no library
+caller; both remain as the arithmetic of two general series.
+
+The bivariate series of the maex distribution is a list of ``PowerSeries``,
+one per power of z: the coefficient of z^m q^n is ``series[m].coeff(n)``.
 
 The verifier compares pairs of builders as two routes to one series:
 ``series_chain_maex_sum`` / ``series_chain_maex_product``,
@@ -82,12 +92,6 @@ class PowerSeries:
         order = min(self.order, other.order)
         return PowerSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], order)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return PowerSeries([-a for a in self.coeffs], self.order)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return PowerSeries([a * other for a in self.coeffs], self.order)
@@ -116,12 +120,6 @@ class PowerSeries:
             acc = sum(self.coeffs[k] * out[n - k] for k in range(1, n + 1))
             out[n] = -c0 * acc
         return PowerSeries(out, self.order)
-
-    def shift(self, exponent: int) -> "PowerSeries":
-        """Multiply by q**exponent (exponent >= 0)."""
-        if exponent < 0:
-            raise SeriesError(f"shift exponent must be >= 0, got {exponent}")
-        return PowerSeries([0] * exponent + self.coeffs, self.order)
 
     def matches(self, other: "PowerSeries") -> bool:
         """Exact agreement over the common truncation range."""
@@ -180,28 +178,24 @@ def _mul_factor(c: list[int], e: int, sign: int) -> None:
         c[e:] = map(add if sign == 1 else sub, c[e:], c)
 
 
-def _div_factor(c: list[int], e: int, sign: int) -> None:
-    """c /= (1 + sign*q^e) in place, for sign 1 or -1 (any other sign
-    raises): c[n] -= sign*c[n-e] over ascending n.  The factor is a unit
-    only for e >= 1.
+def _div_factor(c: list[int], e: int) -> None:
+    """c /= (1 - q^e) in place: c[n] += c[n-e] over ascending n.  The
+    factor is a unit only for e >= 1.
 
-    Each residue class mod e is a running sum (alternating for sign 1).
-    For sign -1 and e^2 < len the classes are summed one at a time by e
-    strided ``accumulate`` calls; otherwise the list is swept in len/e
-    blocks of e coefficients, each from the one before.  Either shape does
-    len additions in C, so the Python-level steps decide: e against len/e,
-    and the first is fewer exactly when e < sqrt(len)."""
-    if sign != 1 and sign != -1:
-        raise SeriesError(f"a factor's sign must be 1 or -1, got {sign!r}")
+    Each residue class mod e is a running sum.  With e^2 < len the classes
+    are summed one at a time by e strided ``accumulate`` calls; otherwise
+    the list is swept in len/e blocks of e coefficients, each from the one
+    before.  Either shape does len additions in C, so the Python-level
+    steps decide: e against len/e, and the first is fewer exactly when
+    e < sqrt(len)."""
     if e < 1:
         raise SeriesError(f"dividing needs a factor exponent >= 1, got {e}")
-    if sign == -1 and e * e < len(c):
+    if e * e < len(c):
         for k in range(e):
             c[k::e] = accumulate(c[k::e])
         return
-    op = add if sign == -1 else sub
     for k in range(e, len(c), e):
-        c[k:k + e] = map(op, c[k:k + e], c[k - e:k])
+        c[k:k + e] = map(add, c[k:k + e], c[k - e:k])
 
 
 def _add_shifted(acc: list[int], c: list[int], shift: int) -> None:
@@ -214,14 +208,29 @@ def _poch(c: list[int], first: int, step: int, count=None, sign: int = -1,
           divide: bool = False) -> list[int]:
     """c *= prod (1 + sign*q^e), or c /= it when ``divide``, in place, over
     e = first, first+step, ...: ``count`` factors, or every e up to the
-    order when None (later factors are 1 + O(q^(order+1)))."""
+    order when None (later factors are 1 + O(q^(order+1))).  Only factors
+    1 - q^e divide, so ``divide`` with any sign but -1 raises."""
     if first < 0 or step < 1 or (count is not None and count < 0):
         raise SeriesError("need first exponent >= 0, step >= 1 and count >= 0, "
                           f"got {first}, {step}, {count}")
+    # checked here, not only per factor, so a call that runs no factor
+    # still refuses a bad sign
+    if divide and sign != -1:
+        raise SeriesError(f"only factors 1 - q^e divide, got sign {sign!r}")
+    if sign != 1 and sign != -1:
+        raise SeriesError(f"a factor's sign must be 1 or -1, got {sign!r}")
     stop = len(c) if count is None else min(len(c), first + count * step)
     for e in range(first, stop, step):
-        (_div_factor if divide else _mul_factor)(c, e, sign)
+        if divide:
+            _div_factor(c, e)
+        else:
+            _mul_factor(c, e, sign)
     return c
+
+
+def _strict(c: list[int], k: int) -> list[int]:
+    """c *= (q^k;q^k)_inf/(q;q)_inf, the k-strict ratio, in place."""
+    return _poch(_poch(c, k, k), 1, 1, divide=True)
 
 
 def _check_r(r: int) -> None:
@@ -287,7 +296,7 @@ def q_binomial_sum(a_exp, z_exp: int, order: int, a_negate: bool = False) -> Pow
         n += 1
         if a_exp is not None:
             _mul_factor(term, a_exp + n - 1, 1 if a_negate else -1)
-        _div_factor(term, n, -1)
+        _div_factor(term, n)
     return PowerSeries(total, order)
 
 
@@ -346,7 +355,7 @@ def series_chain_mex_offset_sum(r: int, order: int = DEFAULT_ORDER) -> PowerSeri
     1 + sum_n (q^n - q^(n+rn)) / ((1-q^n)(q^(r+1);q^(r+1))_n), and that
     inner sum is the top-multiplicity series with modulus r+1."""
     _check_r(r)
-    return series_strict_count(r + 1, order) * series_top_multiplicity_count(r + 1, order)
+    return PowerSeries(_strict(series_top_multiplicity_count(r + 1, order).coeffs, r + 1), order)
 
 
 def series_maex_defect(order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -370,7 +379,7 @@ def series_chain_maex_sum(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     for n in range(1, order + 1):
         _mul_factor(poch, (r + 1) * n, -1)
         term = poch[: order + 1 - n]
-        _div_factor(term, n, -1)
+        _div_factor(term, n)
         _add_shifted(acc, term, n)
     return series_strict_count(r + 1, order) + PowerSeries(_poch(acc, 1, 1, divide=True), order)
 
@@ -378,7 +387,8 @@ def series_chain_maex_sum(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
 def series_chain_maex_product(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Same series as series_chain_maex_sum built as the product of the
     (r+1)-strict count and the bottom-multiplicity count; the two
-    constructions must agree coefficientwise."""
+    constructions must agree coefficientwise.  The product is dense: see
+    the module docstring for why it is not run as kernel passes."""
     _check_r(r)
     return series_strict_count(r + 1, order) * series_bottom_multiplicity_count(r + 1, order)
 
@@ -386,7 +396,7 @@ def series_chain_maex_product(r: int, order: int = DEFAULT_ORDER) -> PowerSeries
 def series_strict_count(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """(q^r;q^r)_inf/(q;q)_inf: counts r-strict partitions."""
     _check_r(r)
-    return PowerSeries(_poch(_poch(_const(order, 1), r, r), 1, 1, divide=True), order)
+    return PowerSeries(_strict(_const(order, 1), r), order)
 
 
 def series_top_multiplicity_count(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -400,10 +410,10 @@ def series_top_multiplicity_count(r: int, order: int = DEFAULT_ORDER) -> PowerSe
         raise SeriesError("modulus must be >= 2")
     acc, inv = _const(order, 1), _const(order, 1)   # inv: 1/(q^r;q^r)_n
     for n in range(1, order + 1):
-        _div_factor(inv, r * n, -1)
+        _div_factor(inv, r * n)
         term = inv[: order + 1 - n]
         _mul_factor(term, (r - 1) * n, -1)
-        _div_factor(term, n, -1)
+        _div_factor(term, n)
         _add_shifted(acc, term, n)
     return PowerSeries(acc, order)
 
@@ -418,7 +428,7 @@ def series_bottom_multiplicity_count(r: int, order: int = DEFAULT_ORDER) -> Powe
     for n in range(1, order + 1):
         _mul_factor(poch, r * n, -1)
         term = poch[: order + 1 - n]
-        _div_factor(term, n, -1)
+        _div_factor(term, n)
         _add_shifted(acc, term, n)
     _poch(acc, r, r, divide=True)
     acc[0] += 1
@@ -446,46 +456,25 @@ def series_parts_above(r: int, j: int, order: int = DEFAULT_ORDER) -> PowerSerie
     c = _const(order, 0)
     if j * r <= order:
         c[j * r] = 1
-    _div_factor(c, j, -1)
+    _div_factor(c, j)
     _poch(c, j + 1, 1, divide=True)
     # for n > order the factor is 1 + O(q^(order+1))
     for n in range(1, min(j, order + 1)):
         # 1 + q^n + ... + q^(n(r-1)) = (1 - q^(nr)) / (1 - q^n)
         _mul_factor(c, n * r, -1)
-        _div_factor(c, n, -1)
+        _div_factor(c, n)
     return PowerSeries(c, order)
 
 
 # ---------------------------------------------------------------------------
-# Bivariate series for the chain-maex distribution
+# Bivariate series for the chain-maex distribution, one PowerSeries per
+# power of z
 # ---------------------------------------------------------------------------
 
-class BivariateSeries:
-    """Truncated series in z and q with exact integer coefficients."""
-
-    __slots__ = ("rows", "z_order", "q_order")
-
-    def __init__(self, z_order: int, q_order: int):
-        self.z_order = z_order
-        self.q_order = q_order
-        self.rows = [[0] * (q_order + 1) for _ in range(z_order + 1)]
-
-    def coeff(self, z_deg: int, q_deg: int) -> int:
-        if not (0 <= z_deg <= self.z_order and 0 <= q_deg <= self.q_order):
-            raise SeriesError(
-                f"coefficient (z^{z_deg}, q^{q_deg}) beyond truncation "
-                f"({self.z_order}, {self.q_order})")
-        return self.rows[z_deg][q_deg]
-
-    def matches(self, other: "BivariateSeries") -> bool:
-        zo = min(self.z_order, other.z_order)
-        qo = min(self.q_order, other.q_order)
-        return all(self.rows[m][: qo + 1] == other.rows[m][: qo + 1]
-                   for m in range(zo + 1))
-
-
-def maex_bivariate(r: int, z_order: int, q_order: int) -> BivariateSeries:
-    """Coefficient of z^m q^n counts partitions of n with r-chain maex m.
+def maex_bivariate(r: int, z_order: int, q_order: int) -> list[PowerSeries]:
+    """The series in z and q whose coefficient of z^m q^n counts partitions
+    of n with r-chain maex m, as the z_order + 1 rows ``series[m]``, each
+    truncated at q_order.
 
     Built from the closed single-sum form
     sum_n q^((r+1)(n+1)) (q^(r+1);q^(r+1))_n / (q;q)_n * z^r/(z q^(n+1);q)_inf,
@@ -493,37 +482,37 @@ def maex_bivariate(r: int, z_order: int, q_order: int) -> BivariateSeries:
     1/(z q^(n+1); q)_inf = sum_m z^m q^((n+1)m) / (q;q)_m.
     """
     _check_r(r)
-    out = BivariateSeries(z_order, q_order)
+    rows = [_const(q_order, 0) for _ in range(z_order + 1)]
     base = _const(q_order, 1)   # (q^(r+1);q^(r+1))_n / (q;q)_n
     n = 0
     while (r + 1) * (n + 1) <= q_order:
         piece = base[:]         # base / (q;q)_m
         m = 0
         while (n + 1) * m <= q_order and r + m <= z_order:
-            _add_shifted(out.rows[r + m], piece, (n + 1) * (r + 1 + m))
+            _add_shifted(rows[r + m], piece, (n + 1) * (r + 1 + m))
             m += 1
-            _div_factor(piece, m, -1)
+            _div_factor(piece, m)
         n += 1
         _mul_factor(base, (r + 1) * n, -1)
-        _div_factor(base, n, -1)
-    return out
+        _div_factor(base, n)
+    return [PowerSeries(row, q_order) for row in rows]
 
 
-def maex_bivariate_double_sum(r: int, z_order: int, q_order: int) -> BivariateSeries:
+def maex_bivariate_double_sum(r: int, z_order: int, q_order: int) -> list[PowerSeries]:
     """Same bivariate series from the intermediate double-sum form
     sum_{m>=r} z^m / (q;q)_(m-r) * sum_{l>=1} q^((m+1)l)
     (q^(r+1);q^(r+1))_(l-1) / (q;q)_(l-1), used to cross-check
     maex_bivariate."""
     _check_r(r)
-    out = BivariateSeries(z_order, q_order)
+    rows = [_const(q_order, 0) for _ in range(z_order + 1)]
     outer = _const(q_order, 1)  # 1/(q;q)_(m-r)
     for m in range(r, z_order + 1):
         piece = outer[:]        # outer * (q^(r+1);q^(r+1))_(l-1) / (q;q)_(l-1)
         ell = 1
         while (m + 1) * ell <= q_order:
-            _add_shifted(out.rows[m], piece, (m + 1) * ell)
+            _add_shifted(rows[m], piece, (m + 1) * ell)
             _mul_factor(piece, (r + 1) * ell, -1)
-            _div_factor(piece, ell, -1)
+            _div_factor(piece, ell)
             ell += 1
-        _div_factor(outer, m - r + 1, -1)
-    return out
+        _div_factor(outer, m - r + 1)
+    return [PowerSeries(row, q_order) for row in rows]

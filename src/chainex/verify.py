@@ -431,8 +431,8 @@ def _maex_distribution_rows(spec, report, r_values, j_values, n_max, top):
                 # maex 0 marks the gap-bounded class, which the
                 # bivariate series leave out
                 count = t.maex_counts(r)[m] if m else 0
-                report.add(r, m, n, count, series.coeff(m, n), "enumeration")
-                report.add(r, m, n, series.coeff(m, n), other.coeff(m, n), "double-sum")
+                report.add(r, m, n, count, series[m].coeff(n), "enumeration")
+                report.add(r, m, n, series[m].coeff(n), other[m].coeff(n), "double-sum")
 
 
 class _Theorem(namedtuple("_Theorem", "rows takes n r j series stat product families",
@@ -548,18 +548,23 @@ class _Pairing(namedtuple("_Pairing", "bound forward inverse checker takes n lea
     then its options, default n and least r as for ``_Map``, and the keys
     of its trace that ``chainex bijection`` prints without --trace.  The
     codomain is whatever the checker accepts among candidates it picks
-    itself: the betas (and the r colored empties) it accepts next to the
-    empty alpha, and the alphas it accepts next to the first beta of
-    weight 0 it accepts.  An image is in the codomain of weight n when its alpha is a
-    candidate of weight a <= n and its beta one of weight n - a, as long as
-    the checker tests alpha and beta separately, as all three do, and so
-    accepts every candidate pair; a weight where it does not fails."""
+    itself: the betas (and the colored empties 1..bound(EMPTY, r) + 1, one
+    past the domain of weight 0) it accepts next to the empty alpha, and the
+    alphas it accepts next to the first beta of weight 0 it accepts.  An
+    image is in the codomain of weight n when its alpha is a candidate of
+    weight a <= n and its beta one of weight n - a, as long as the checker
+    tests alpha and beta separately, as all three do, and so accepts every
+    candidate pair; a weight where it does not fails."""
 
     def certify(self, report, r, n_max):
         # looked up per call so that a patched module attribute is used
         forward, inverse = getattr(bij, self.forward), getattr(bij, self.inverse)
         checker, pair = getattr(bij, self.checker), bij.PartitionPair
-        colored = [bij.ColoredEmpty(color) for color in range(1, r + 1)]
+        # colors up to one past the size of the weight-0 domain, r for
+        # gamma-star but 1 for gamma and delta, so a huge r lists no huge
+        # color list, and a checker that accepts one color too many or a
+        # bound one too low at EMPTY still fails at n = 0
+        colored = [bij.ColoredEmpty(color) for color in range(1, self.bound(EMPTY, r) + 2)]
         alphas, betas = [], []
         for n in range(n_max + 1):
             weight_n = list(partitions(n))

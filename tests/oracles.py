@@ -23,15 +23,16 @@ against ``linear_mex`` and ``linear_maex`` in the partition tests.
 
 The ``dense_*`` functions are a reference for the q-series builders: the
 same generating functions written the slow way, every Pochhammer factor a
-dense series, products through ``PowerSeries.__mul__`` and quotients
-through ``PowerSeries.invert``.  They share no code with the library's
-sparse Pochhammer kernel.
+dense series, products through ``PowerSeries.__mul__``, quotients
+through ``PowerSeries.invert`` and powers of q through ``shifted``.  The
+bivariate ones return one series per power of z, as the library does.
+They share no code with the library's sparse Pochhammer kernel.
 """
 
 from functools import lru_cache
 
 from chainex.partition import scan_start, scan_step
-from chainex.qseries import BivariateSeries, PowerSeries
+from chainex.qseries import PowerSeries
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +260,12 @@ def box_partition_count(rows: int, cols: int, n: int) -> int:
 
 def monomial(exponent, order):
     """q^exponent truncated at order."""
-    return PowerSeries([1], order).shift(exponent)
+    return PowerSeries([0] * exponent + [1], order)
+
+
+def shifted(s, exponent):
+    """s times q^exponent (exponent >= 0), truncated at the order of s."""
+    return PowerSeries([0] * exponent + s.coeffs, s.order)
 
 
 def dense_factor(e, order, sign=-1):
@@ -317,7 +323,7 @@ def dense_chain_mex_offset_sum(r, order):
 def dense_maex_defect(order):
     acc = PowerSeries([0], order)
     for n in range(1, order + 1):
-        acc = acc + dense_poch(2, 2, n - 1, order).shift(n)
+        acc = acc + shifted(dense_poch(2, 2, n - 1, order), n)
     return dense_partition_count(order) * acc
 
 
@@ -325,7 +331,7 @@ def dense_chain_maex_sum(r, order):
     acc = PowerSeries([0], order)
     for n in range(1, order + 1):
         term = dense_poch(r + 1, r + 1, n, order) * dense_factor(n, order).invert()
-        acc = acc + term.shift(n)
+        acc = acc + shifted(term, n)
     return dense_strict_count(r + 1, order) + dense_partition_count(order) * acc
 
 
@@ -346,19 +352,19 @@ def dense_bottom_multiplicity_count(r, order):
     acc = PowerSeries([0], order)
     for n in range(1, order + 1):
         term = dense_poch(r, r, n, order) * dense_factor(n, order).invert()
-        acc = acc + term.shift(n)
+        acc = acc + shifted(term, n)
     return PowerSeries([1], order) + dense_poch(r, r, None, order).invert() * acc
 
 
 def dense_sum_largest(order):
     acc = PowerSeries([0], order)
     for n in range(1, order + 1):
-        acc = acc + dense_factor(n, order).invert().shift(n)
+        acc = acc + shifted(dense_factor(n, order).invert(), n)
     return dense_partition_count(order) * acc
 
 
 def dense_parts_above(r, j, order):
-    out = dense_factor(j, order).invert().shift(j * r)
+    out = shifted(dense_factor(j, order).invert(), j * r)
     out = out * dense_poch(j + 1, 1, None, order).invert()
     for n in range(1, j):
         geom = PowerSeries([0], order)
@@ -377,7 +383,7 @@ def dense_q_binomial_sum(a_exp, z_exp, order, a_negate=False):
         num = (PowerSeries([1], order) if a_exp is None
                else dense_poch(a_exp, 1, n, order, sign))
         term = num * dense_poch(1, 1, n, order).invert()
-        total = total + term.shift(n * z_exp)
+        total = total + shifted(term, n * z_exp)
         n += 1
     return total
 
@@ -389,36 +395,30 @@ def dense_q_binomial_product(a_exp, z_exp, order, a_negate=False):
     return dense_poch(a_exp + z_exp, 1, None, order, 1 if a_negate else -1) * den_inv
 
 
-def _add_row(out, z_deg, series):
-    if z_deg <= out.z_order:
-        for n in range(out.q_order + 1):
-            out.rows[z_deg][n] += series.coeffs[n]
-
-
 def dense_maex_bivariate(r, z_order, q_order):
-    out = BivariateSeries(z_order, q_order)
+    rows = [PowerSeries([0], q_order) for _ in range(z_order + 1)]
     n = 0
     while (r + 1) * (n + 1) <= q_order:
         base = dense_poch(r + 1, r + 1, n, q_order) \
             * dense_poch(1, 1, n, q_order).invert()
-        base = base.shift((r + 1) * (n + 1))
+        base = shifted(base, (r + 1) * (n + 1))
         m = 0
         while (n + 1) * m <= q_order and r + m <= z_order:
             piece = base * dense_poch(1, 1, m, q_order).invert()
-            _add_row(out, r + m, piece.shift((n + 1) * m))
+            rows[r + m] = rows[r + m] + shifted(piece, (n + 1) * m)
             m += 1
         n += 1
-    return out
+    return rows
 
 
 def dense_maex_bivariate_double_sum(r, z_order, q_order):
-    out = BivariateSeries(z_order, q_order)
+    rows = [PowerSeries([0], q_order) for _ in range(z_order + 1)]
     for m in range(r, z_order + 1):
         ell = 1
         while (m + 1) * ell <= q_order:
             piece = dense_poch(1, 1, m - r, q_order).invert() \
                 * dense_poch(r + 1, r + 1, ell - 1, q_order) \
                 * dense_poch(1, 1, ell - 1, q_order).invert()
-            _add_row(out, m, piece.shift((m + 1) * ell))
+            rows[m] = rows[m] + shifted(piece, (m + 1) * ell)
             ell += 1
-    return out
+    return rows

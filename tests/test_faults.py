@@ -4,7 +4,11 @@ Each theorem case makes one side of one theorem wrong by 1 at the largest
 n of the theorem's default range: the series builder its rows read, or,
 for thm-1.5, which reads no series, one family statistic on one partition
 of that n.  ``chainex verify <id>`` at its defaults must then exit 1 with
-MISMATCH lines, each at that n.
+MISMATCH lines, each at that n.  So must every other family statistic of
+thm-1.5 and thm-1.10, and the component series that the thm-1.7 builder
+and the thm-1.11 product form multiply by the strict count, which fail
+only the rows that read them, and a kernel fault above the enumerated
+range, which only thm-1.11's two series forms can see.
 
 ``TestFaultyMap`` plants faults in the bijection side: each map's forward
 and inverse wrong on one object, each pairing's codomain checker over- or
@@ -43,7 +47,7 @@ def maex_one_plus_one(builder, n):
     """``builder`` with 1 added to its coefficient of z q^n."""
     def wrong(*args):
         series = builder(*args)
-        series.rows[1][n] += 1
+        series[1].coeffs[n] += 1
         return series
     return wrong
 
@@ -72,15 +76,75 @@ def test_every_theorem_has_a_fault():
     assert sorted(FAULTS) == sorted(vf.THEOREMS)
 
 
-@pytest.mark.parametrize("vid", FAULTS)
-def test_a_fault_at_the_largest_n_fails_verify(capsys, vid):
-    owner, name, fault, n = FAULTS[vid]
+def planted_mismatches(capsys, vid, owner, name, fault, n):
+    """The MISMATCH lines of ``chainex verify <vid>`` at its defaults with
+    ``owner.name`` made wrong at n, after checking that it exits 1."""
     with mock.patch.object(owner, name, fault(getattr(owner, name), n)):
         code = run(["verify", vid])
     out = capsys.readouterr().out
-    mismatches = [line for line in out.splitlines() if "MISMATCH" in line]
     assert code == 1 and out.startswith(f"{vid}: FAIL")
+    return [line for line in out.splitlines() if "MISMATCH" in line]
+
+
+@pytest.mark.parametrize("vid", FAULTS)
+def test_a_fault_at_the_largest_n_fails_verify(capsys, vid):
+    owner, name, fault, n = FAULTS[vid]
+    mismatches = planted_mismatches(capsys, vid, owner, name, fault, n)
     assert mismatches and all(f" n={n} " in line for line in mismatches)
+
+
+# each family statistic of thm-1.5 and thm-1.10 besides count_multiples,
+# one too high on the partition [25] of the largest n
+FAMILY_FAULTS = [("thm-1.5", "largest_repeating"), ("thm-1.5", "parts_above"),
+                 ("thm-1.10", "top_multiple_multiplicity"),
+                 ("thm-1.10", "smallest_repeating"), ("thm-1.10", "parts_above")]
+
+
+@pytest.mark.parametrize("vid, name", FAMILY_FAULTS,
+                         ids=[f"{vid}-{name}" for vid, name in FAMILY_FAULTS])
+def test_a_family_statistic_fault_fails_verify(capsys, vid, name):
+    mismatches = planted_mismatches(capsys, vid, vf, name, one_partition_plus_one, 25)
+    assert mismatches and all(" n=25 " in line for line in mismatches)
+
+
+# the component series a strict-count product reads: its id, the builder,
+# and the label of the only rows that may fail ("" for the
+# statistic-vs-series rows)
+COMPONENT_FAULTS = {
+    "thm-1.7": ("series_top_multiplicity_count", ""),
+    "thm-1.11": ("series_bottom_multiplicity_count", "sum-vs-product"),
+}
+
+
+@pytest.mark.parametrize("vid", COMPONENT_FAULTS)
+def test_a_component_fault_fails_only_the_rows_that_read_it(capsys, vid):
+    name, label = COMPONENT_FAULTS[vid]
+    mismatches = planted_mismatches(capsys, vid, qs, name, coefficient_plus_one, 30)
+    # every r of the default range reads the component at modulus r + 1
+    assert {line.split()[1] for line in mismatches} == {f"r={r}" for r in range(1, 7)}
+    assert all(f" n=30 {label} lhs=" in line for line in mismatches)
+
+
+def test_a_kernel_fault_past_the_enumerated_range_fails_the_thm_1_11_forms(capsys):
+    # dividing by 1 - q also adds c[39] into c[40]: a linear fault above
+    # n = 30, where only the two series forms are compared.  Had the product
+    # run the strict ratio as passes over the bottom-multiplicity builder,
+    # it would cancel that builder's division and meet the sum form
+    # whatever the kernel does; the dense product must not.
+    honest = qs._div_factor
+
+    def faulty(c, e):
+        honest(c, e)
+        if e == 1 and len(c) > 40:
+            c[40] += c[39]
+
+    with mock.patch.object(qs, "_div_factor", faulty):
+        code = run(["verify", "thm-1.11", "--order", "60"])
+    out = capsys.readouterr().out
+    mismatches = [line for line in out.splitlines() if "MISMATCH" in line]
+    assert code == 1 and mismatches
+    assert all(" sum-vs-product lhs=" in line and int(line.split()[3][2:]) >= 40
+               for line in mismatches)
 
 
 class TestFaultyMap:
@@ -188,6 +252,36 @@ class TestFaultyMap:
             code, out, err = call(capsys, "verify", vid, "--r", str(r), "--n", "8")
         assert (code, err) == (1, "")
         assert out.splitlines()[1] == f"  MISMATCH r={r} j=None n=3 cardinality {first}"
+
+    @pytest.mark.parametrize("vid, checker, color", [
+        ("gamma", "in_mex_codomain", 1), ("gamma", "in_mex_codomain", 2),
+        ("gamma-star", "in_colored_codomain", 4),
+    ], ids=["gamma-1", "gamma-2", "gamma-star-4"])
+    def test_checker_that_accepts_a_colored_empty(self, capsys, vid, checker, color):
+        # each pairing is offered colors up to one past its weight-0 domain,
+        # 1 for gamma and r for gamma-star, at every r; a checker that also
+        # accepts one of them has a codomain one too large there
+        honest = getattr(bijections, checker)
+
+        def faulty(pair, r):
+            return honest(pair, r) or pair.beta == bijections.ColoredEmpty(color)
+
+        with mock.patch.object(bijections, checker, faulty):
+            code, out, err = call(capsys, "verify", vid, "--r", "3", "--n", "4")
+        domain = vf._BIJECTIONS[vid].bound(vf.EMPTY, 3)
+        assert (code, err) == (1, "")
+        assert out.splitlines()[1] == (
+            f"  MISMATCH r=3 j=None n=0 cardinality lhs={domain} rhs={domain + 1}")
+
+    def test_bound_one_too_low_on_the_empty_partition(self, capsys):
+        # gamma-star's domain of weight 0 loses its last color, which the
+        # checker still accepts, so the codomain there is one too large
+        spec = vf._BIJECTIONS["gamma-star"]
+        low = spec._replace(bound=lambda lam, r: spec.bound(lam, r) - (lam == vf.EMPTY))
+        with mock.patch.dict(vf._BIJECTIONS, {"gamma-star": low}):
+            code, out, err = call(capsys, "verify", "gamma-star", "--r", "3", "--n", "4")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[1] == "  MISMATCH r=3 j=None n=0 cardinality lhs=2 rhs=3"
 
     # each map at r, with an object of weight 10 the fault is planted on and
     # another object of the map's domain of the same weight

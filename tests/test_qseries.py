@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from chainex.partition import chain_maex, chain_mex, partitions, smallest_repeating
 from chainex.qseries import (
-    BivariateSeries,
     PowerSeries,
     SeriesError,
     gaussian_binomial,
@@ -29,7 +28,7 @@ from chainex.qseries import (
     series_top_multiplicity_count,
 )
 
-from oracles import box_partition_count, monomial, partition_count, pentagonal_signs
+from oracles import box_partition_count, monomial, partition_count, pentagonal_signs, shifted
 
 
 class TestPowerSeriesArithmetic:
@@ -57,7 +56,8 @@ class TestPowerSeriesArithmetic:
         assert (a * 3).coeffs == [3, 3]
         assert (2 * a).coeffs == [2, 2]
         assert (a + 1).coeffs == [2, 1]
-        assert (1 - a).coeffs == [0, -1]
+        assert (1 + a).coeffs == [2, 1]
+        assert (a - 1).coeffs == [0, 1]
 
     def test_mul(self):
         a = PowerSeries([1, 1], order=3)
@@ -76,13 +76,12 @@ class TestPowerSeriesArithmetic:
             PowerSeries([0, 1], order=2).invert()
 
     def test_shift_truncate_monomial(self):
+        # the oracles' monomial and shift, which the dense references build on
         s = monomial(2, 4)
         assert s.coeffs == [0, 0, 1, 0, 0]
-        assert s.shift(1).coeffs == [0, 0, 0, 1, 0]
-        assert s.shift(3).coeffs == [0, 0, 0, 0, 0]
+        assert shifted(s, 1).coeffs == [0, 0, 0, 1, 0]
+        assert shifted(s, 3).coeffs == [0, 0, 0, 0, 0]
         assert monomial(5, 4).coeffs == [0, 0, 0, 0, 0]
-        with pytest.raises(SeriesError):
-            s.shift(-1)
 
     def test_negative_order_rejected(self):
         with pytest.raises(SeriesError):
@@ -280,17 +279,17 @@ class TestStatisticSeriesAgainstEnumeration:
 
 class TestBivariate:
     def test_coeff_bounds(self):
-        b = BivariateSeries(2, 3)
-        assert b.coeff(0, 0) == 0
-        with pytest.raises(SeriesError):
-            b.coeff(3, 0)
-        with pytest.raises(SeriesError):
-            b.coeff(0, 4)
+        # one series per power of z, each truncated at the q order
+        for builder in (maex_bivariate, maex_bivariate_double_sum):
+            rows = builder(1, 2, 3)
+            assert [row.order for row in rows] == [3, 3, 3]
+            assert rows[0].coeff(0) == 0
+            with pytest.raises(SeriesError):
+                rows[0].coeff(4)
 
     def test_two_constructions_agree(self):
         for r in (1, 2, 3):
-            assert maex_bivariate(r, 12, 18).matches(
-                maex_bivariate_double_sum(r, 12, 18))
+            assert maex_bivariate(r, 12, 18) == maex_bivariate_double_sum(r, 12, 18)
 
     def test_matches_enumeration(self):
         for r in (1, 2):
@@ -300,4 +299,4 @@ class TestBivariate:
                 for lam in partitions(n):
                     counts[chain_maex(lam, r)] += 1
                 for m in range(1, 15):
-                    assert b.coeff(m, n) == counts[m], (r, m, n)
+                    assert b[m].coeff(n) == counts[m], (r, m, n)

@@ -454,6 +454,23 @@ class TestBijectionCertification:
         expected = sum(chain_mex(lam, 2) + 1 for lam in partitions(6))
         assert card[0].lhs == expected == card[0].rhs
 
+    def test_colors_only_one_past_the_weight_0_domain(self):
+        # gamma's weight-0 domain holds one object at every r, so a huge r
+        # builds at most two colored empties, not r of them
+        built = []
+
+        class Counted(ColoredEmpty):
+            __slots__ = ()
+
+            def __new__(cls, color):
+                built.append(color)
+                return super().__new__(cls, color)
+
+        with mock.patch.object(bijections, "ColoredEmpty", Counted):
+            report = certify_bijection("gamma", 10**6, 2)
+        assert report.passed
+        assert len(built) <= 2
+
 
 class TestGeneratedCodomain:
     """The codomain size that certification counts from the candidates it
