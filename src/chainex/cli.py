@@ -2,8 +2,9 @@
 bijection tracing, and identity verification.
 
 Exit codes: 0 all requested checks pass, 1 a verification mismatch,
-2 malformed input or out-of-contract arguments, 141 (128 + SIGPIPE) when
-the reader closes stdout before the output is written.
+2 malformed input, out-of-contract arguments or a request too large to
+allocate, 141 (128 + SIGPIPE) when the reader closes stdout before the
+output is written.
 """
 
 from __future__ import annotations
@@ -52,11 +53,15 @@ ALIASES = {"multiples-to-repeats": "multiples-repeats",
            "repeats-to-multiples": "multiples-repeats-inv"}
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(option: str, text: str) -> range:
     # checked from its two ends, never listed: a huge range costs nothing
     lo, dots, hi = text.partition("..")
-    lo = int(lo)
-    hi = int(hi) if dots else lo
+    try:
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+    except ValueError:
+        raise ValueError(f"--{option} must be an integer or a range LO..HI, "
+                         f"got {text!r}") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}: the upper end is below the lower")
     return range(lo, hi + 1)
@@ -181,8 +186,8 @@ def cmd_bijection(args) -> int:
 def cmd_verify(args) -> int:
     # the id and the options it reads are checked before a range is parsed
     vf.check_arguments(args.id, args.r, args.j, args.n, args.order)
-    r_values = None if args.r is None else _parse_range(args.r)
-    j_values = None if args.j is None else _parse_range(args.j)
+    r_values = None if args.r is None else _parse_range("r", args.r)
+    j_values = None if args.j is None else _parse_range("j", args.j)
     report = vf.run_check(args.id, r_values, args.n, j_values, args.order)
     _emit(vf.report_to_format(report, args.format), args.out)
     return 0 if report.passed else 1
@@ -262,6 +267,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: not enough memory for this request", file=sys.stderr)
         return 2
 
 

@@ -29,10 +29,11 @@ walks the partitions of n_max once, whatever the r range.  The bijection
 side reads the chain excludants through ``chain_mex_maex``, a one-r loop
 that shares no scan code with the walk.
 
-Bijection certification lists every partition of each weight up to n once
-and counts: a weight passes when every image lies in the codomain of that
-weight and round-trips, so the map is injective, and domain and codomain
-have the same size, so it is onto.  A partition map's domain and codomain
+Bijection certification fills one report for every r of its range.  At
+each r it lists every partition of each weight up to n once and counts: a
+weight passes when every image lies in the codomain of that weight and
+round-trips, so the map is injective, and domain and codomain have the
+same size, so it is onto.  A partition map's domain and codomain
 are the partitions that pass its membership tests.  An index-to-pair map
 (gamma, gamma-star, delta) has as domain every (lambda, i) with i up to
 the index bound, and as codomain exactly the pairs its public codomain
@@ -239,17 +240,11 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     return out
 
 
-def tally(n: int, r_max: int, family_cells=()) -> Tally:
-    """The tally of the partitions of n: the last entry of ``tallies(n,
-    ...)``, whose one walk of n tallies every smaller n on the way."""
-    return tallies(n, r_max, family_cells)[n]
-
-
 def sigma_stat(n: int, r: int, stat: str) -> int:
     """Exact sum of the chosen statistic over all partitions of n."""
     if stat not in _STAT_SUMS:
         raise ValueError(f"unknown statistic {stat!r}")
-    return _STAT_SUMS[stat](tally(n, r), r)
+    return _STAT_SUMS[stat](tallies(n, r)[n], r)
 
 
 def count_family(n: int, r: int, j: int, family: str) -> int:
@@ -262,7 +257,7 @@ def count_family(n: int, r: int, j: int, family: str) -> int:
     least = next(spec.j.start for spec in _THEOREMS.values() if family in spec.families)
     if j < least:
         raise ValueError(f"family {family!r} needs j >= {least}")
-    return tally(n, r - 1, [(family, r)]).families[family, r][j]
+    return tallies(n, r - 1, [(family, r)])[n].families[family, r][j]
 
 
 class Row(namedtuple("Row", "r j n lhs rhs label", defaults=("",))):
@@ -342,11 +337,14 @@ def _check_ints(name, values):
 
 def _resolve(values, default, name, least):
     """The requested values, or ``default`` when unset: a range as it is,
-    read from its two ends and never listed, anything else as a list; an
-    empty one, a value not an int, or one below ``least`` is rejected."""
+    read from its two ends and never listed, any other iterable as a list;
+    anything else, an empty one, a value not an int, or one below ``least``
+    is rejected."""
     values = default if values is None else values
     ranged = isinstance(values, range)
     if not ranged:
+        if not hasattr(values, "__iter__"):
+            raise ValueError(f"{name} must be a range or a list of integers, got {values!r}")
         values = list(values)
         _check_ints(name, values)
     if not values:
@@ -507,46 +505,47 @@ def _round_trips(inverse, image, r, preimage) -> bool:
         return False
 
 
-class _Map(namedtuple("_Map", "domain codomain forward inverse fiber takes n least_r",
-                      defaults=(("r", "n"), 16, 2))):
+class _Map(namedtuple("_Map", "domain codomain forward inverse fiber")):
     """A map between two families of partitions of the same weight: the
     domain and codomain membership tests (None: every partition), the
     names of the map and its inverse in bijections, and the fiber test,
-    whether the image carries the input's statistic (None: no fiber);
-    then its options, default n and least r (the maps raise below 2)."""
+    whether the image carries the input's statistic (None: no fiber).
+    All maps share their options, default n and least r (they raise below 2)."""
+    takes, n, least_r = ("r", "n"), 16, 2
 
-    def certify(self, report, r, n_max):
+    def certify(self, report, r_values, n_max):
         # looked up per call so that a patched module attribute is used
         forward, inverse = getattr(bij, self.forward), getattr(bij, self.inverse)
-        for n in range(n_max + 1):
-            domain_size = codomain_size = 0
-            ok = fibers = True
-            for lam in partitions(n):
-                codomain_size += self.codomain is None or self.codomain(lam, r)
-                if self.domain is not None and not self.domain(lam, r):
-                    continue
-                domain_size += 1
-                out = forward(lam, r)
+        for r in r_values:
+            for n in range(n_max + 1):
+                domain_size = codomain_size = 0
+                ok = fibers = True
+                for lam in partitions(n):
+                    codomain_size += self.codomain is None or self.codomain(lam, r)
+                    if self.domain is not None and not self.domain(lam, r):
+                        continue
+                    domain_size += 1
+                    out = forward(lam, r)
+                    if self.fiber is not None:
+                        fibers &= self.fiber(lam, out, r)
+                    ok &= _round_trips(inverse, out, r, lam)
+                    ok &= out.weight == n and (self.codomain is None or self.codomain(out, r))
+                # injective into a codomain of the same size, so onto
+                ok &= domain_size == codomain_size
+                # between all partitions of n the cardinalities agree trivially
+                if self.domain is not None:
+                    report.add(r, None, n, domain_size, codomain_size, "cardinality")
+                report.add(r, None, n, int(ok), 1, "roundtrip")
                 if self.fiber is not None:
-                    fibers &= self.fiber(lam, out, r)
-                ok &= _round_trips(inverse, out, r, lam)
-                ok &= out.weight == n and (self.codomain is None or self.codomain(out, r))
-            # injective into a codomain of the same size, so onto
-            ok &= domain_size == codomain_size
-            # between all partitions of n the cardinalities agree trivially
-            if self.domain is not None:
-                report.add(r, None, n, domain_size, codomain_size, "cardinality")
-            report.add(r, None, n, int(ok), 1, "roundtrip")
-            if self.fiber is not None:
-                report.add(r, None, n, int(fibers), 1, "fiber")
+                    report.add(r, None, n, int(fibers), 1, "fiber")
 
 
-class _Pairing(namedtuple("_Pairing", "bound forward inverse checker takes n least_r untraced",
-                          defaults=(("r", "n"), 16, 1, ("input", "output")))):
-    """An index-to-pair map: the index bound of lambda at r, and the names
-    of the forward map, its inverse and its codomain checker in bijections,
-    then its options, default n and least r as for ``_Map``, and the keys
-    of its trace that ``chainex bijection`` prints without --trace.  The
+class _Pairing(namedtuple("_Pairing", "bound forward inverse checker untraced",
+                          defaults=(("input", "output"),))):
+    """An index-to-pair map: the index bound of lambda at r, the names of
+    the forward map, its inverse and its codomain checker in bijections,
+    and the keys of its trace that ``chainex bijection`` prints without
+    --trace; options and default n as for ``_Map``, at any r >= 1.  The
     codomain is whatever the checker accepts among candidates it picks
     itself: the betas (and the colored empties 1..bound(EMPTY, r) + 1, one
     past the domain of weight 0) it accepts next to the empty alpha, and the
@@ -555,44 +554,48 @@ class _Pairing(namedtuple("_Pairing", "bound forward inverse checker takes n lea
     weight a <= n and its beta one of weight n - a, as long as the checker
     tests alpha and beta separately, as all three do, and so accepts every
     candidate pair; a weight where it does not fails."""
+    takes, n, least_r = ("r", "n"), 16, 1
 
-    def certify(self, report, r, n_max):
+    def certify(self, report, r_values, n_max):
         # looked up per call so that a patched module attribute is used
         forward, inverse = getattr(bij, self.forward), getattr(bij, self.inverse)
         checker, pair = getattr(bij, self.checker), bij.PartitionPair
-        # colors up to one past the size of the weight-0 domain, r for
-        # gamma-star but 1 for gamma and delta, so a huge r lists no huge
-        # color list, and a checker that accepts one color too many or a
-        # bound one too low at EMPTY still fails at n = 0
-        colored = [bij.ColoredEmpty(color) for color in range(1, self.bound(EMPTY, r) + 2)]
-        alphas, betas = [], []
-        for n in range(n_max + 1):
-            weight_n = list(partitions(n))
-            accepted = [beta for beta in (weight_n + colored if n == 0 else weight_n)
-                        if checker(pair(EMPTY, beta), r)]
-            betas.append(set(accepted))
-            if n == 0:
-                # with no beta of weight 0 accepted every codomain is empty,
-                # and the nonempty domain at n = 0 fails
-                anchor = accepted[:1]
-            alphas.append({alpha for alpha in weight_n for beta in anchor
-                           if checker(pair(alpha, beta), r)})
-            codomain_size = sum(checker(pair(alpha, beta), r) for a in range(n + 1)
-                                for alpha in alphas[a] for beta in betas[n - a])
-            # every candidate pair accepted: the codomain is all of them
-            ok = codomain_size == sum(len(alphas[a]) * len(betas[n - a]) for a in range(n + 1))
-            domain_size = 0
-            for lam in weight_n:
-                for i in range(1, self.bound(lam, r) + 1):
-                    domain_size += 1
-                    image = forward(lam, i, r)
-                    ok &= _round_trips(inverse, image, r, (lam, i))
-                    a = image.alpha.weight
-                    ok &= a <= n and image.alpha in alphas[a] and image.beta in betas[n - a]
-            # injective into a codomain of the same size, so onto
-            ok &= domain_size == codomain_size
-            report.add(r, None, n, domain_size, codomain_size, "cardinality")
-            report.add(r, None, n, int(ok), 1, "roundtrip")
+        for r in r_values:
+            # colors up to one past the size of the weight-0 domain, r for
+            # gamma-star but 1 for gamma and delta, so a huge r lists no
+            # huge color list, and a checker that accepts one color too
+            # many or a bound one too low at EMPTY still fails at n = 0
+            colored = [bij.ColoredEmpty(color)
+                       for color in range(1, self.bound(EMPTY, r) + 2)]
+            alphas, betas = [], []
+            for n in range(n_max + 1):
+                weight_n = list(partitions(n))
+                accepted = [beta for beta in (weight_n + colored if n == 0 else weight_n)
+                            if checker(pair(EMPTY, beta), r)]
+                betas.append(set(accepted))
+                if n == 0:
+                    # with no beta of weight 0 accepted every codomain is
+                    # empty, and the nonempty domain at n = 0 fails
+                    anchor = accepted[:1]
+                alphas.append({alpha for alpha in weight_n for beta in anchor
+                               if checker(pair(alpha, beta), r)})
+                codomain_size = sum(checker(pair(alpha, beta), r) for a in range(n + 1)
+                                    for alpha in alphas[a] for beta in betas[n - a])
+                # every candidate pair accepted: the codomain is all of them
+                ok = codomain_size == sum(len(alphas[a]) * len(betas[n - a])
+                                          for a in range(n + 1))
+                domain_size = 0
+                for lam in weight_n:
+                    for i in range(1, self.bound(lam, r) + 1):
+                        domain_size += 1
+                        image = forward(lam, i, r)
+                        ok &= _round_trips(inverse, image, r, (lam, i))
+                        a = image.alpha.weight
+                        ok &= a <= n and image.alpha in alphas[a] and image.beta in betas[n - a]
+                # injective into a codomain of the same size, so onto
+                ok &= domain_size == codomain_size
+                report.add(r, None, n, domain_size, codomain_size, "cardinality")
+                report.add(r, None, n, int(ok), 1, "roundtrip")
 
 
 _BIJECTIONS = {
@@ -617,19 +620,22 @@ _BIJECTIONS = {
 BIJECTIONS = tuple(_BIJECTIONS)
 
 
-def certify_bijection(name: str, r: int, n_max: int = None) -> VerificationReport:
-    """Exhaustively certify one constructive map for all weights <= n_max
+def certify_bijection(name: str, r_values, n_max: int = None) -> VerificationReport:
+    """Exhaustively certify one constructive map at every r in ``r_values``
+    (a range, read from its two ends, or a list) for all weights <= n_max
     (default 16, the entry's n), each weight listed once: forward output
     lands in the codomain of its weight, the inverse round-trips, and the
     independently counted domain and codomain cardinalities agree."""
     if name not in _BIJECTIONS:
         raise ValueError(f"unknown bijection id {name!r}")
     spec = _BIJECTIONS[name]
-    _resolve([r], None, "r", spec.least_r)
+    if r_values is None:
+        raise ValueError("bijection verification requires --r")
+    r_values = _resolve(r_values, None, "r", spec.least_r)
     n_max, _ = _resolve_n(n_max, spec.n, None)
     start = time.monotonic()
     report = VerificationReport(f"bijection:{name}")
-    spec.certify(report, r, n_max)
+    spec.certify(report, r_values, n_max)
     report.wall_time = time.monotonic() - start
     return report
 
@@ -659,15 +665,7 @@ def run_check(vid: str, r_values=None, n_max: int = None, j_values=None,
     if vid in _THEOREMS:
         return check_theorem(vid, r_values, n_max, j_values, order)
     check_arguments(vid, r_values, j_values, n_max, order)
-    if r_values is None:
-        raise ValueError("bijection verification requires --r")
-    r_values = _resolve(r_values, None, "r", _BIJECTIONS[vid].least_r)
-    report = VerificationReport(f"bijection:{vid}")
-    for r in r_values:
-        sub = certify_bijection(vid, r, n_max)
-        report.rows.extend(sub.rows)
-        report.wall_time += sub.wall_time
-    return report
+    return certify_bijection(vid, r_values, n_max)
 
 
 def report_to_format(report: VerificationReport, fmt: str) -> str:

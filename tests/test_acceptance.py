@@ -64,13 +64,13 @@ def test_criterion_6_equinumerous_families(capsys):
 def test_criterion_7_bijection_certification(capsys):
     ok = True
     for r in (2, 3, 4):
-        ok &= certify_bijection("glaisher", r, 20).passed
-        ok &= certify_bijection("multiples-repeats", r, 20).passed
-        ok &= certify_bijection("top-multiple", r, 16).passed
+        ok &= certify_bijection("glaisher", [r], 20).passed
+        ok &= certify_bijection("multiples-repeats", [r], 20).passed
+        ok &= certify_bijection("top-multiple", [r], 16).passed
     for r in (1, 2, 3):
-        ok &= certify_bijection("gamma", r, 20).passed
-        ok &= certify_bijection("gamma-star", r, 20).passed
-        ok &= certify_bijection("delta", r, 20).passed
+        ok &= certify_bijection("gamma", [r], 20).passed
+        ok &= certify_bijection("gamma-star", [r], 20).passed
+        ok &= certify_bijection("delta", [r], 20).passed
     lam = Partition([9, 7, 6, 6, 6, 1, 1, 1, 1])
     image = multiples_to_repeats(lam, 3)
     ok &= image == Partition([7, 4, 4, 4, 4, 4, 4, 3, 1, 1, 1, 1])

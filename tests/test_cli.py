@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from unittest import mock
@@ -354,6 +355,14 @@ class TestVerify:
         assert call(capsys, "verify", "gamma", "--r", "2..1", "--n", "4")[0] == 2
         assert call(capsys, "verify", "gamma", "--r", "2", "--n", "-1")[0] == 2
 
+    @pytest.mark.parametrize("option", ["r", "j"])
+    @pytest.mark.parametrize("text", ["1..", "x", "1..3..5"])
+    def test_malformed_range_names_the_option_and_the_text(self, capsys, option, text):
+        code, out, err = call(capsys, "verify", "thm-1.5", f"--{option}", text, "--n", "5")
+        assert (code, out) == (2, "")
+        assert err == (f"error: --{option} must be an integer or a range LO..HI, "
+                       f"got {text!r}\n")
+
     def test_csv_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, out, _ = call(capsys, "verify", "thm-1.8", "--n", "6",
@@ -526,6 +535,23 @@ def test_huge_r_maex_distribution_finishes():
     # nonzero; the rows stop at maex 4 instead of 10^8
     command, env = cli_command("verify", "maex-distribution", "--r", "100000000", "--n", "5")
     assert subprocess.run(command, env=env, capture_output=True, timeout=20).returncode == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "partitions", "--order", "100000000000"),
+    ("verify", "thm-1.4", "--n", "1", "--order", "100000000000"),
+])
+def test_a_request_too_large_to_allocate_exits_2(argv):
+    # the child's address space is capped at 2 GB, so the 800 GB
+    # coefficient list fails at once; the parent is not capped
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    command, env = cli_command(*argv)
+    proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=20,
+                          preexec_fn=cap)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: not enough memory for this request\n"
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

@@ -11,7 +11,8 @@ only the rows that read them, and a kernel fault above the enumerated
 range, which only thm-1.11's two series forms can see.
 
 ``TestFaultyMap`` plants faults in the bijection side: each map's forward
-and inverse wrong on one object, each pairing's codomain checker over- or
+and inverse wrong on one object, at weight 10 and at the largest weight of
+the default range, each pairing's codomain checker over- or
 under-accepting, and images outside the codomain or of another weight;
 ``chainex verify <id>`` must exit 1.  Every name ``chainex bijection``
 accepts must print something else once the map it calls is patched in
@@ -283,44 +284,51 @@ class TestFaultyMap:
         assert (code, err) == (1, "")
         assert out.splitlines()[1] == "  MISMATCH r=3 j=None n=0 cardinality lhs=2 rhs=3"
 
-    # each map at r, with an object of weight 10 the fault is planted on and
-    # another object of the map's domain of the same weight
+    # each map at r, and for a weight w the object the fault is planted on
+    # and another object of the map's domain of weight w
     WRONG_ON_ONE = [
-        ("glaisher", 2, (Partition([9, 1]),), (Partition([7, 3]),)),
-        ("multiples-repeats", 2, (Partition([10]),), (Partition([9, 1]),)),
-        ("top-multiple", 2, (Partition([10]),), (Partition([8, 2]),)),
-        ("gamma", 1, (Partition([10]), 1), (Partition([9, 1]), 1)),
-        ("gamma-star", 2, (Partition([10]), 1), (Partition([9, 1]), 1)),
-        ("delta", 2, (Partition([10]), 1), (Partition([9, 1]), 1)),
+        ("glaisher", 2, lambda w: ((Partition([w - 1, 1]),), (Partition([w - 3, 3]),))),
+        ("multiples-repeats", 2, lambda w: ((Partition([w]),), (Partition([w - 1, 1]),))),
+        ("top-multiple", 2, lambda w: ((Partition([w]),), (Partition([w - 2, 2]),))),
+        ("gamma", 1, lambda w: ((Partition([w]), 1), (Partition([w - 1, 1]), 1))),
+        ("gamma-star", 2, lambda w: ((Partition([w]), 1), (Partition([w - 1, 1]), 1))),
+        ("delta", 2, lambda w: ((Partition([w]), 1), (Partition([w - 1, 1]), 1))),
     ]
 
     def test_wrong_on_one_covers_every_map(self):
         assert [case[0] for case in self.WRONG_ON_ONE] == list(vf.BIJECTIONS)
 
     @pytest.mark.parametrize("side", ["forward", "inverse"])
-    @pytest.mark.parametrize("vid, r, target, other", WRONG_ON_ONE,
+    @pytest.mark.parametrize("vid, r, objects", WRONG_ON_ONE,
                              ids=[case[0] for case in WRONG_ON_ONE])
-    def test_map_wrong_on_one_object(self, capsys, side, vid, r, target, other):
+    def test_map_wrong_on_one_object(self, capsys, side, vid, r, objects):
+        # at weight 10 under --n 10, and at the entry's default n, the
+        # largest weight certified when --n is left out
         spec = vf._BIJECTIONS[vid]
         forward, inverse = getattr(bijections, spec.forward), getattr(bijections, spec.inverse)
-        image, wrong = forward(*target, r), forward(*other, r)
-        if side == "forward":
-            # the target goes where the other object goes
-            name = spec.forward
+        for weight, size in ((10, ["--n", "10"]), (spec.n, [])):
+            target, other = objects(weight)
+            image, wrong = forward(*target, r), forward(*other, r)
+            if side == "forward":
+                # the target goes where the other object goes
+                name = spec.forward
 
-            def faulty(*args):
-                return wrong if args[:-1] == target else forward(*args)
-        else:
-            # the target's image comes back as the other object
-            name = spec.inverse
+                def faulty(*args):
+                    return wrong if args[:-1] == target else forward(*args)
+            else:
+                # the target's image comes back as the other object
+                name = spec.inverse
 
-            def faulty(out, r):
-                return inverse(wrong if out == image else out, r)
+                def faulty(out, r):
+                    return inverse(wrong if out == image else out, r)
 
-        with mock.patch.object(bijections, name, faulty):
-            code, out, err = call(capsys, "verify", vid, "--r", str(r), "--n", "10")
-        assert (code, err) == (1, "")
-        assert f"  MISMATCH r={r} j=None n=10 roundtrip lhs=0 rhs=1" in out.splitlines()
+            with mock.patch.object(bijections, name, faulty):
+                code, out, err = call(capsys, "verify", vid, "--r", str(r), *size)
+            # every mismatch is at that weight; a broken fiber fails there too
+            mismatches = out.splitlines()[1:]
+            assert (code, err) == (1, "")
+            assert f"  MISMATCH r={r} j=None n={weight} roundtrip lhs=0 rhs=1" in mismatches
+            assert all(f" n={weight} " in line for line in mismatches)
 
     def test_forward_errors_still_exit_2(self, capsys):
         def refuses(lam, r):

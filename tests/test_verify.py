@@ -24,7 +24,6 @@ from chainex.verify import (
     run_check,
     sigma_stat,
     tallies,
-    tally,
 )
 
 from oracles import (
@@ -119,7 +118,7 @@ class TestEngineAgainstOracles:
     def test_family_tables_for_all_r_in_one_walk(self):
         cells = [(fam, r) for fam in FAMILIES for r in range(2, self.R_MAX + 1)]
         for n in range(self.N_MAX + 1):
-            t = tally(n, self.R_MAX - 1, cells)
+            t = tallies(n, self.R_MAX - 1, cells)[n]
             for fam, r in cells:
                 expected = Counter(FAMILY_VALUES[fam](parts, r)
                                    for parts in recursive_partitions(n))
@@ -142,7 +141,7 @@ class TestEngineAgainstOracles:
 
     def test_maex_histogram(self):
         for n in range(self.N_MAX + 1):
-            t = tally(n, self.R_MAX)
+            t = tallies(n, self.R_MAX)[n]
             for r in range(1, self.R_MAX + 1):
                 expected = Counter(linear_maex(parts, r) for parts in recursive_partitions(n))
                 assert t.maex_counts(r) == expected
@@ -205,25 +204,24 @@ class TestTallyAgainstReference:
         (3, 0, "^r must be >= 1, got 0$")])
     def test_rejects_bad_arguments_before_any_walk(self, n, r_max, message):
         with mock.patch("chainex.verify.walk_scans", side_effect=AssertionError("walked")):
-            for read in (tally, tallies):
-                with pytest.raises(ValueError, match=message):
-                    read(n, r_max)
+            with pytest.raises(ValueError, match=message):
+                tallies(n, r_max)
 
     def test_rejects_out_of_range_arguments(self):
         # the 5-cell reads the 4-chain mex, which a 2-chain tally lacks
         with pytest.raises(ValueError):
-            tally(8, 2, [("above-mex", 5)])
+            tallies(8, 2, [("above-mex", 5)])
         with pytest.raises(ValueError):
-            tally(8, 2, [("above-mex", 1)])
+            tallies(8, 2, [("above-mex", 1)])
         for n in (0, 8):
             with pytest.raises(ValueError):
-                tally(n, 0)
+                tallies(n, 0)
         for bad in (lambda: tallies(-1, 2), lambda: tallies(0, 0),
                     lambda: tallies(8, 2, [("above-mex", 4)])):
             with pytest.raises(ValueError):
                 bad()
-        assert tally(8, 4, [("above-mex", 5)]).families["above-mex", 5] == {0: 19, 1: 3}
-        t = tally(8, 2)
+        assert tallies(8, 4, [("above-mex", 5)])[8].families["above-mex", 5] == {0: 19, 1: 3}
+        t = tallies(8, 2)[8]
         for read in (t.mex_sum, t.maex_counts, t.maex_sum, t.off_class):
             for r in (0, -2, 3):
                 with pytest.raises(ValueError):
@@ -332,6 +330,10 @@ class TestTheoremHarness:
         ("q-binomial", {"order": 7.0}, "^order must be an integer, got 7.0$"),
         ("gamma", {"r_values": [2], "n_max": 3.5}, "^n must be an integer, got 3.5$"),
         ("glaisher", {"r_values": [1, 2]}, "^r must be >= 2, got 1$"),
+        # a lone int is neither a range nor a list
+        ("thm-1.6", {"r_values": 3}, "^r must be a range or a list of integers, got 3$"),
+        ("thm-1.5", {"j_values": 3}, "^j must be a range or a list of integers, got 3$"),
+        ("gamma", {"r_values": 2}, "^r must be a range or a list of integers, got 2$"),
     ])
     def test_bad_arguments_rejected_up_front(self, theorem, kwargs, message):
         with mock.patch("chainex.verify.walk_scans", side_effect=AssertionError("walked")), \
@@ -395,21 +397,23 @@ class TestTheoremHarness:
 class TestBijectionCertification:
     def test_unknown_bijection(self):
         with pytest.raises(ValueError):
-            certify_bijection("identity", 2, 4)
+            certify_bijection("identity", [2], 4)
 
     def test_small_certifications_pass(self):
-        assert certify_bijection("glaisher", 2, 10).passed
-        assert certify_bijection("multiples-repeats", 3, 10).passed
-        assert certify_bijection("top-multiple", 2, 10).passed
-        assert certify_bijection("gamma", 2, 8).passed
-        assert certify_bijection("gamma-star", 2, 8).passed
-        assert certify_bijection("delta", 2, 8).passed
+        assert certify_bijection("glaisher", [2], 10).passed
+        assert certify_bijection("multiples-repeats", [3], 10).passed
+        assert certify_bijection("top-multiple", [2], 10).passed
+        assert certify_bijection("gamma", [2], 8).passed
+        assert certify_bijection("gamma-star", [2], 8).passed
+        assert certify_bijection("delta", [2], 8).passed
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 0"):
-            certify_bijection("gamma", 2, -1)
+            certify_bijection("gamma", [2], -1)
         with pytest.raises(ValueError, match="r must be >= 1"):
-            certify_bijection("gamma", 0, 4)
+            certify_bijection("gamma", [0], 4)
+        with pytest.raises(ValueError, match="^r must be a range or a list of integers, got 2$"):
+            certify_bijection("gamma", 2)
 
     def test_run_check_resolves_the_r_range_before_certifying(self):
         with pytest.raises(ValueError, match="^empty r range$"):
@@ -419,6 +423,17 @@ class TestBijectionCertification:
             with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
                 run_check("gamma", [2, 0], 3)
         assert not forward.called
+
+    @pytest.mark.parametrize("name", BIJECTIONS)
+    def test_one_report_holds_the_rows_of_every_r(self, name):
+        # r = 1..3, or 2..4 for the partition maps, which start at 2
+        least = _BIJECTIONS[name].least_r
+        r_values = range(least, least + 3)
+        report = certify_bijection(name, r_values, 10)
+        assert report.theorem == f"bijection:{name}" and report.passed
+        assert report.rows == [row for r in r_values
+                               for row in certify_bijection(name, [r], 10).rows]
+        assert run_check(name, r_values, 10).rows == report.rows
 
     def test_a_range_is_read_from_its_ends(self):
         huge = range(1, 10**12)
@@ -449,7 +464,7 @@ class TestBijectionCertification:
     def test_cardinality_rows_match_known_counts(self):
         # weight-6 domain of the colored map: sum over partitions of
         # chain_mex + r - 1
-        rep = certify_bijection("gamma-star", 2, 6)
+        rep = certify_bijection("gamma-star", [2], 6)
         card = [row for row in rep.rows if row.label == "cardinality" and row.n == 6]
         expected = sum(chain_mex(lam, 2) + 1 for lam in partitions(6))
         assert card[0].lhs == expected == card[0].rhs
@@ -467,7 +482,7 @@ class TestBijectionCertification:
                 return super().__new__(cls, color)
 
         with mock.patch.object(bijections, "ColoredEmpty", Counted):
-            report = certify_bijection("gamma", 10**6, 2)
+            report = certify_bijection("gamma", [10**6], 2)
         assert report.passed
         assert len(built) <= 2
 
@@ -484,7 +499,7 @@ class TestGeneratedCodomain:
         checker = getattr(bijections, _BIJECTIONS[name].checker)
         by_weight = [list(partitions(w)) for w in range(self.N_MAX + 1)]
         colored = [ColoredEmpty(color) for color in range(1, r + 1)]
-        report = certify_bijection(name, r, self.N_MAX)
+        report = certify_bijection(name, [r], self.N_MAX)
         counted = [row.rhs for row in report.rows if row.label == "cardinality"]
         assert len(counted) == self.N_MAX + 1
         for n, size in enumerate(counted):
