@@ -257,10 +257,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first run() and reused by every later one in the process;
+# parse_args fills a new namespace each call and leaves the parser as it was
+_parser = None
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    In-process callers share one parser per process, built on the first
+    call. The command functions and the ``--order`` default are bound into
+    it then, so a test that replaces a command's work patches the
+    ``qseries``, ``verify`` or ``bijections`` attribute it reads, not
+    ``cli.cmd_*``.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

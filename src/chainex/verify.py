@@ -668,9 +668,22 @@ def run_check(vid: str, r_values=None, n_max: int = None, j_values=None,
     return certify_bijection(vid, r_values, n_max)
 
 
+# separators that lay a row's keys out as indent=2 lays them out at depth 3
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def report_to_format(report: VerificationReport, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.to_json(), indent=2)
+        # the bytes of json.dumps(report.to_json(), indent=2); with indent
+        # set, json takes its pure-Python encoder, so the rows, which are
+        # nearly all of a report, go through the C encoder one at a time
+        # and only the short head is indented by json.dumps; this holds
+        # while a row holds only scalars and "rows" is the last key
+        doc = report.to_json()
+        rows = ",".join("\n    {\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }"
+                        for row in doc.pop("rows"))
+        rows += "\n  ]" if rows else "]"
+        return json.dumps(doc, indent=2)[:-2] + ',\n  "rows": [' + rows + "\n}"
     if fmt == "csv":
         return report.to_csv()
     return report.to_text()

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainex
+from chainex import cli
+from chainex import qseries as qs
 from chainex import verify as vf
 from chainex.cli import ALIASES, SERIES_BUILDERS, run
 
@@ -518,6 +520,56 @@ def test_import_leaves_out_dataclasses_typing_and_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+class TestParserReuse:
+    def test_import_builds_no_parser(self):
+        _, env = cli_command()
+        code = ("import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+                "argparse.ArgumentParser.__init__ = "
+                "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+                "import chainex.cli; print(len(built))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    def test_one_parser_over_several_runs(self, capsys):
+        with mock.patch.object(cli, "_parser", None), \
+                mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+            codes = [call(capsys, *argv)[0] for argv in (
+                ("stats", "[3,1]", "--r", "1"), ("enumerate", "--n", "4"),
+                ("series", "partitions", "--order", "5"), ("verify", "thm-1.4", "--n", "5"),
+                ("verify", "thm-42"))]
+        assert codes == [0, 0, 0, 0, 2]
+        assert build.call_count == 1
+
+    @pytest.mark.parametrize("before, code", [
+        (("verify", "thm-1.4", "--n", "x"), 2),
+        (("verify", "--help"), 0),
+        (("verify", "thm-42"), 2),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "thm-1.6", "--r", "1..2", "--n", "8", "--format", "csv"),
+        ("series", "chain-mex", "--r", "2", "--order", "12"),
+    ])
+    def test_a_failed_or_help_run_leaves_the_next_as_a_fresh_process(
+            self, capsys, before, code, argv):
+        command, env = cli_command(*argv)
+        fresh = subprocess.run(command, env=env, capture_output=True, text=True, timeout=20)
+        with mock.patch.object(cli, "_parser", None):
+            assert call(capsys, *before)[0] == code
+            assert call(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == 0 and fresh.stdout
+
+    def test_defaults_do_not_leak_between_runs(self, capsys):
+        assert call(capsys, "series", "partitions", "--order", "5")[1] == \
+            str(qs.series_partition_count(5)) + "\n"
+        assert call(capsys, "series", "partitions")[1] == \
+            str(qs.series_partition_count(60)) + "\n"
+        assert call(capsys, "verify", "thm-1.4", "--n", "3")[0] == 0
+        code, out, _ = call(capsys, "verify", "thm-1.4", "--format", "json")
+        assert code == 0
+        assert max(row["n"] for row in json.loads(out)["rows"]) == 40
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -266,6 +266,25 @@ class TestReport:
         assert blob["passed"] is True
         assert blob["rows"][0]["lhs"] == str(10 ** 30)
 
+    @pytest.mark.parametrize("vid", THEOREMS + BIJECTIONS)
+    def test_json_is_the_indented_dump(self, vid):
+        # the rows take the C encoder; the bytes must stay those of indent=2
+        if vid in BIJECTIONS:
+            rep = run_check(vid, range(2, 4), 6)
+        else:
+            rep = run_check(vid, n_max=None if vid == "q-binomial" else 6)
+        assert rep.rows
+        assert report_to_format(rep, "json") == json.dumps(rep.to_json(), indent=2)
+
+    def test_json_of_empty_failing_and_escaped_reports(self):
+        empty = VerificationReport("demo")
+        failing = VerificationReport("demo", [Row(2, None, 5, 7, 8, "bad")], 0.25)
+        escaped = VerificationReport("demo", [Row(1, 3, 4, 10 ** 40, -12, 'q"\\\nλ')])
+        for rep in (empty, failing, escaped):
+            assert report_to_format(rep, "json") == json.dumps(rep.to_json(), indent=2)
+        assert not failing.passed
+        assert r'"label": "q\"\\\n\u03bb"' in report_to_format(escaped, "json")
+
     def test_csv_header(self):
         rep = VerificationReport("demo")
         rep.add(2, None, 5, 1, 1, "extra")
