@@ -22,8 +22,11 @@ Partitions are counted under their (state, smallest part) key: a head once
 under its own key at its weight, and once under the walked partition's key
 at every larger weight, since mu + 1^j has that key for every j >= 1.
 Each distinct key is closed into the chain mex and maex once, and every
-requested (statistic, r) and (family, r) cell is filled from these counts;
-family cells build every partition mu + 1^j and evaluate it.  Each
+requested (statistic, r) cell is filled from these counts.  The walk
+builds every partition mu + 1^j for the (family, r) cells and puts it,
+with its closed key, in a batch of its weight; each cell of that weight
+maps its statistic over a full batch, and over what is left at the end of
+the walk, in one call, so every partition reaches every cell once.  Each
 statistic sum is then read off the tally of its n, so ``check_theorem``
 walks the partitions of n_max once, whatever the r range.  The bijection
 side reads the chain excludants through ``chain_mex_maex``, a one-r loop
@@ -49,6 +52,8 @@ import io
 import json
 import time
 from collections import Counter, namedtuple
+from itertools import chain, compress, repeat
+from operator import itemgetter
 
 from . import bijections as bij
 from . import qseries as qs
@@ -119,17 +124,32 @@ _STAT_SUMS = {
     "sum-maex": lambda t, r: t.maex_sum(1),
 }
 
-# Family statistic of one partition at r >= 2, given its (r-1)-chain mex
-# and maex, which the above-* families read.
-_FAMILY_VALUES = {
-    "multiples": lambda lam, r, mex, maex: count_multiples(lam, r),
-    "largest-repeating": lambda lam, r, mex, maex: largest_repeating(lam, r),
-    "top-multiple": lambda lam, r, mex, maex: top_multiple_multiplicity(lam, r),
-    "smallest-repeating": lambda lam, r, mex, maex: smallest_repeating(lam, r),
-    "above-mex": lambda lam, r, mex, maex: parts_above(lam, mex),
+def _above_maex(lams, exs, r, mex, maex):
     # restricted off the gap-bounded class; -1 marks a partition on it
-    "above-maex": lambda lam, r, mex, maex: parts_above(lam, maex) if maex else -1,
+    maexes = list(map(maex, exs))
+    return chain(map(parts_above, compress(lams, maexes), filter(None, maexes)),
+                 repeat(-1, maexes.count(0)))
+
+
+# Family statistic of each partition of a batch at r >= 2, given their
+# closed keys and the getters of the (r-1)-chain mex and maex, which the
+# above-* families read.  Each maps its partition-core statistic, a module
+# global read per call, over the whole batch.
+_FAMILY_VALUES = {
+    "multiples": lambda lams, exs, r, mex, maex: map(count_multiples, lams, repeat(r)),
+    "largest-repeating": lambda lams, exs, r, mex, maex: map(largest_repeating, lams,
+                                                             repeat(r)),
+    "top-multiple": lambda lams, exs, r, mex, maex: map(top_multiple_multiplicity, lams,
+                                                        repeat(r)),
+    "smallest-repeating": lambda lams, exs, r, mex, maex: map(smallest_repeating, lams,
+                                                              repeat(r)),
+    "above-mex": lambda lams, exs, r, mex, maex: map(parts_above, lams, map(mex, exs)),
+    "above-maex": _above_maex,
 }
+
+# partitions of one weight that wait for the family cells before each
+# cell maps its statistic over them in one call
+_BATCH = 64
 
 STATISTICS = tuple(_STAT_SUMS)
 
@@ -148,7 +168,11 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     for j >= 1.  Each distinct key is closed once, at every chain length
     the walk carries; an entry for r does not depend on how many chain
     lengths the state carries, so each tally keeps its entries up to its
-    own n.  Family cells build every mu + 1^j and read its closed key.
+    own n.  Each mu + 1^j is built once for the family cells and put, with
+    its closed key, in a batch of up to ``_BATCH`` partitions of its
+    weight; when a batch fills, and once more after the walk, every cell
+    of that weight counts the values of its statistic over the batch from
+    one ``map`` call.
 
     n_max >= 0 and r_max >= 1 must be ints (not bools); anything else
     raises ValueError before the walk, as in the theorem harness."""
@@ -165,10 +189,15 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     ones = [Counter() for _ in range(n_max + 1)]
     heads_largest = [0] * (n_max + 1)
     ones_largest = [0] * (n_max + 1)
-    specs = {(fam, r): (_FAMILY_VALUES[fam], r, min(r - 1, depth) - 1)
-             for fam, r in family_cells}
+    specs = {}
+    for fam, r in family_cells:
+        i = min(r - 1, depth) - 1
+        specs[fam, r] = _FAMILY_VALUES[fam], r, itemgetter(i), itemgetter(depth + i)
     families = [{cell: Counter() for cell in specs} for _ in range(n_max + 1)]
     cells = [[(fams[cell], *spec) for cell, spec in specs.items()] for fams in families]
+    # the partitions of each weight, and their closed keys, not yet
+    # evaluated by the family cells
+    batches = [([], []) for _ in range(n_max + 1)] if specs else ()
     closed = {}
 
     def close(key):
@@ -177,9 +206,19 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
             ex = closed[key] = scan_step(key[0], 0, key[1], depth)
         return ex
 
-    def evaluate(lam, n, ex):
-        for counts, value, r, i in cells[n]:
-            counts[value(lam, r, ex[i], ex[depth + i])] += 1
+    def flush(n):
+        lams, exs = batches[n]
+        for counts, values, r, mex, maex in cells[n]:
+            counts.update(values(lams, exs, r, mex, maex))
+        lams.clear()
+        exs.clear()
+
+    def put(lam, n, ex):
+        lams, exs = batches[n]
+        lams.append(lam)
+        exs.append(ex)
+        if len(lams) == _BATCH:
+            flush(n)
 
     from_pairs = Partition._from_pairs
     for pairs, states in walk_scans(n_max, depth):
@@ -202,16 +241,19 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
         if specs:
             head = tuple(pairs[:-1] if k else pairs)
             if w:
-                evaluate(from_pairs(head), w, close(head_key))
+                put(from_pairs(head), w, close(head_key))
             if k:
                 ex = close(ones_key)
                 for j in range(1, k + 1):
-                    evaluate(from_pairs(head + ((1, j),)), w + j, ex)
+                    put(from_pairs(head + ((1, j),)), w + j, ex)
     # the one head of weight 0: the empty partition
     empty_key = scan_start(0, depth), 0
     heads[0][empty_key] += 1
     if specs:
-        evaluate(EMPTY, 0, close(empty_key))
+        put(EMPTY, 0, close(empty_key))
+    for n, (lams, _) in enumerate(batches):
+        if lams:
+            flush(n)
 
     def fold(keys, mex, maex):
         for key, count in keys.items():

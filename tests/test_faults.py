@@ -4,17 +4,20 @@ Each theorem case makes one side of one theorem wrong by 1 at the largest
 n of the theorem's default range: the series builder its rows read, or,
 for thm-1.5, which reads no series, one family statistic on one partition
 of that n.  ``chainex verify <id>`` at its defaults must then exit 1 with
-MISMATCH lines, each at that n.  So must every other family statistic of
-thm-1.5 and thm-1.10, and the component series that the thm-1.7 builder
-and the thm-1.11 product form multiply by the strict count, which fail
-only the rows that read them, and a kernel fault above the enumerated
+MISMATCH lines, each at that n.  So must every family statistic of
+thm-1.5 and thm-1.10, wrong on [25] or on [22,1,1,1], which the engine
+builds from a head and its 1s, and the component series that the thm-1.7
+builder and the thm-1.11 product form multiply by the strict count, which
+fail only the rows that read them, and a kernel fault above the enumerated
 range, which only thm-1.11's two series forms can see.
 
 ``TestFaultyMap`` plants faults in the bijection side: each map's forward
 and inverse wrong on one object, at weight 10 and at the largest weight of
 the default range, each pairing's codomain checker over- or
 under-accepting, and images outside the codomain or of another weight;
-``chainex verify <id>`` must exit 1.  Every name ``chainex bijection``
+``chainex verify <id>`` must exit 1.  Each pairing checker and each
+partition map's membership test wrong on one object of weight 16, the
+default n, must fail there.  Every name ``chainex bijection``
 accepts must print something else once the map it calls is patched in
 ``chainex.bijections``, since the command looks its maps up per call.
 """
@@ -27,13 +30,19 @@ from chainex import bijections
 from chainex import qseries as qs
 from chainex import verify as vf
 from chainex.cli import ALIASES, run
-from chainex.partition import Partition
+from chainex.partition import Partition, partitions
 
 
 def call(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def mismatch_heads(out):
+    """What each MISMATCH line of a report names, up to its values."""
+    return [line.split(" lhs=")[0].removeprefix("  MISMATCH ")
+            for line in out.splitlines() if line.startswith("  MISMATCH ")]
 
 
 def coefficient_plus_one(builder, n):
@@ -105,6 +114,26 @@ FAMILY_FAULTS = [("thm-1.5", "largest_repeating"), ("thm-1.5", "parts_above"),
                          ids=[f"{vid}-{name}" for vid, name in FAMILY_FAULTS])
 def test_a_family_statistic_fault_fails_verify(capsys, vid, name):
     mismatches = planted_mismatches(capsys, vid, vf, name, one_partition_plus_one, 25)
+    assert mismatches and all(" n=25 " in line for line in mismatches)
+
+
+def ones_partition_plus_one(statistic, n):
+    """``statistic`` one too high on the partition [n-3,1,1,1], which the
+    engine builds from the head [n-3] and three 1s."""
+    lam = Partition([n - 3, 1, 1, 1])
+    return lambda mu, r: statistic(mu, r) + (mu == lam)
+
+
+# all six family statistics, made wrong on a partition with 1s; [2^12,1]
+# or [1^25] would not do for parts_above under thm-1.10, since they lie on
+# the gap-bounded class, where above-maex reads no statistic
+ONES_FAULTS = [("thm-1.5", "count_multiples"), *FAMILY_FAULTS]
+
+
+@pytest.mark.parametrize("vid, name", ONES_FAULTS,
+                         ids=[f"{vid}-{name}" for vid, name in ONES_FAULTS])
+def test_a_family_statistic_fault_on_a_partition_with_ones_fails_verify(capsys, vid, name):
+    mismatches = planted_mismatches(capsys, vid, vf, name, ones_partition_plus_one, 25)
     assert mismatches and all(" n=25 " in line for line in mismatches)
 
 
@@ -338,6 +367,62 @@ class TestFaultyMap:
             code, out, err = call(capsys, "verify", "glaisher", "--r", "2", "--n", "3")
         assert (code, out) == (2, "")
         assert err == "error: refused []\n"
+
+
+# Faults on one object of weight 16, the default n of every map, certified
+# with --n left out: in a pairing's codomain checker, and in each membership
+# test of a partition map, which the verify._BIJECTIONS lambdas read from
+# verify per call.  Both mismatches are at n = 16.
+
+
+@pytest.mark.parametrize("vid, r", [("gamma", 1), ("gamma-star", 2), ("delta", 2)])
+def test_checker_that_rejects_a_member_of_the_largest_weight(capsys, vid, r):
+    # the image of [16] is read as outside the codomain
+    spec = vf._BIJECTIONS[vid]
+    honest = getattr(bijections, spec.checker)
+    member = getattr(bijections, spec.forward)(Partition([spec.n]), 1, r)
+    assert member.weight == spec.n and honest(member, r)
+
+    def faulty(pair, r):
+        return pair != member and honest(pair, r)
+
+    with mock.patch.object(bijections, spec.checker, faulty):
+        code, out, err = call(capsys, "verify", vid, "--r", str(r))
+    assert (code, err) == (1, "")
+    assert mismatch_heads(out) == [f"r={r} j=None n={spec.n} cardinality",
+                                   f"r={r} j=None n={spec.n} roundtrip"]
+
+
+# each membership test of a partition map, and the verify name it reads
+MEMBERSHIP = [("glaisher", "domain", "is_regular"), ("glaisher", "codomain", "is_strict"),
+              ("top-multiple", "domain", "is_regular"),
+              ("top-multiple", "codomain", "is_strict")]
+
+
+def test_membership_covers_every_test():
+    assert [case[:2] for case in MEMBERSHIP] == [
+        (vid, side) for vid, spec in vf._BIJECTIONS.items() if isinstance(spec, vf._Map)
+        for side in ("domain", "codomain") if getattr(spec, side) is not None]
+
+
+@pytest.mark.parametrize("vid, side, name", MEMBERSHIP,
+                         ids=[f"{vid}-{side}" for vid, side, _ in MEMBERSHIP])
+def test_membership_wrong_on_one_partition_of_the_largest_weight(capsys, vid, side, name):
+    # a member is read as outside the domain or codomain; a partition let
+    # into a domain instead would be refused by the map, which exits 2
+    spec = vf._BIJECTIONS[vid]
+    test, honest = getattr(spec, side), getattr(vf, name)
+    member = next(lam for lam in partitions(spec.n) if test(lam, 2))
+
+    def faulty(lam, r):
+        return honest(lam, r) != (lam == member)
+
+    with mock.patch.object(vf, name, faulty):
+        assert not test(member, 2)
+        code, out, err = call(capsys, "verify", vid, "--r", "2")
+    assert (code, err) == (1, "")
+    assert mismatch_heads(out) == [f"r=2 j=None n={spec.n} cardinality",
+                                   f"r=2 j=None n={spec.n} roundtrip"]
 
 
 # every name chainex bijection accepts: the bijections function it calls,

@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 
 from chainex import bijections
+from chainex import verify as vf
 from chainex.bijections import ColoredEmpty, PartitionPair
 from chainex.partition import chain_mex, partitions, walk_scans
 from chainex.verify import (
@@ -226,6 +227,57 @@ class TestTallyAgainstReference:
             for r in (0, -2, 3):
                 with pytest.raises(ValueError):
                     read(r)
+
+
+class TestFamilyBatches:
+    """Family cells take the partitions of each weight in batches, each cell
+    mapping its statistic over a batch in one call: every partition of every
+    n <= 14 reaches every cell's statistic exactly once.  p(13) = 101 and
+    p(14) = 135 exceed one batch, so those weights flush during the walk as
+    well as at its end."""
+    N_MAX = 14
+    MULTIPLES = [("multiples", r) for r in (2, 3, 4)]
+
+    @pytest.mark.parametrize("cell", [(fam, r) for fam in ("above-mex", "above-maex")
+                                      for r in (2, 3, 4)], ids=str)
+    def test_every_partition_once_per_cell(self, cell):
+        calls = Counter()   # (statistic, its second argument, partition)
+        walked = []         # whether the walk had ended, at each call
+        ended = []
+
+        def counting(name, statistic):
+            def wrapper(lam, arg):
+                calls[name, arg, lam] += 1
+                walked.append(bool(ended))
+                return statistic(lam, arg)
+            return wrapper
+
+        def walk(*args):
+            yield from walk_scans(*args)
+            ended.append(True)
+
+        with mock.patch("chainex.verify.count_multiples",
+                        counting("multiples", vf.count_multiples)), \
+                mock.patch("chainex.verify.parts_above", counting("above", vf.parts_above)), \
+                mock.patch("chainex.verify.walk_scans", walk):
+            by_n = tallies(self.N_MAX, 3, [*self.MULTIPLES, cell])
+        assert False in walked and True in walked
+        fam, r = cell
+        expected = Counter()
+        for n in range(self.N_MAX + 1):
+            lams = list(partitions(n))
+            for _, s in self.MULTIPLES:
+                expected.update(("multiples", s, lam) for lam in lams)
+            # above-maex reads no statistic on the gap-bounded class
+            bound = linear_mex if fam == "above-mex" else linear_maex
+            bounds = [bound(lam.parts, r - 1) for lam in lams]
+            expected.update(("above", b, lam) for b, lam in zip(bounds, lams)
+                            if fam == "above-mex" or b)
+            for counted in by_n[n].families.values():
+                assert counted.total() == len(lams)
+            if fam == "above-maex":
+                assert by_n[n].families[cell][-1] == bounds.count(0)
+        assert calls == expected
 
 
 class TestReport:
