@@ -90,11 +90,6 @@ class Partition:
         return self
 
     @classmethod
-    def of_multiset(cls, parts: Iterable[int]) -> "Partition":
-        """Build a partition from parts in any order."""
-        return cls(sorted(parts, reverse=True))
-
-    @classmethod
     def parse(cls, text: str, sort: bool = False) -> "Partition":
         """Parse the canonical text form ``[7,4,4,1]`` (``[]`` for empty).
 
@@ -111,7 +106,7 @@ class Partition:
             parts = [int(tok) for tok in body.split(",")]
         except ValueError:
             raise PartitionError(f"bad partition literal: {text!r}") from None
-        return cls.of_multiset(parts) if sort else cls(parts)
+        return cls(sorted(parts, reverse=True) if sort else parts)
 
     # -- views ------------------------------------------------------------
 

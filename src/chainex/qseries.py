@@ -34,10 +34,14 @@ The bivariate series of the maex distribution is a list of ``PowerSeries``,
 one per power of z: the coefficient of z^m q^n is ``series[m].coeff(n)``.
 
 The verifier compares pairs of builders as two routes to one series:
-``series_chain_maex_sum`` / ``series_chain_maex_product``,
 ``q_binomial_sum`` / ``q_binomial_product`` and ``maex_bivariate`` /
 ``maex_bivariate_double_sum``.  They stay distinct formulas that share
 only the arithmetic primitives; neither side is defined through the other.
+``series_chain_maex_sum`` / ``series_chain_maex_product`` is not such a
+pair: ``series_bottom_multiplicity_count(r + 1)`` is
+1 + acc/(q^(r+1);q^(r+1))_inf, with acc the sum form's loop, so the strict
+count times it is the sum form itself.  Those rows check the dense
+``__mul__`` against the kernel, not thm-1.11.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from unittest import mock
 import pytest
 
 from chainex import bijections
+from chainex import partition as pt
 from chainex import qseries as qs
 from chainex import verify as vf
 from chainex.cli import ALIASES, run
@@ -71,7 +72,7 @@ def one_partition_plus_one(statistic, n):
 # id -> the module and attribute made wrong, how, and at which n
 FAULTS = {
     "thm-1.4": (qs, "series_sigma_mex", coefficient_plus_one, 40),
-    "thm-1.5": (vf, "count_multiples", one_partition_plus_one, 25),
+    "thm-1.5": (pt, "count_multiples", one_partition_plus_one, 25),
     "thm-1.6": (qs, "series_chain_mex_shifted", coefficient_plus_one, 30),
     "thm-1.7": (qs, "series_chain_mex_offset_sum", coefficient_plus_one, 30),
     "thm-1.8": (qs, "series_maex_defect", coefficient_plus_one, 30),
@@ -113,7 +114,7 @@ FAMILY_FAULTS = [("thm-1.5", "largest_repeating"), ("thm-1.5", "parts_above"),
 @pytest.mark.parametrize("vid, name", FAMILY_FAULTS,
                          ids=[f"{vid}-{name}" for vid, name in FAMILY_FAULTS])
 def test_a_family_statistic_fault_fails_verify(capsys, vid, name):
-    mismatches = planted_mismatches(capsys, vid, vf, name, one_partition_plus_one, 25)
+    mismatches = planted_mismatches(capsys, vid, pt, name, one_partition_plus_one, 25)
     assert mismatches and all(" n=25 " in line for line in mismatches)
 
 
@@ -133,7 +134,7 @@ ONES_FAULTS = [("thm-1.5", "count_multiples"), *FAMILY_FAULTS]
 @pytest.mark.parametrize("vid, name", ONES_FAULTS,
                          ids=[f"{vid}-{name}" for vid, name in ONES_FAULTS])
 def test_a_family_statistic_fault_on_a_partition_with_ones_fails_verify(capsys, vid, name):
-    mismatches = planted_mismatches(capsys, vid, vf, name, ones_partition_plus_one, 25)
+    mismatches = planted_mismatches(capsys, vid, pt, name, ones_partition_plus_one, 25)
     assert mismatches and all(" n=25 " in line for line in mismatches)
 
 

@@ -59,7 +59,7 @@ def partitions_of(draw, low, high):
         part = draw(st.integers(1, min(n, cap)))
         parts.append(part)
         n -= part
-    return P.of_multiset(parts)
+    return P(sorted(parts, reverse=True))
 
 
 small = partitions_of(0, 40)
@@ -247,7 +247,7 @@ def regular_partitions_of(draw, low, high, r):
             part -= 1   # r >= 2, so this is no multiple of r
         parts.append(part)
         n -= part
-    return P.of_multiset(parts)
+    return P(sorted(parts, reverse=True))
 
 
 @st.composite
@@ -257,7 +257,7 @@ def partitions_with_a_multiple(draw, low, high, r):
     n = draw(st.integers(low, high))
     multiple = r * draw(st.integers(1, n // r))
     rest = draw(partitions_of(n - multiple, n - multiple))
-    return P.of_multiset(rest.parts + (multiple,))
+    return P(sorted(rest.parts + (multiple,), reverse=True))
 
 
 @settings(max_examples=100, deadline=None)

@@ -71,8 +71,8 @@ class TestConstruction:
         with pytest.raises(PartitionError):
             P([3, False])
 
-    def test_of_multiset_sorts(self):
-        assert P.of_multiset([1, 3, 2, 3]) == P([3, 3, 2, 1])
+    def test_parse_sorts_parts_in_any_order(self):
+        assert P.parse("[1,3,2,3]", sort=True) == P([3, 3, 2, 1])
 
     def test_parse_and_str_roundtrip(self):
         for text in ("[]", "[1]", "[7,4,4,4,4,4,4,3,1,1,1,1]"):
@@ -224,7 +224,7 @@ class TestChainExcludants:
                 break
             total += p
             kept.append(p)
-        self.assert_matches_oracles(P.of_multiset(kept))
+        self.assert_matches_oracles(P(sorted(kept, reverse=True)))
 
     def test_readers_agree_with_scan(self):
         lam = P([12, 11, 7, 3, 3])

@@ -4,7 +4,8 @@ from unittest import mock
 
 import pytest
 
-from chainex import bijections
+from chainex import bijections, brute
+from chainex import partition as pt
 from chainex import verify as vf
 from chainex.bijections import ColoredEmpty, PartitionPair
 from chainex.partition import chain_mex, partitions, walk_scans
@@ -97,6 +98,8 @@ class TestBruteForceAccumulators:
         assert len(FAMILIES) == 6
         assert len(THEOREMS) == 9
         assert len(BIJECTIONS) == 6
+        # the documented import path is the engine of the brute-force module
+        assert vf.tallies is brute.tallies and vf.Tally is brute.Tally
 
 
 class TestEngineAgainstOracles:
@@ -204,7 +207,7 @@ class TestTallyAgainstReference:
         (3, True, "^r must be an integer, got True$"),
         (3, 0, "^r must be >= 1, got 0$")])
     def test_rejects_bad_arguments_before_any_walk(self, n, r_max, message):
-        with mock.patch("chainex.verify.walk_scans", side_effect=AssertionError("walked")):
+        with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")):
             with pytest.raises(ValueError, match=message):
                 tallies(n, r_max)
 
@@ -256,10 +259,10 @@ class TestFamilyBatches:
             yield from walk_scans(*args)
             ended.append(True)
 
-        with mock.patch("chainex.verify.count_multiples",
-                        counting("multiples", vf.count_multiples)), \
-                mock.patch("chainex.verify.parts_above", counting("above", vf.parts_above)), \
-                mock.patch("chainex.verify.walk_scans", walk):
+        with mock.patch("chainex.partition.count_multiples",
+                        counting("multiples", pt.count_multiples)), \
+                mock.patch("chainex.partition.parts_above", counting("above", pt.parts_above)), \
+                mock.patch("chainex.brute.walk_scans", walk):
             by_n = tallies(self.N_MAX, 3, [*self.MULTIPLES, cell])
         assert False in walked and True in walked
         fam, r = cell
@@ -407,7 +410,7 @@ class TestTheoremHarness:
         ("gamma", {"r_values": 2}, "^r must be a range or a list of integers, got 2$"),
     ])
     def test_bad_arguments_rejected_up_front(self, theorem, kwargs, message):
-        with mock.patch("chainex.verify.walk_scans", side_effect=AssertionError("walked")), \
+        with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")), \
                 mock.patch("chainex.verify.partitions", side_effect=AssertionError("listed")):
             with pytest.raises(ValueError, match=message):
                 run_check(theorem, **kwargs)
@@ -424,7 +427,7 @@ class TestTheoremHarness:
         ("thm-1.10", 0, "^j must be >= 1, got 0$"),
     ])
     def test_j_below_the_least_rejected_before_any_walk(self, theorem, j, message):
-        with mock.patch("chainex.verify.walk_scans", side_effect=AssertionError("walked")):
+        with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")):
             with pytest.raises(ValueError, match=message):
                 check_theorem(theorem, j_values=[j])
 
@@ -440,7 +443,7 @@ class TestTheoremHarness:
                 walked += 1
                 yield step
 
-        with mock.patch("chainex.verify.walk_scans", counted):
+        with mock.patch("chainex.brute.walk_scans", counted):
             assert check_theorem(theorem, n_max=n_max).passed
         assert walked == partition_count(n_max) == {40: 37338, 25: 1958}[n_max]
 
