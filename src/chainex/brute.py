@@ -13,10 +13,13 @@ number of 1s) list every partition of every n <= n_max exactly once.
 The walk carries the chain scan state of every r on the enumerator's
 stack, so a pushed value pays one scan step and a partition pays none, and
 a head's state is the stack level under the walked partition's 1s.
-Partitions are counted under their (state, smallest part) key: a head once
-under its own key at its weight, and once under the walked partition's key
-at every larger weight, since mu + 1^j has that key for every j >= 1.
-Each distinct key is closed into the chain mex and maex once, and every
+Each walked partition is counted once, under its head's key (state,
+smallest part) at the head's weight.  Every head below n_max is walked
+exactly once with its 1s, and mu + 1^j has one key for all j >= 1: the
+head's state after a 1 is scanned under its smallest part, and 1.  So the
+heads of weight w enter every larger weight under their 1s keys, each
+derived once per distinct head key, not read off the walk's stack.  Each
+distinct key is closed into the chain mex and maex once, and every
 requested (statistic, r) cell is filled from these counts.  The walk
 builds every partition mu + 1^j for the (family, r) cells and puts it,
 with its closed key, in a batch of its weight; each cell of that weight
@@ -122,13 +125,16 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     streamed, not stored.
 
     Each partition mu + 1^j of n is counted through its head mu (the parts
-    above 1; see the module docstring): under mu's own key (state, smallest
-    part) at j = 0, and under the key of the walked partition, (state, 1),
-    for j >= 1.  Each distinct key is closed once, at every chain length
-    the walk carries; an entry for r does not depend on how many chain
-    lengths the state carries, so each tally keeps its entries up to its
-    own n.  Each mu + 1^j is built once for the family cells and put, with
-    its closed key, in a batch of up to ``_BATCH`` partitions of its
+    above 1; see the module docstring), and the walk counts each head once,
+    under its key (state, smallest part).  mu itself counts under that key,
+    and mu + 1^j for j >= 1 under mu's 1s key (the state after a 1 under
+    mu's smallest part, 1), derived once per distinct head key when the
+    heads of weight n - 1 enter the running sums at n.  Each distinct key
+    is closed once, at every chain length the walk carries; an entry for r
+    does not depend on how many chain lengths the state carries, so each
+    tally keeps its entries up to its own n.  Each mu + 1^j is built once
+    for the family cells and put, with its closed key (through the same 1s
+    key for j >= 1), in a batch of up to ``_BATCH`` partitions of its
     weight; when a batch fills, and once more after the walk, every cell
     of that weight counts the values of its statistic over the batch from
     one ``map`` call.
@@ -144,13 +150,9 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
         if not 2 <= r <= r_max + 1:
             raise ValueError(f"family cell ({fam!r}, {r}) needs r in 2..{r_max + 1}")
     depth = min(r_max, max(n_max, 1))   # longer chains read the last entry
-    # heads[w] counts the own keys of the heads of weight w, and ones[n]
-    # the keys of the heads of weight n - 1 with their 1s, which count
-    # again at every later n
+    # heads[w] counts the keys of the heads of weight w, each head once
     heads = [Counter() for _ in range(n_max + 1)]
-    ones = [Counter() for _ in range(n_max + 1)]
     heads_largest = [0] * (n_max + 1)
-    ones_largest = [0] * (n_max + 1)
     specs = {}
     for fam, r in family_cells:
         i = min(r - 1, depth) - 1
@@ -161,12 +163,22 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     # evaluated by the family cells
     batches = [([], []) for _ in range(n_max + 1)] if specs else ()
     closed = {}
+    # the key of mu + 1^j, j >= 1, for each distinct head key: 1 goes
+    # under mu's smallest part, or alone for the empty head
+    empty_key = scan_start(0, depth), 0
+    ones_keys = {empty_key: (scan_start(1, depth), 1)}
 
     def close(key):
         ex = closed.get(key)
         if ex is None:
             ex = closed[key] = scan_step(key[0], 0, key[1], depth)
         return ex
+
+    def ones_of(key):
+        ones_key = ones_keys.get(key)
+        if ones_key is None:
+            ones_key = ones_keys[key] = scan_step(key[0], 1, key[1], depth), 1
+        return ones_key
 
     def flush(n):
         lams, exs = batches[n]
@@ -187,29 +199,24 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
         if not pairs:           # the partition of 0, the empty head: counted below
             continue
         smallest, k = pairs[-1]
-        top = pairs[0][0]
         if smallest == 1:
             w = n_max - k
-            ones_key = states[-1], 1
-            ones[w + 1][ones_key] += 1
-            ones_largest[w + 1] += top
-            head_key = (states[-2], pairs[-2][0]) if w else None
+            head_key = (states[-2], pairs[-2][0]) if w else empty_key
         else:
             w, k = n_max, 0
             head_key = states[-1], smallest
         if w:
             heads[w][head_key] += 1
-            heads_largest[w] += top
+            heads_largest[w] += pairs[0][0]
         if specs:
             head = tuple(pairs[:-1] if k else pairs)
             if w:
                 put(from_pairs(head), w, close(head_key))
             if k:
-                ex = close(ones_key)
+                ex = close(ones_of(head_key))
                 for j in range(1, k + 1):
                     put(from_pairs(head + ((1, j),)), w + j, ex)
     # the one head of weight 0: the empty partition
-    empty_key = scan_start(0, depth), 0
     heads[0][empty_key] += 1
     if specs:
         put(EMPTY, 0, close(empty_key))
@@ -218,27 +225,31 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
             flush(n)
 
     def fold(keys, mex, maex):
-        for key, count in keys.items():
+        for key, count in keys:
             ex = close(key)
             for i in range(len(mex)):
                 mex[i] += count * ex[i]
                 maex[i][ex[depth + i]] += count
 
-    # running sums over the heads with their 1s, each entered at the least
-    # weight it reaches; a maex is below the largest part, so below n_max
+    # running sums over the heads with their 1s: the heads of weight n - 1
+    # enter at n under their 1s keys, and each head below n_max was walked
+    # once with its 1s; a maex is below the largest part, so below n_max
     mex_sums = [0] * depth
     maex_counts = [[0] * max(n_max, 1) for _ in range(depth)]
     count = largest = 0
     out = []
     for n in range(n_max + 1):
-        fold(ones[n], mex_sums, maex_counts)
-        count += ones[n].total()
-        largest += ones_largest[n]
+        if n:
+            below = heads[n - 1]
+            fold(((ones_of(key), c) for key, c in below.items()), mex_sums, maex_counts)
+            count += below.total()
+            # mu + 1^j keeps mu's largest part, and 1^j has largest part 1
+            largest += heads_largest[n - 1] + (n == 1)
+            heads[n - 1] = None     # folded
         cut = min(r_max, max(n, 1))
         mex, maex = mex_sums[:cut], [c[:] for c in maex_counts[:cut]]
-        fold(heads[n], mex, maex)
+        fold(heads[n].items(), mex, maex)
         maex = [Counter({m: c for m, c in enumerate(counts) if c}) for counts in maex]
         out.append(Tally(count + heads[n].total(), largest + heads_largest[n],
                          mex, maex, families[n], r_max))
-        ones[n] = heads[n] = None   # folded
     return out

@@ -283,6 +283,33 @@ class TestFamilyBatches:
         assert calls == expected
 
 
+class TestOnesKeys:
+    """A walked partition mu + 1^k is counted once, under its head's key,
+    and the key of mu + 1^j for j >= 1 is derived from that key, never
+    read off the walk's state under the 1s."""
+    CELLS = [(fam, r) for fam in FAMILIES for r in (2, 4, 7)]
+
+    def test_every_top_tallies_each_smaller_n_alike(self):
+        # each n_max walks different heads, with different numbers of 1s
+        by_n = tallies(26, 6, self.CELLS)
+        for n in range(27):
+            assert tallies(n, 6, self.CELLS)[n] == by_n[n], n
+
+    def test_no_read_of_the_state_under_the_ones(self):
+        def walk(*args):
+            for pairs, states in walk_scans(*args):
+                if pairs and pairs[-1][0] == 1:
+                    states = [*states[:-1], None]
+                yield pairs, states
+
+        for r_max in range(1, 7):
+            cells = [(fam, r) for fam in FAMILIES for r in range(2, r_max + 2)]
+            for n in range(19):
+                honest = tallies(n, r_max, cells)
+                with mock.patch("chainex.brute.walk_scans", walk):
+                    assert tallies(n, r_max, cells) == honest, (n, r_max)
+
+
 class TestReport:
     def test_pass_fail(self):
         rep = VerificationReport("demo")
