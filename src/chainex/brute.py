@@ -139,16 +139,19 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     of that weight counts the values of its statistic over the batch from
     one ``map`` call.
 
-    n_max >= 0 and r_max >= 1 must be ints (not bools); anything else
-    raises ValueError before the walk, as in the theorem harness."""
+    n_max >= 0 and r_max >= 1 must be ints (not bools), and each cell a
+    known family at an int r; anything else raises ValueError before the
+    walk, as in the theorem harness."""
     for name, value, least in (("n", n_max, 0), ("r", r_max, 1)):
         if not _is_count(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     for fam, r in family_cells:
-        if not 2 <= r <= r_max + 1:
-            raise ValueError(f"family cell ({fam!r}, {r}) needs r in 2..{r_max + 1}")
+        if fam not in _FAMILY_VALUES:
+            raise ValueError(f"unknown family {fam!r}")
+        if not (_is_count(r) and 2 <= r <= r_max + 1):
+            raise ValueError(f"family cell ({fam!r}, {r!r}) needs r in 2..{r_max + 1}")
     depth = min(r_max, max(n_max, 1))   # longer chains read the last entry
     # heads[w] counts the keys of the heads of weight w, each head once
     heads = [Counter() for _ in range(n_max + 1)]

@@ -185,7 +185,7 @@ def cmd_bijection(args) -> int:
 
 def cmd_verify(args) -> int:
     # the id and the options it reads are checked before a range is parsed
-    vf.check_arguments(args.id, args.r, args.j, args.n, args.order)
+    vf.check_arguments(args.id, r=args.r, j=args.j, n=args.n, order=args.order)
     r_values = None if args.r is None else _parse_range("r", args.r)
     j_values = None if args.j is None else _parse_range("j", args.j)
     report = vf.run_check(args.id, r_values, args.n, j_values, args.order)

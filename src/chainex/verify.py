@@ -32,7 +32,7 @@ from collections import namedtuple
 from . import bijections as bij
 from . import qseries as qs
 from .bijections import DomainError
-from .brute import _STAT_SUMS, FAMILIES, STATISTICS, Tally, tallies  # noqa: F401
+from .brute import _STAT_SUMS, FAMILIES, tallies
 from .partition import (
     EMPTY,
     chain_maex,
@@ -288,7 +288,7 @@ def check_theorem(theorem: str, r_values=None, n_max: int = None,
     """
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}")
-    check_arguments(theorem, r_values, j_values, n_max, order)
+    check_arguments(theorem, r=r_values, j=j_values, n=n_max, order=order)
     spec = _THEOREMS[theorem]
     start = time.monotonic()
     report = VerificationReport(theorem)
@@ -453,7 +453,7 @@ def certify_bijection(name: str, r_values, n_max: int = None) -> VerificationRep
 # Any verification id
 # ---------------------------------------------------------------------------
 
-def check_arguments(vid: str, r=None, j=None, n=None, order=None) -> None:
+def check_arguments(vid: str, *, r=None, j=None, n=None, order=None) -> None:
     """Raise ``ValueError`` for an unknown verification id, or for an option
     it does not read (None means unset), named as the CLI options."""
     spec = {**_THEOREMS, **_BIJECTIONS}.get(vid)
@@ -473,7 +473,7 @@ def run_check(vid: str, r_values=None, n_max: int = None, j_values=None,
     certification of its bijection at every r in ``r_values``."""
     if vid in _THEOREMS:
         return check_theorem(vid, r_values, n_max, j_values, order)
-    check_arguments(vid, r_values, j_values, n_max, order)
+    check_arguments(vid, r=r_values, j=j_values, n=n_max, order=order)
     return certify_bijection(vid, r_values, n_max)
 
 

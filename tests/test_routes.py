@@ -13,9 +13,18 @@ Each route is one module, and this test parses it with ``ast``:
   forbids: the brute-force engine never reaches ``chain_mex_maex``, the
   one-r loop of the bijection side, and the bijections never reach the
   walk or the chain scan of the engine.
+
+Two more checks keep each import honest.  No module under ``chainex``
+imports a chainex name it never uses, so the package re-exports nothing,
+and a fresh interpreter that imports ``partition`` or one route module
+loads no chainex module but the package, that module and the ones its
+entry allows.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,6 +124,39 @@ def reach(names):
             seen.add(name)
             todo.extend(uses.get(name, set()) & defs.keys())
     return seen
+
+
+def unused_imports(tree):
+    """The names the tree imports from chainex and never reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or "chainex" for alias in node.names
+                         if alias.name.split(".")[0] == "chainex")
+        elif isinstance(node, ast.ImportFrom) and source_module(node) is not None:
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_imports_a_chainex_name_it_never_uses():
+    tree = ast.parse("import chainex.cli\nfrom chainex import brute as b\nfrom . import qseries\n"
+                     "from .partition import EMPTY, chain_mex\nfrom collections import namedtuple\n"
+                     "x = qseries.DEFAULT_ORDER + chain_mex(EMPTY, 1)\n")
+    assert unused_imports(tree) == {"chainex", "b"}
+    unused = {path.name: sorted(unused_imports(ast.parse(path.read_text())))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+@pytest.mark.parametrize("module", ["partition", *ROUTES])
+def test_a_fresh_import_loads_only_its_route(module):
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = (f"import sys, chainex.{module}; "
+            "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'chainex'))")
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True).stdout.split()
+    allowed = ROUTES.get(module, (set(),))[0]
+    assert set(loaded) == {"chainex", f"chainex.{module}"} | {f"chainex.{m}" for m in allowed}
 
 
 @pytest.mark.parametrize("module", ROUTES)

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from unittest import mock
 
@@ -8,16 +9,15 @@ from chainex import bijections, brute
 from chainex import partition as pt
 from chainex import verify as vf
 from chainex.bijections import ColoredEmpty, PartitionPair
+from chainex.brute import STATISTICS, Tally
 from chainex.partition import chain_mex, partitions, walk_scans
 from chainex.verify import (
     _BIJECTIONS,
     _resolve,
     BIJECTIONS,
     FAMILIES,
-    STATISTICS,
     THEOREMS,
     Row,
-    Tally,
     VerificationReport,
     certify_bijection,
     check_theorem,
@@ -99,7 +99,7 @@ class TestBruteForceAccumulators:
         assert len(THEOREMS) == 9
         assert len(BIJECTIONS) == 6
         # the documented import path is the engine of the brute-force module
-        assert vf.tallies is brute.tallies and vf.Tally is brute.Tally
+        assert vf.tallies is brute.tallies
 
 
 class TestEngineAgainstOracles:
@@ -225,6 +225,17 @@ class TestTallyAgainstReference:
             with pytest.raises(ValueError):
                 bad()
         assert tallies(8, 4, [("above-mex", 5)])[8].families["above-mex", 5] == {0: 19, 1: 3}
+
+    @pytest.mark.parametrize("cell, message", [
+        (("bogus", 2), "unknown family 'bogus'"),
+        (("above-mex", 2.5), "family cell ('above-mex', 2.5) needs r in 2..3"),
+        (("multiples", "2"), "family cell ('multiples', '2') needs r in 2..3"),
+        (("multiples", 2.0), "family cell ('multiples', 2.0) needs r in 2..3"),
+        (("multiples", True), "family cell ('multiples', True) needs r in 2..3")])
+    def test_rejects_malformed_family_cells_before_any_walk(self, cell, message):
+        with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                tallies(8, 2, [("multiples", 2), cell])
         t = tallies(8, 2)[8]
         for read in (t.mex_sum, t.maex_counts, t.maex_sum, t.off_class):
             for r in (0, -2, 3):
@@ -561,6 +572,13 @@ class TestBijectionCertification:
             run_check("gamma", r_values=[2], j_values=[1])
         with pytest.raises(ValueError, match="^bijection verification requires --r$"):
             run_check("gamma", n_max=4)
+
+    def test_check_arguments_takes_its_options_by_keyword(self):
+        # j before n positionally would swap them silently
+        with pytest.raises(TypeError):
+            vf.check_arguments("gamma", [2], None, 4)
+        with pytest.raises(ValueError, match="^verify gamma does not take --j; it takes --r, --n$"):
+            vf.check_arguments("gamma", r=[2], j=[1], n=4)
 
     def test_cardinality_rows_match_known_counts(self):
         # weight-6 domain of the colored map: sum over partitions of
