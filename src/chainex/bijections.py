@@ -23,12 +23,12 @@ from collections import namedtuple
 
 from .partition import (
     Partition,
+    _conjugate_pairs,
     _cut_pairs,
     _merge_pairs,
     chain_mex_maex,
     is_regular,
     is_strict,
-    largest_repeating,
 )
 
 
@@ -134,10 +134,10 @@ def glaisher_merge(lam: Partition, r: int) -> Partition:
     until every multiplicity is below r.  Input must be r-regular."""
     if r < 2:
         raise DomainError("merge modulus r must be >= 2")
-    for v, _ in lam.pairs:
+    for v, _ in lam._pairs:
         if v % r == 0:
             raise DomainError(f"part {v} is divisible by {r}; input must be {r}-regular")
-    return Partition._from_pairs(_merge_digits(lam.pairs, r))
+    return Partition._from_pairs(_merge_digits(lam._pairs, r))
 
 
 def glaisher_split(lam: Partition, r: int) -> Partition:
@@ -145,10 +145,10 @@ def glaisher_split(lam: Partition, r: int) -> Partition:
     until no part is divisible by r.  Input must be r-strict."""
     if r < 2:
         raise DomainError("split modulus r must be >= 2")
-    for v, m in lam.pairs:
+    for v, m in lam._pairs:
         if m >= r:
             raise DomainError(f"part {v} has multiplicity {m}; input must be {r}-strict")
-    return Partition._from_pairs(_split_digits(lam.pairs, r))
+    return Partition._from_pairs(_split_digits(lam._pairs, r))
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +157,26 @@ def glaisher_split(lam: Partition, r: int) -> Partition:
 
 def _to_repeat_form(lam: Partition, r: int) -> Partition:
     # the parts not divisible by r merge, the multiples of r conjugate
-    other = tuple(p for p in lam.pairs if p[0] % r)
-    mult = Partition._from_pairs(tuple(p for p in lam.pairs if not p[0] % r))
-    return Partition._from_pairs(_merge_pairs(_merge_digits(other, r), mult.conjugate().pairs))
+    other, mult = [], []
+    for p in lam._pairs:
+        if p[0] % r:
+            other.append(p)
+        else:
+            mult.append(p)
+    return Partition._from_pairs(_merge_pairs(_merge_digits(other, r), _conjugate_pairs(mult)))
 
 
 def _to_multiple_form(nu: Partition, r: int) -> Partition:
     # Extract the largest multiple of r from each multiplicity; what stays
     # behind is r-strict, what leaves has all multiplicities divisible by r.
-    rest = tuple((v, m % r) for v, m in nu.pairs if m % r)
-    repeated = Partition._from_pairs(tuple((v, m - m % r) for v, m in nu.pairs if m >= r))
-    return Partition._from_pairs(_merge_pairs(_split_digits(rest, r), repeated.conjugate().pairs))
+    rest, repeated = [], []
+    for v, m in nu._pairs:
+        h = m % r
+        if h:
+            rest.append((v, h))
+        if m > h:
+            repeated.append((v, m - h))
+    return Partition._from_pairs(_merge_pairs(_split_digits(rest, r), _conjugate_pairs(repeated)))
 
 
 def multiples_to_repeats(lam: Partition, r: int) -> Partition:
@@ -209,20 +218,21 @@ def repeats_to_top_multiple(nu: Partition, r: int) -> Partition:
 # Pair operator: reduce beta multiplicities mod (r+1), one end kept intact
 # ---------------------------------------------------------------------------
 
-def _shift_residues(lp: Partition, cut: int, r: int, keep: str):
-    """Cut lp before its part number ``cut`` (1 <= cut <= num_parts + 1)
-    and apply the pair operator of gamma (``keep="largest"``: beta is the
-    lower piece) or delta (``keep="smallest"``: beta is the upper piece).
+def _shift_residues(lp: tuple, cut: int, r: int, keep: str):
+    """Cut the pair tuple lp before its part number ``cut`` (1 <= cut <=
+    its number of parts + 1) and apply the pair operator of gamma
+    (``keep="largest"``: beta is the lower piece) or delta
+    (``keep="smallest"``: beta is the upper piece).
 
     Write each beta multiplicity as q(r+1)+h with 0 <= h <= r.  The kept
     end of beta, the value next to the cut, stays untouched; for every
     other value the h leftover copies migrate to alpha, the other piece.
     They lie strictly below the upper piece (gamma) or above the lower
     piece (delta), so alpha is that piece with the moved pairs appended or
-    prepended.  Returns (alpha, beta, moved), moved being the (value,
-    copies) pairs for tracing.
+    prepended.  Returns the pair tuples (alpha, beta, moved), moved being
+    the (value, copies) pairs for tracing.
     """
-    upper, lower = _cut_pairs(lp._pairs, cut)
+    upper, lower = _cut_pairs(lp, cut)
     gamma = keep == "largest"
     shifted = lower[1:] if gamma else upper[:-1]
     stay, moved = [], []
@@ -234,10 +244,8 @@ def _shift_residues(lp: Partition, cut: int, r: int, keep: str):
             stay.append((v, m - h))
     moved = tuple(moved)
     if gamma:
-        return (Partition._from_pairs(upper + moved),
-                Partition._from_pairs(lower[:1] + tuple(stay)), moved)
-    return (Partition._from_pairs(moved + lower),
-            Partition._from_pairs(tuple(stay) + upper[-1:]), moved)
+        return upper + moved, lower[:1] + tuple(stay), moved
+    return moved + lower, tuple(stay) + upper[-1:], moved
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +304,11 @@ def _check_index(i: int, bound: int, lam: Partition):
 
 def pairing_trace(lam: Partition, i: int, r: int, pair: PartitionPair) -> dict:
     """JSON-friendly trace of the forward call that sent (lam, i) at r to
-    ``pair``, from the steps the pair carries: the conjugate, the cut index,
-    the moved copies and the extra move.  A colored empty has no cut, and
-    its trace holds only the conjugate."""
+    ``pair``, from the steps the pair carries: the conjugate's pairs, the
+    cut index, the moved copies and the extra move.  A colored empty has no
+    cut, and its trace holds only the conjugate."""
     conjugate, cut, moved, extra = pair.steps
-    intermediate = {"conjugate": str(conjugate)}
+    intermediate = {"conjugate": str(Partition._from_pairs(conjugate))}
     if cut is not None:
         intermediate["cut_index"] = cut
         intermediate["moves"] = [{"value": v, "copies": h} for v, h in moved]
@@ -326,29 +334,35 @@ def _mex_pairing(lam: Partition, i: int, r: int, colored: bool) -> PartitionPair
     # gamma's index bound adds the class offset (see mex_offset); the
     # colored extension adds r - 1 on both classes
     _check_index(i, m if gap_bounded and not colored else m + r - 1, lam)
-    lp = lam.conjugate()
+    lp = _conjugate_pairs(lam._pairs)
     if colored and gap_bounded and i >= m:
-        return PartitionPair(lp, ColoredEmpty(i - m + 1), "colored", (lp, None, (), None))
+        return PartitionPair(Partition._from_pairs(lp), ColoredEmpty(i - m + 1), "colored",
+                             (lp, None, (), None))
     alpha, beta, moved = _shift_residues(lp, i, r, "largest")
     extra = None
     if gap_bounded or i <= m - 1:
         case = "case1" if gap_bounded else "case2"
     else:
         # g = parts_above(lam, m) is the largest value of lp with more than
-        # r copies (see _mex_unpairing), and k its multiplicity; off the gap
-        # class the run at the mex lies below a part, so g exists
-        g = largest_repeating(lp, r + 1)
+        # r copies (see _conjugate_union), and k its multiplicity; off the
+        # gap class the run at the mex lies below a part, so g exists
+        g, k = next((p for p in lp if p[1] > r), (0, 0))
         assert g > 0, f"no part above the chain mex of {lam} at r={r}"
-        k = lp.multiplicity(g)
         if (k - (i - m)) % (r + 1) == 0:
             case = "case3.2"
             copies = r - (i - m)
-            beta = beta.with_copies(g, -copies)
-            alpha = alpha.with_copies(g, copies)
+            # part i of lp is a g, so g tops beta with a multiple of r + 1
+            # copies; alpha holds the parts of lp above g, the i - m copies
+            # of g above the cut, then the moved values, all below g, and
+            # it ends up with r copies of g
+            above = alpha[:len(alpha) - len(moved) - (i > m)]
+            alpha = above + ((g, r),) + moved
+            beta = ((g, beta[0][1] - copies),) + beta[1:]
             extra = (g, copies)
         else:
             case = "case3.1"
-    return PartitionPair(alpha, beta, case, (lp, i, moved, extra))
+    return PartitionPair(Partition._from_pairs(alpha), Partition._from_pairs(beta), case,
+                         (lp, i, moved, extra))
 
 
 def mex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
@@ -358,34 +372,65 @@ def mex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
     return _mex_pairing(lam, i, r, False)
 
 
+def _conjugate_union(a: tuple, b: tuple, r: int) -> tuple:
+    """The conjugate of the union of the pair tuples a and b, read in one
+    merge walk that conjugates each value of the union as it comes, as
+    ``_conjugate_pairs`` does.  With lam that conjugate, the walk also reads
+    the r-chain mex of lam, and g, the number of parts of lam above it.
+
+    The parts of lam are the running counts of union parts, so a run of
+    >= r values missing from lam is a union value with more than r copies.
+    The r-chain mex of lam is 1 plus the number of union parts above the
+    largest such value g (g = 0 when there is none).  Returns lam's pairs,
+    the mex, g and the union multiplicity k of g (0 when g is 0)."""
+    out = []
+    height = prev = 0
+    mex, g, k = 1, 0, 0
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la or j < lb:
+        if j == lb or i < la and a[i][0] > b[j][0]:
+            v, c = a[i]
+            i += 1
+        elif i == la or a[i][0] < b[j][0]:
+            v, c = b[j]
+            j += 1
+        else:
+            v, c = a[i][0], a[i][1] + b[j][1]
+            i += 1
+            j += 1
+        if height:
+            out.append((height, prev - v))
+        height += c
+        prev = v
+        if not g:
+            if c > r:
+                g, k = v, c
+            else:
+                mex += c
+    if height:
+        out.append((height, prev))
+        out.reverse()
+    return tuple(out), mex, g, k
+
+
 def _mex_unpairing(pair: PartitionPair, r: int) -> IndexedPartition:
     """mex_pairing_inv on a pair already checked against its codomain."""
-    alpha, beta = pair.alpha, pair.beta
-    union = _merge_pairs(alpha._pairs, beta._pairs)
-    # lam is the conjugate of the union, so its parts are the running
-    # counts of union parts, and a run of >= r values missing from lam is
-    # a union value with more than r copies.  The r-chain mex m of lam is 1
-    # plus the number of union parts above the largest such value g, and g
-    # is the number of parts of lam above m (g = 0 when there is none).
-    m, g = 1, 0
-    for v, k in union:
-        if k > r:
-            g = v
-            break
-        m += k
-    top = beta.largest
+    alpha, beta = pair.alpha._pairs, pair.beta._pairs
+    lam, m, g, k = _conjugate_union(alpha, beta, r)
+    top = beta[0][0] if beta else 0
     # The branch that moved extra copies leaves exactly r copies of g in
     # alpha and keeps g on top of beta; outside it beta's largest value
     # exceeds g whenever g occurs in alpha at all.
-    if g and top == g and alpha.multiplicity(g) == r:
+    if g and top == g and pair.alpha.multiplicity(g) == r:
         i = m + k % (r + 1)
     else:
         i = 1
-        for v, c in alpha._pairs:
+        for v, c in alpha:
             if v < top:
                 break
             i += c
-    return IndexedPartition(Partition._from_pairs(union).conjugate(), i)
+    return IndexedPartition(Partition._from_pairs(lam), i)
 
 
 def mex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:
@@ -437,10 +482,11 @@ def maex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
     # the class offset (see maex_offset) is r off the gap-bounded class,
     # where the maex is positive, and 1 on it
     _check_index(i, top - maex + (r if maex else 1), lam)
-    lp = lam.conjugate()
+    lp = _conjugate_pairs(lam._pairs)
     cut = top + 2 - i
     alpha, beta, moved = _shift_residues(lp, cut, r, "smallest")
-    return PartitionPair(alpha, beta, "cut", (lp, cut, moved, None))
+    return PartitionPair(Partition._from_pairs(alpha), Partition._from_pairs(beta), "cut",
+                         (lp, cut, moved, None))
 
 
 def maex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:
@@ -448,13 +494,14 @@ def maex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:
     as infinity, so every part of alpha lies below it."""
     if not in_maex_codomain(pair, r):
         raise DomainError(f"pair {pair.to_json()} violates the codomain constraints")
-    alpha, beta = pair.alpha, pair.beta
-    if beta.is_empty:
-        below = alpha.num_parts
+    alpha, beta = pair.alpha._pairs, pair.beta._pairs
+    if not beta:
+        below = pair.alpha.num_parts
     else:
-        below, bottom = 0, beta.smallest
-        for v, c in reversed(alpha._pairs):
+        below, bottom = 0, beta[-1][0]
+        for v, c in reversed(alpha):
             if v > bottom:
                 break
             below += c
-    return IndexedPartition(alpha.concat(beta).conjugate(), 1 + below)
+    return IndexedPartition(Partition._from_pairs(_conjugate_union(alpha, beta, r)[0]),
+                            1 + below)

@@ -61,6 +61,26 @@ def _cut_pairs(pairs: tuple, i: int) -> tuple:
     raise PartitionError(f"cut index {i} out of range 1..{sum(m for _, m in pairs) + 1}")
 
 
+def _conjugate_pairs(pairs) -> tuple:
+    """The pairs of the conjugate (Ferrers transpose) of the partition with
+    the pairs ``pairs``, values strictly decreasing; a list of pairs will
+    do as well as a tuple.  The columns over values v_{t+1} < j <= v_t have height
+    m_1 + ... + m_t.  These running sums strictly increase, so the
+    conjugate's pairs come out distinct, in increasing order."""
+    out = []
+    height = 0
+    prev = 0               # the value of the previous pair
+    for v, m in pairs:
+        if height:
+            out.append((height, prev - v))
+        height += m
+        prev = v
+    if height:
+        out.append((height, prev))
+        out.reverse()
+    return tuple(out)
+
+
 class Partition:
     """A partition of a non-negative integer (the empty partition is valid)."""
 
@@ -81,13 +101,13 @@ class Partition:
             prev = p
         self._pairs = tuple((v, m) for v, m in pairs)
 
-    @classmethod
-    def _from_pairs(cls, pairs: tuple) -> "Partition":
+    @staticmethod
+    def _from_pairs(pairs: tuple) -> "Partition":
         # Trusted constructor: pairs already strictly decreasing with
         # positive multiplicities.
-        self = object.__new__(cls)
-        self._pairs = pairs
-        return self
+        lam = object.__new__(Partition)
+        lam._pairs = pairs
+        return lam
 
     @classmethod
     def parse(cls, text: str, sort: bool = False) -> "Partition":
@@ -181,22 +201,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Ferrers diagram; weight is preserved."""
-        if not self._pairs:
-            return self
-        # The columns over values v_{t+1} < j <= v_t have height m_1 + ... +
-        # m_t.  These running sums strictly increase, so the conjugate's
-        # pairs come out distinct, in increasing order.
-        pairs = []
-        height = 0
-        prev = None            # the value of the previous pair
-        for v, m in self._pairs:
-            if height:
-                pairs.append((height, prev - v))
-            height += m
-            prev = v
-        pairs.append((height, prev))
-        pairs.reverse()
-        return Partition._from_pairs(tuple(pairs))
+        return Partition._from_pairs(_conjugate_pairs(self._pairs))
 
     def concat(self, other: "Partition") -> "Partition":
         """Multiset union of parts."""

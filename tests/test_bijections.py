@@ -124,21 +124,21 @@ class TestTopMultipleToRepeats:
 class TestPairOperators:
     def test_keep_largest_moves_leftovers(self):
         # the cut at 2 leaves [5] above and [3,3,2,2,2,2] below
-        alpha, beta, moved = _shift_residues(P([5, 3, 3, 2, 2, 2, 2]), 2, 2, "largest")
-        assert beta == P([3, 3, 2, 2, 2])
-        assert alpha == P([5, 2])
+        alpha, beta, moved = _shift_residues(P([5, 3, 3, 2, 2, 2, 2]).pairs, 2, 2, "largest")
+        assert beta == P([3, 3, 2, 2, 2]).pairs
+        assert alpha == P([5, 2]).pairs
         assert moved == ((2, 1),)
 
     def test_keep_smallest_mirror(self):
         # the cut at 7 leaves [3,3,3,3,2,2] above and [1] below
-        alpha, beta, moved = _shift_residues(P([3, 3, 3, 3, 2, 2, 1]), 7, 2, "smallest")
-        assert beta == P([3, 3, 3, 2, 2])
-        assert alpha == P([3, 1])
+        alpha, beta, moved = _shift_residues(P([3, 3, 3, 3, 2, 2, 1]).pairs, 7, 2, "smallest")
+        assert beta == P([3, 3, 3, 2, 2]).pairs
+        assert alpha == P([3, 1]).pairs
         assert moved == ((3, 1),)
 
     def test_empty_beta_untouched(self):
-        assert _shift_residues(P([4, 1]), 3, 3, "largest") == (P([4, 1]), EMPTY, ())
-        assert _shift_residues(P([4, 1]), 1, 3, "smallest") == (P([4, 1]), EMPTY, ())
+        assert _shift_residues(P([4, 1]).pairs, 3, 3, "largest") == (P([4, 1]).pairs, (), ())
+        assert _shift_residues(P([4, 1]).pairs, 1, 3, "smallest") == (P([4, 1]).pairs, (), ())
 
     def test_pair_weight_and_json(self):
         pair = PartitionPair(P([3, 1]), P([2]))
@@ -248,6 +248,13 @@ class TestPairValue:
          '"intermediate": {"conjugate": "[3,2,1,1]", "cut_index": 4, '
          '"moves": [{"value": 3, "copies": 1}, {"value": 2, "copies": 1}]}, '
          '"output": {"alpha": "[3,2,1]", "beta": "[1]"}}'),
+        # case 3.2 again, where the extra move's value (1) and its copies
+        # (2) differ, so a trace that swaps them shows
+        (mex_pairing, [3], 1, 2,
+         '{"input": {"lambda": "[3]", "i": 1, "r": 2}, "case": "case3.2", '
+         '"intermediate": {"conjugate": "[1,1,1]", "cut_index": 1, '
+         '"moves": [], "extra_move": {"value": 1, "copies": 2}}, '
+         '"output": {"alpha": "[1,1]", "beta": "[1]"}}'),
     ])
     def test_trace_json_of_every_branch(self, forward, lam, i, r, expected):
         assert json.dumps(pairing_trace(P(lam), i, r, forward(P(lam), i, r))) == expected

@@ -100,9 +100,9 @@ def test_shift_residues_match_flat_reference(data):
     # gamma pairs the upper piece with the lower one, delta the other way
     upper, lower = flat_cut(lam.parts, cut)
     alpha, beta = (upper, lower) if keep_largest else (lower, upper)
-    a, b, _ = bij._shift_residues(lam, cut, r, "largest" if keep_largest else "smallest")
+    a, b, _ = bij._shift_residues(lam.pairs, cut, r, "largest" if keep_largest else "smallest")
     flat_a, flat_b = flat_shift_residues(alpha, beta, r, keep_largest)
-    assert (a, b) == (P(flat_a), P(flat_b))
+    assert (a, b) == (P(flat_a).pairs, P(flat_b).pairs)
 
 
 @pytest.mark.parametrize("cut", [-1, 0, 5, 6])
@@ -112,7 +112,7 @@ def test_shift_residues_refuses_the_cuts_partition_cut_refuses(cut, keep):
     with pytest.raises(PartitionError, match="out of range 1..4"):
         lam.cut(cut)
     with pytest.raises(PartitionError, match="out of range 1..4"):
-        bij._shift_residues(lam, cut, 2, keep)
+        bij._shift_residues(lam.pairs, cut, 2, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +143,20 @@ def test_chain_mex_read_from_the_conjugate(lam, r):
     mex = chain_mex(lam, r)
     assert mex == 1 + sum(m for v, m in conjugate.pairs if v > g)
     assert parts_above(lam, mex) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions_of(60, 200), partitions_of(60, 200), st.integers(1, 8))
+def test_union_walk_conjugates_the_union_and_reads_its_mex(alpha, beta, r):
+    # the gamma and delta inverses conjugate alpha + beta in one merge walk,
+    # and gamma's reads the preimage's r-chain mex and g in the same walk
+    union = flat_concat(alpha.parts, beta.parts)
+    lam = ferrers_transpose(union)
+    pairs, mex, g, k = bij._conjugate_union(alpha.pairs, beta.pairs, r)
+    assert pairs == P(lam).pairs
+    assert mex == linear_mex(lam, r)
+    assert g == sum(1 for part in lam if part > mex)
+    assert k == union.count(g)
 
 
 @settings(max_examples=100, deadline=None)

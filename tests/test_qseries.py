@@ -91,6 +91,8 @@ class TestPowerSeriesArithmetic:
 
     def test_str(self):
         assert str(PowerSeries([1, 0, -2], order=2)) == "1 + -2*q^2"
+        # a zero constant term is printed, unlike every other zero term
+        assert str(PowerSeries([0, 1, 0, 3], order=3)) == "0 + 1*q + 3*q^3"
 
     def test_json_exact_integers(self):
         blob = PowerSeries([10 ** 40, 1], order=1).to_json()

@@ -42,8 +42,8 @@ ROUTES = {
                "smallest_repeating", "parts_above"},
               {"chain_mex_maex"}),
     "bijections": ({"partition"},
-                   {"Partition", "_cut_pairs", "_merge_pairs", "chain_mex_maex",
-                    "is_regular", "is_strict", "largest_repeating"},
+                   {"Partition", "_conjugate_pairs", "_cut_pairs", "_merge_pairs",
+                    "chain_mex_maex", "is_regular", "is_strict"},
                    {"walk_scans", "scan_start", "scan_step"}),
     "qseries": (set(), set(), set()),
 }

@@ -231,7 +231,12 @@ class TestTallyAgainstReference:
         (("above-mex", 2.5), "family cell ('above-mex', 2.5) needs r in 2..3"),
         (("multiples", "2"), "family cell ('multiples', '2') needs r in 2..3"),
         (("multiples", 2.0), "family cell ('multiples', 2.0) needs r in 2..3"),
-        (("multiples", True), "family cell ('multiples', True) needs r in 2..3")])
+        (("multiples", True), "family cell ('multiples', True) needs r in 2..3"),
+        ("ab", "family cell 'ab' is not a (family, r) pair"),
+        (("multiples",), "family cell ('multiples',) is not a (family, r) pair"),
+        (("multiples", 2, 3), "family cell ('multiples', 2, 3) is not a (family, r) pair"),
+        (5, "family cell 5 is not a (family, r) pair"),
+        ((["x"], 2), "unknown family ['x']")])
     def test_rejects_malformed_family_cells_before_any_walk(self, cell, message):
         with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -241,6 +246,21 @@ class TestTallyAgainstReference:
             for r in (0, -2, 3):
                 with pytest.raises(ValueError):
                     read(r)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: tallies(8, 2, "ab"), "family cell 'a' is not a (family, r) pair"),
+        (lambda: tallies(8, 2, 5), "family cells must be (family, r) pairs, got 5"),
+        (lambda: sigma_stat(5, 1, ["mex"]), "unknown statistic ['mex']"),
+        (lambda: run_check(["gamma"]), "unknown verification id ['gamma']; theorems: "),
+        (lambda: check_theorem(["thm-1.4"]), "unknown theorem id ['thm-1.4']"),
+        (lambda: certify_bijection(["gamma"], [1]), "unknown bijection id ['gamma']")],
+        ids=["cells-str", "cells-int", "stat-list", "id-list", "theorem-list", "bijection-list"])
+    def test_rejects_malformed_cell_lists_statistics_and_ids_before_any_walk(self, call,
+                                                                             message):
+        with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")), \
+                mock.patch("chainex.verify.partitions", side_effect=AssertionError("listed")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                call()
 
 
 class TestFamilyBatches:
