@@ -344,7 +344,7 @@ def _mex_pairing(lam: Partition, i: int, r: int, colored: bool) -> PartitionPair
         case = "case1" if gap_bounded else "case2"
     else:
         # g = parts_above(lam, m) is the largest value of lp with more than
-        # r copies (see _conjugate_union), and k its multiplicity; off the
+        # r copies (see _mex_unpairing), and k its multiplicity; off the
         # gap class the run at the mex lies below a part, so g exists
         g, k = next((p for p in lp if p[1] > r), (0, 0))
         assert g > 0, f"no part above the chain mex of {lam} at r={r}"
@@ -372,52 +372,21 @@ def mex_pairing(lam: Partition, i: int, r: int) -> PartitionPair:
     return _mex_pairing(lam, i, r, False)
 
 
-def _conjugate_union(a: tuple, b: tuple, r: int) -> tuple:
-    """The conjugate of the union of the pair tuples a and b, read in one
-    merge walk that conjugates each value of the union as it comes, as
-    ``_conjugate_pairs`` does.  With lam that conjugate, the walk also reads
-    the r-chain mex of lam, and g, the number of parts of lam above it.
-
-    The parts of lam are the running counts of union parts, so a run of
-    >= r values missing from lam is a union value with more than r copies.
-    The r-chain mex of lam is 1 plus the number of union parts above the
-    largest such value g (g = 0 when there is none).  Returns lam's pairs,
-    the mex, g and the union multiplicity k of g (0 when g is 0)."""
-    out = []
-    height = prev = 0
-    mex, g, k = 1, 0, 0
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la or j < lb:
-        if j == lb or i < la and a[i][0] > b[j][0]:
-            v, c = a[i]
-            i += 1
-        elif i == la or a[i][0] < b[j][0]:
-            v, c = b[j]
-            j += 1
-        else:
-            v, c = a[i][0], a[i][1] + b[j][1]
-            i += 1
-            j += 1
-        if height:
-            out.append((height, prev - v))
-        height += c
-        prev = v
-        if not g:
-            if c > r:
-                g, k = v, c
-            else:
-                mex += c
-    if height:
-        out.append((height, prev))
-        out.reverse()
-    return tuple(out), mex, g, k
-
-
 def _mex_unpairing(pair: PartitionPair, r: int) -> IndexedPartition:
     """mex_pairing_inv on a pair already checked against its codomain."""
     alpha, beta = pair.alpha._pairs, pair.beta._pairs
-    lam, m, g, k = _conjugate_union(alpha, beta, r)
+    union = _merge_pairs(alpha, beta)
+    # lam is the conjugate of the union, so its parts are the running
+    # counts of union parts, and a run of >= r values missing from lam is
+    # a union value with more than r copies.  The r-chain mex m of lam is 1
+    # plus the number of union parts above the largest such value g, and g
+    # is the number of parts of lam above m (g = 0 when there is none).
+    m, g = 1, 0
+    for v, k in union:
+        if k > r:
+            g = v
+            break
+        m += k
     top = beta[0][0] if beta else 0
     # The branch that moved extra copies leaves exactly r copies of g in
     # alpha and keeps g on top of beta; outside it beta's largest value
@@ -430,7 +399,7 @@ def _mex_unpairing(pair: PartitionPair, r: int) -> IndexedPartition:
             if v < top:
                 break
             i += c
-    return IndexedPartition(Partition._from_pairs(lam), i)
+    return IndexedPartition(Partition._from_pairs(_conjugate_pairs(union)), i)
 
 
 def mex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:
@@ -503,5 +472,5 @@ def maex_pairing_inv(pair: PartitionPair, r: int) -> IndexedPartition:
             if v > bottom:
                 break
             below += c
-    return IndexedPartition(Partition._from_pairs(_conjugate_union(alpha, beta, r)[0]),
-                            1 + below)
+    lam = _conjugate_pairs(_merge_pairs(alpha, beta))
+    return IndexedPartition(Partition._from_pairs(lam), 1 + below)

@@ -140,7 +140,7 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     one ``map`` call.
 
     n_max >= 0 and r_max >= 1 must be ints (not bools), and each cell a
-    (family, r) tuple of a known family at an int r; anything else raises
+    (family, r) pair of a known family at an int r; anything else raises
     ValueError before the walk, as in the theorem harness."""
     for name, value, least in (("n", n_max, 0), ("r", r_max, 1)):
         if not _is_count(value):
@@ -152,10 +152,11 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     except TypeError:
         raise ValueError(f"family cells must be (family, r) pairs, got {family_cells!r}") from None
     for cell in family_cells:
-        if not (isinstance(cell, tuple) and len(cell) == 2):
-            raise ValueError(f"family cell {cell!r} is not a (family, r) pair")
-        fam, r = cell
-        if not isinstance(fam, str) or fam not in _FAMILY_VALUES:
+        try:
+            fam, r = cell
+        except (TypeError, ValueError):
+            raise ValueError(f"family cell {cell!r} is not a (family, r) pair") from None
+        if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}")
         if not (_is_count(r) and 2 <= r <= r_max + 1):
             raise ValueError(f"family cell ({fam!r}, {r!r}) needs r in 2..{r_max + 1}")

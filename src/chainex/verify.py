@@ -32,7 +32,7 @@ from collections import namedtuple
 from . import bijections as bij
 from . import qseries as qs
 from .bijections import DomainError
-from .brute import _STAT_SUMS, FAMILIES, tallies
+from .brute import _STAT_SUMS, FAMILIES, STATISTICS, tallies
 from .partition import (
     EMPTY,
     chain_maex,
@@ -51,7 +51,7 @@ from .partition import (
 
 def sigma_stat(n: int, r: int, stat: str) -> int:
     """Exact sum of the chosen statistic over all partitions of n."""
-    if not isinstance(stat, str) or stat not in _STAT_SUMS:
+    if stat not in STATISTICS:
         raise ValueError(f"unknown statistic {stat!r}")
     return _STAT_SUMS[stat](tallies(n, r)[n], r)
 
@@ -286,7 +286,7 @@ def check_theorem(theorem: str, r_values=None, n_max: int = None,
     ``ValueError`` before any work starts; mismatches are recorded in the
     report, not raised.
     """
-    if not isinstance(theorem, str) or theorem not in _THEOREMS:
+    if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     check_arguments(theorem, r=r_values, j=j_values, n=n_max, order=order)
     spec = _THEOREMS[theorem]
@@ -435,7 +435,7 @@ def certify_bijection(name: str, r_values, n_max: int = None) -> VerificationRep
     (default 16, the entry's n), each weight listed once: forward output
     lands in the codomain of its weight, the inverse round-trips, and the
     independently counted domain and codomain cardinalities agree."""
-    if not isinstance(name, str) or name not in _BIJECTIONS:
+    if name not in BIJECTIONS:
         raise ValueError(f"unknown bijection id {name!r}")
     spec = _BIJECTIONS[name]
     if r_values is None:
@@ -456,11 +456,10 @@ def certify_bijection(name: str, r_values, n_max: int = None) -> VerificationRep
 def check_arguments(vid: str, *, r=None, j=None, n=None, order=None) -> None:
     """Raise ``ValueError`` for an unknown verification id, or for an option
     it does not read (None means unset), named as the CLI options."""
-    spec = {**_THEOREMS, **_BIJECTIONS}.get(vid) if isinstance(vid, str) else None
-    if spec is None:
+    if vid not in THEOREMS + BIJECTIONS:
         raise ValueError(f"unknown verification id {vid!r}; theorems: "
                          + ", ".join(THEOREMS) + "; bijections: " + ", ".join(BIJECTIONS))
-    takes = spec.takes
+    takes = {**_THEOREMS, **_BIJECTIONS}[vid].takes
     for name, value in (("r", r), ("j", j), ("n", n), ("order", order)):
         if value is not None and name not in takes:
             raise ValueError(f"verify {vid} does not take --{name}; it takes "
@@ -471,9 +470,9 @@ def run_check(vid: str, r_values=None, n_max: int = None, j_values=None,
               order: int = None) -> VerificationReport:
     """One report for any verification id: its theorem check, or the
     certification of its bijection at every r in ``r_values``."""
-    check_arguments(vid, r=r_values, j=j_values, n=n_max, order=order)
-    if vid in _THEOREMS:
+    if vid in THEOREMS:
         return check_theorem(vid, r_values, n_max, j_values, order)
+    check_arguments(vid, r=r_values, j=j_values, n=n_max, order=order)
     return certify_bijection(vid, r_values, n_max)
 
 

@@ -18,6 +18,8 @@ from chainex.bijections import ColoredEmpty, DomainError, PartitionPair
 from chainex.partition import (
     Partition,
     PartitionError,
+    _conjugate_pairs,
+    _merge_pairs,
     chain_maex,
     chain_mex,
     chain_mex_maex,
@@ -147,16 +149,19 @@ def test_chain_mex_read_from_the_conjugate(lam, r):
 
 @settings(max_examples=200, deadline=None)
 @given(partitions_of(60, 200), partitions_of(60, 200), st.integers(1, 8))
-def test_union_walk_conjugates_the_union_and_reads_its_mex(alpha, beta, r):
-    # the gamma and delta inverses conjugate alpha + beta in one merge walk,
-    # and gamma's reads the preimage's r-chain mex and g in the same walk
-    union = flat_concat(alpha.parts, beta.parts)
-    lam = ferrers_transpose(union)
-    pairs, mex, g, k = bij._conjugate_union(alpha.pairs, beta.pairs, r)
-    assert pairs == P(lam).pairs
+def test_inverses_conjugate_the_merged_union_and_read_its_mex(alpha, beta, r):
+    # the gamma and delta inverses merge alpha + beta and conjugate the
+    # merged pairs with the shared conjugate loop; gamma's reads the
+    # preimage's r-chain mex and g from the merged pairs, as above
+    flat_union = flat_concat(alpha.parts, beta.parts)
+    lam = ferrers_transpose(flat_union)
+    union = _merge_pairs(alpha.pairs, beta.pairs)
+    assert union == P(flat_union).pairs
+    assert _conjugate_pairs(union) == P(lam).pairs
+    g = largest_repeating(P(flat_union), r + 1)     # 0 when there is none
+    mex = 1 + sum(m for v, m in union if v > g)
     assert mex == linear_mex(lam, r)
     assert g == sum(1 for part in lam if part > mex)
-    assert k == union.count(g)
 
 
 @settings(max_examples=100, deadline=None)

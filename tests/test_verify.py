@@ -232,7 +232,7 @@ class TestTallyAgainstReference:
         (("multiples", "2"), "family cell ('multiples', '2') needs r in 2..3"),
         (("multiples", 2.0), "family cell ('multiples', 2.0) needs r in 2..3"),
         (("multiples", True), "family cell ('multiples', True) needs r in 2..3"),
-        ("ab", "family cell 'ab' is not a (family, r) pair"),
+        ("ab", "unknown family 'a'"),
         (("multiples",), "family cell ('multiples',) is not a (family, r) pair"),
         (("multiples", 2, 3), "family cell ('multiples', 2, 3) is not a (family, r) pair"),
         (5, "family cell 5 is not a (family, r) pair"),
@@ -246,6 +246,11 @@ class TestTallyAgainstReference:
             for r in (0, -2, 3):
                 with pytest.raises(ValueError):
                     read(r)
+
+    def test_accepts_a_cell_given_as_any_two_item_sequence(self):
+        # a cell is any (family, r) pair, a list as well as a tuple
+        want = tallies(8, 2, [("multiples", 2)])[8].families
+        assert tallies(8, 2, [["multiples", 2]])[8].families == want
 
     @pytest.mark.parametrize("call, message", [
         (lambda: tallies(8, 2, "ab"), "family cell 'a' is not a (family, r) pair"),
