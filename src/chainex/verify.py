@@ -100,18 +100,16 @@ class VerificationReport:
     def add(self, r, j, n, lhs, rhs, label=""):
         self.rows.append(Row(r, j, n, lhs, rhs, label))
 
+    def _head(self) -> dict:
+        return {"schema": 1, "theorem": self.theorem, "passed": self.passed,
+                "wall_time": self.wall_time}
+
     def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "theorem": self.theorem,
-            "passed": self.passed,
-            "wall_time": self.wall_time,
-            "rows": [
-                {"r": row.r, "j": row.j, "n": row.n, "label": row.label,
-                 "lhs": str(row.lhs), "rhs": str(row.rhs), "match": row.match}
-                for row in self.rows
-            ],
-        }
+        return {**self._head(), "rows": [
+            {"r": row.r, "j": row.j, "n": row.n, "label": row.label,
+             "lhs": str(row.lhs), "rhs": str(row.rhs), "match": row.match}
+            for row in self.rows
+        ]}
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -476,22 +474,30 @@ def run_check(vid: str, r_values=None, n_max: int = None, j_values=None,
     return certify_bijection(vid, r_values, n_max)
 
 
-# separators that lay a row's keys out as indent=2 lays them out at depth 3
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
-
-
 def report_to_format(report: VerificationReport, fmt: str) -> str:
+    """The report as ``fmt``: json, csv or text."""
     if fmt == "json":
-        # the bytes of json.dumps(report.to_json(), indent=2); with indent
-        # set, json takes its pure-Python encoder, so the rows, which are
-        # nearly all of a report, go through the C encoder one at a time
-        # and only the short head is indented by json.dumps; this holds
-        # while a row holds only scalars and "rows" is the last key
-        doc = report.to_json()
-        rows = ",".join("\n    {\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }"
-                        for row in doc.pop("rows"))
+        # the bytes of json.dumps(report.to_json(), indent=2); the rows are
+        # nearly all of a report, and a dict and an encoder call per row
+        # cost more than the rest of the write, so each row is one template
+        # spelling out the indent=2 layout of its scalars, its strings quoted
+        # by the function json.dumps quotes them with; this holds while r, j
+        # and n are ints or None and "rows" is the last key, after the head
+        quote = json.encoder.encode_basestring_ascii
+        rows = ",".join(f'''
+    {{
+      "r": {"null" if r is None else r},
+      "j": {"null" if j is None else j},
+      "n": {n},
+      "label": {quote(label)},
+      "lhs": {quote(str(lhs))},
+      "rhs": {quote(str(rhs))},
+      "match": {"true" if lhs == rhs else "false"}
+    }}''' for r, j, n, lhs, rhs, label in report.rows)
         rows += "\n  ]" if rows else "]"
-        return json.dumps(doc, indent=2)[:-2] + ',\n  "rows": [' + rows + "\n}"
+        return json.dumps(report._head(), indent=2)[:-2] + ',\n  "rows": [' + rows + "\n}"
     if fmt == "csv":
         return report.to_csv()
-    return report.to_text()
+    if fmt == "text":
+        return report.to_text()
+    raise ValueError(f"unknown report format {fmt!r}; formats: json, csv, text")

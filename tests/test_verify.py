@@ -4,6 +4,8 @@ from collections import Counter
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainex import bijections, brute
 from chainex import partition as pt
@@ -386,7 +388,8 @@ class TestReport:
 
     @pytest.mark.parametrize("vid", THEOREMS + BIJECTIONS)
     def test_json_is_the_indented_dump(self, vid):
-        # the rows take the C encoder; the bytes must stay those of indent=2
+        # the rows are written from one template, not by json; the bytes
+        # must stay those of indent=2
         if vid in BIJECTIONS:
             rep = run_check(vid, range(2, 4), 6)
         else:
@@ -402,6 +405,31 @@ class TestReport:
             assert report_to_format(rep, "json") == json.dumps(rep.to_json(), indent=2)
         assert not failing.passed
         assert r'"label": "q\"\\\n\u03bb"' in report_to_format(escaped, "json")
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.builds(
+        Row, st.none() | st.integers(), st.none() | st.integers(), st.integers(0),
+        st.integers(-10 ** 60, 10 ** 60), st.integers(-10 ** 60, 10 ** 60), st.text())),
+        wall_time=st.floats())
+    def test_json_of_any_rows_is_the_indented_dump(self, rows, wall_time):
+        rep = VerificationReport("demo", rows, wall_time)
+        assert report_to_format(rep, "json") == json.dumps(rep.to_json(), indent=2)
+
+    def test_json_builds_no_row_dicts(self):
+        rep = run_check("maex-distribution", range(1, 4), 20)
+        expected = json.dumps(rep.to_json(), indent=2)
+        with mock.patch.object(VerificationReport, "to_json", side_effect=AssertionError):
+            text = report_to_format(rep, "json")
+        # compared as lines: pytest names the first line that differs, where
+        # its diff of two long texts takes minutes
+        assert text.splitlines() == expected.splitlines() and text == expected
+
+    @pytest.mark.parametrize("fmt", ["xml", "JSON", "", None])
+    def test_unknown_format_is_rejected(self, fmt):
+        rep = VerificationReport("demo", [Row(2, None, 5, 7, 7)])
+        with pytest.raises(ValueError, match=f"^unknown report format {re.escape(repr(fmt))}; "
+                                             "formats: json, csv, text$"):
+            report_to_format(rep, fmt)
 
     def test_csv_header(self):
         rep = VerificationReport("demo")
