@@ -430,11 +430,9 @@ def mex_pairing_colored_inv(pair: PartitionPair, r: int) -> IndexedPartition:
     if not in_colored_codomain(pair, r):
         raise DomainError(f"pair {pair.to_json()} violates the colored codomain constraints")
     if isinstance(pair.beta, ColoredEmpty):
+        # alpha is (r+1)-strict, so lam is gap-bounded: test_gap_class_is_the_strict_conjugate
         lam = pair.alpha.conjugate()
-        m, maex = chain_mex_maex(lam, r)
-        if maex:
-            raise DomainError("colored empty beta requires a gap-bounded preimage")
-        return IndexedPartition(lam, m + pair.beta.color - 1)
+        return IndexedPartition(lam, chain_mex_maex(lam, r)[0] + pair.beta.color - 1)
     return _mex_unpairing(pair, r)
 
 

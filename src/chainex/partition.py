@@ -163,11 +163,6 @@ class Partition:
         return self._pairs[0][0] if self._pairs else 0
 
     @property
-    def smallest(self):
-        """Smallest part, or None for the empty partition."""
-        return self._pairs[-1][0] if self._pairs else None
-
-    @property
     def is_empty(self) -> bool:
         return not self._pairs
 
@@ -184,12 +179,6 @@ class Partition:
 
     def __hash__(self) -> int:
         return hash(self._pairs)
-
-    def __len__(self) -> int:
-        return self.num_parts
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)!r})"
@@ -212,17 +201,6 @@ class Partition:
         partitions; 1 <= i <= num_parts + 1."""
         up, down = _cut_pairs(self._pairs, i)
         return Partition._from_pairs(up), Partition._from_pairs(down)
-
-    def with_copies(self, value: int, delta: int) -> "Partition":
-        """Return a copy with the multiplicity of ``value`` changed by delta."""
-        have = self.multiplicity(value)
-        new = have + delta
-        if new < 0:
-            raise PartitionError(f"cannot remove {-delta} copies of {value}; only {have} present")
-        if new and (not _is_count(value) or value < 1):
-            raise PartitionError(f"parts must be positive integers, got {value!r}")
-        rest = tuple(p for p in self._pairs if p[0] != value)
-        return Partition._from_pairs(_merge_pairs(rest, ((value, new),)) if new else rest)
 
 
 EMPTY = Partition()

@@ -66,6 +66,16 @@ class TestEnumerate:
         assert blob["count"] == 4
         assert "[3,2,1]" in blob["partitions"]
 
+    def test_regular_lists_the_odd_part_partitions(self, capsys):
+        code, out, _ = call(capsys, "enumerate", "--n", "10", "--regular", "2",
+                            "--format", "json")
+        assert code == 0
+        # by Euler as many as the 2-strict partitions, so only the list
+        # tells the two filters apart
+        assert json.loads(out) == {"schema": 1, "n": 10, "count": 10, "partitions": [
+            "[9,1]", "[7,3]", "[7,1,1,1]", "[5,5]", "[5,3,1,1]", "[5,1,1,1,1,1]",
+            "[3,3,3,1]", "[3,3,1,1,1,1]", "[3,1,1,1,1,1,1,1]", "[1,1,1,1,1,1,1,1,1,1]"]}
+
     @pytest.mark.parametrize("argv,message", [
         (("--regular", "0"), "--regular must be >= 1, got 0"),
         (("--strict", "0"), "--strict must be >= 1, got 0"),

@@ -148,6 +148,15 @@ def test_chain_mex_read_from_the_conjugate(lam, r):
 
 
 @settings(max_examples=200, deadline=None)
+@given(partitions_of(60, 200), st.integers(1, 8))
+def test_gap_class_is_the_strict_conjugate(lam, r):
+    # a gap of more than r in lam, or a smallest part above r, is a value
+    # of the conjugate with more than r copies; so the colored inverse,
+    # whose alpha is (r+1)-strict, always conjugates it to a gap-bounded lam
+    assert in_gap_class(lam, r) == is_strict(lam.conjugate(), r + 1)
+
+
+@settings(max_examples=200, deadline=None)
 @given(partitions_of(60, 200), partitions_of(60, 200), st.integers(1, 8))
 def test_inverses_conjugate_the_merged_union_and_read_its_mex(alpha, beta, r):
     # the gamma and delta inverses merge alpha + beta and conjugate the

@@ -16,6 +16,7 @@ from chainex.partition import (
     maex_offset,
     mex_offset,
     parts_above,
+    parts_above_maex,
     parts_above_mex,
     partitions,
     smallest_repeating,
@@ -55,7 +56,6 @@ class TestConstruction:
         assert EMPTY.weight == 0
         assert EMPTY.num_parts == 0
         assert EMPTY.largest == 0
-        assert EMPTY.smallest is None
 
     def test_rejects_bad_parts(self):
         with pytest.raises(PartitionError):
@@ -141,19 +141,6 @@ class TestConcatAndCut:
                 for i in range(1, lam.num_parts + 2):
                     up, down = lam.cut(i)
                     assert up.concat(down) == lam
-
-    def test_with_copies(self):
-        assert P([3, 1]).with_copies(3, 2) == P([3, 3, 3, 1])
-        assert P([3, 1]).with_copies(1, -1) == P([3])
-        assert P([3, 1]).with_copies(2, 2).pairs == ((3, 1), (2, 2), (1, 1))
-        assert P([3, 1]).with_copies(5, 0).pairs == ((3, 1), (1, 1))
-        assert P([3]).with_copies(1, 2).pairs == ((3, 1), (1, 2))
-        assert P([4, 2, 1]).with_copies(2, -1).pairs == ((4, 1), (1, 1))
-        assert EMPTY.with_copies(2, 1) == P([2])
-        with pytest.raises(PartitionError, match="cannot remove 2 copies of 1; only 1 present"):
-            P([3, 1]).with_copies(1, -2)
-        with pytest.raises(PartitionError, match="parts must be positive integers, got 0"):
-            P([3, 1]).with_copies(0, 1)
 
 
 class TestChainMex:
@@ -291,6 +278,14 @@ class TestPartsAboveMex:
         assert parts_above_mex(EMPTY, 3) == 0
         assert parts_above_mex(P([5, 3, 2, 2, 1]), 2) == 0
         assert parts_above_mex(P([7, 1]), 2) == 1
+
+    def test_above_maex_matches_flat_oracle(self):
+        # the maex is 0 on the gap-bounded class, so every part is above it
+        for n in range(16):
+            for r in (1, 2, 3, 5):
+                for lam in partitions(n):
+                    maex = linear_maex(lam.parts, r)
+                    assert parts_above_maex(lam, r) == sum(1 for p in lam.parts if p > maex)
 
     def test_conjugation_swaps_with_largest_repeating(self):
         # j parts above the (r-1)-chain mex <-> largest r-repeating part j

@@ -37,6 +37,11 @@ class TestPowerSeriesArithmetic:
         assert s.coeffs == [1, 2, 0, 0, 0]
         assert PowerSeries([1, 2, 3], order=1).coeffs == [1, 2]
 
+    def test_no_coefficients_and_no_order_is_refused(self):
+        with pytest.raises(SeriesError, match="^a series needs at least a constant term$"):
+            PowerSeries([])
+        assert PowerSeries([], order=1).coeffs == [0, 0]
+
     def test_coeff_bounds(self):
         s = PowerSeries([5, 7], order=1)
         assert s.coeff(0) == 5

@@ -41,6 +41,12 @@ from oracles import (
 )
 
 
+def assert_same_text(text, expected):
+    # compared as lines first: pytest names the first line that differs,
+    # where its diff of two long texts takes minutes
+    assert text.splitlines() == expected.splitlines() and text == expected
+
+
 class TestBruteForceAccumulators:
     def test_sigma_mex_small_values(self):
         # n = 3: partitions (3), (2,1), (1,1,1) have classic mex 1, 3, 2
@@ -395,14 +401,14 @@ class TestReport:
         else:
             rep = run_check(vid, n_max=None if vid == "q-binomial" else 6)
         assert rep.rows
-        assert report_to_format(rep, "json") == json.dumps(rep.to_json(), indent=2)
+        assert_same_text(report_to_format(rep, "json"), json.dumps(rep.to_json(), indent=2))
 
     def test_json_of_empty_failing_and_escaped_reports(self):
         empty = VerificationReport("demo")
         failing = VerificationReport("demo", [Row(2, None, 5, 7, 8, "bad")], 0.25)
         escaped = VerificationReport("demo", [Row(1, 3, 4, 10 ** 40, -12, 'q"\\\nλ')])
         for rep in (empty, failing, escaped):
-            assert report_to_format(rep, "json") == json.dumps(rep.to_json(), indent=2)
+            assert_same_text(report_to_format(rep, "json"), json.dumps(rep.to_json(), indent=2))
         assert not failing.passed
         assert r'"label": "q\"\\\n\u03bb"' in report_to_format(escaped, "json")
 
@@ -413,16 +419,14 @@ class TestReport:
         wall_time=st.floats())
     def test_json_of_any_rows_is_the_indented_dump(self, rows, wall_time):
         rep = VerificationReport("demo", rows, wall_time)
-        assert report_to_format(rep, "json") == json.dumps(rep.to_json(), indent=2)
+        assert_same_text(report_to_format(rep, "json"), json.dumps(rep.to_json(), indent=2))
 
     def test_json_builds_no_row_dicts(self):
         rep = run_check("maex-distribution", range(1, 4), 20)
         expected = json.dumps(rep.to_json(), indent=2)
         with mock.patch.object(VerificationReport, "to_json", side_effect=AssertionError):
             text = report_to_format(rep, "json")
-        # compared as lines: pytest names the first line that differs, where
-        # its diff of two long texts takes minutes
-        assert text.splitlines() == expected.splitlines() and text == expected
+        assert_same_text(text, expected)
 
     @pytest.mark.parametrize("fmt", ["xml", "JSON", "", None])
     def test_unknown_format_is_rejected(self, fmt):
