@@ -52,9 +52,6 @@ class ColoredEmpty(namedtuple("ColoredEmpty", "color")):
     def to_json(self):
         return {"empty_color": self.color}
 
-    def __str__(self):
-        return f"[]#{self.color}"
-
 
 class PartitionPair(namedtuple("PartitionPair", "alpha beta case steps",
                                defaults=(None, None))):
@@ -275,7 +272,7 @@ def in_colored_codomain(pair: PartitionPair, r: int) -> bool:
     beta is replaced by r colored copies."""
     if isinstance(pair.beta, ColoredEmpty):
         return 1 <= pair.beta.color <= r and is_strict(pair.alpha, r + 1)
-    return (not pair.beta.is_empty) and in_mex_codomain(pair, r)
+    return bool(pair.beta._pairs) and in_mex_codomain(pair, r)
 
 
 def in_maex_codomain(pair: PartitionPair, r: int) -> bool:

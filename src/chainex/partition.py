@@ -162,10 +162,6 @@ class Partition:
         """Largest part; 0 for the empty partition."""
         return self._pairs[0][0] if self._pairs else 0
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._pairs
-
     def multiplicity(self, value: int) -> int:
         for v, m in self._pairs:
             if v == value:

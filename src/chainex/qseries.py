@@ -5,7 +5,8 @@ builders for every closed-form generating function used by the verifier.
 integers never overflow, and every identity check in this project is an
 exact coefficient-by-coefficient equality.  Binary operations carry the
 minimum truncation order of their operands; reading a coefficient beyond
-the truncation order raises instead of silently returning zero.
+the truncation order raises instead of silently returning zero.  Sums and
+differences take two series; an int operand only scales a product.
 
 Every product side of the paper's identities is a ratio of q-Pochhammer
 products, so the builders run a sparse kernel over coefficient lists.
@@ -83,16 +84,10 @@ class PowerSeries:
         return self.coeffs[n]
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = PowerSeries([other], self.order)
         order = min(self.order, other.order)
         return PowerSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], order)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = PowerSeries([other], self.order)
         order = min(self.order, other.order)
         return PowerSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], order)
 
@@ -263,12 +258,6 @@ def poch_inf(first: int, step: int, order: int, negate: bool = False) -> PowerSe
                              1 if negate else -1), order)
 
 
-def poch_inverse(first: int, step: int, order: int) -> PowerSeries:
-    """Inverse infinite product 1/prod_{i>=0} (1 - q^(first+i*step)).
-    Needs first >= 1."""
-    return PowerSeries(_poch(_const(order, 1), first, step, divide=True), order)
-
-
 def gaussian_binomial(n: int, m: int) -> PowerSeries:
     """The Gaussian polynomial [n choose m]_q = (q^(n-m+1);q)_m / (q;q)_m.
     It has degree m(n-m), so the series quotient truncated there is exact."""
@@ -323,7 +312,7 @@ DEFAULT_ORDER = 60
 
 def series_partition_count(order: int = DEFAULT_ORDER) -> PowerSeries:
     """1/(q;q)_inf: coefficients are the partition numbers p(n)."""
-    return poch_inverse(1, 1, order)
+    return PowerSeries(_poch(_const(order, 1), 1, 1, divide=True), order)
 
 
 def series_sigma_mex(order: int = DEFAULT_ORDER) -> PowerSeries:

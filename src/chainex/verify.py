@@ -95,7 +95,13 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         """True when the report is not vacuous and every row matches."""
-        return not self.vacuous and all(row.match for row in self.rows)
+        # one pass: rows that match compare a nonzero value when lhs is one
+        nonzero = False
+        for row in self.rows:
+            if row.lhs != row.rhs:
+                return False
+            nonzero = nonzero or row.lhs
+        return bool(nonzero)
 
     def add(self, r, j, n, lhs, rhs, label=""):
         self.rows.append(Row(r, j, n, lhs, rhs, label))
@@ -110,26 +116,6 @@ class VerificationReport:
              "lhs": str(row.lhs), "rhs": str(row.rhs), "match": row.match}
             for row in self.rows
         ]}
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["theorem", "r", "j", "n", "lhs", "rhs", "match"])
-        for row in self.rows:
-            name = self.theorem + (f"/{row.label}" if row.label else "")
-            writer.writerow([name, row.r, row.j, row.n, row.lhs, row.rhs, row.match])
-        return buf.getvalue()
-
-    def to_text(self) -> str:
-        lines = [f"{self.theorem}: {'PASS' if self.passed else 'FAIL'} "
-                 f"({len(self.rows)} checks)"]
-        for row in self.rows:
-            if not row.match:
-                lines.append(f"  MISMATCH r={row.r} j={row.j} n={row.n} "
-                             f"{row.label} lhs={row.lhs} rhs={row.rhs}")
-        if self.vacuous:
-            lines.append("  no row compares a nonzero value")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +483,19 @@ def report_to_format(report: VerificationReport, fmt: str) -> str:
         rows += "\n  ]" if rows else "]"
         return json.dumps(report._head(), indent=2)[:-2] + ',\n  "rows": [' + rows + "\n}"
     if fmt == "csv":
-        return report.to_csv()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["theorem", "r", "j", "n", "lhs", "rhs", "match"])
+        for r, j, n, lhs, rhs, label in report.rows:
+            name = report.theorem + (f"/{label}" if label else "")
+            writer.writerow([name, r, j, n, lhs, rhs, lhs == rhs])
+        return buf.getvalue()
     if fmt == "text":
-        return report.to_text()
+        lines = [f"{report.theorem}: {'PASS' if report.passed else 'FAIL'} "
+                 f"({len(report.rows)} checks)"]
+        lines += [f"  MISMATCH r={r} j={j} n={n} {label} lhs={lhs} rhs={rhs}"
+                  for r, j, n, lhs, rhs, label in report.rows if lhs != rhs]
+        if report.vacuous:
+            lines.append("  no row compares a nonzero value")
+        return "\n".join(lines)
     raise ValueError(f"unknown report format {fmt!r}; formats: json, csv, text")

@@ -209,8 +209,11 @@ class TestPairValue:
         assert a == b and hash(a) == hash(b)
         assert len({a, b, ColoredEmpty(1)}) == 2
         assert {a: "x"}[b] == "x"
-        assert (repr(a), str(a), a.to_json()) == ("ColoredEmpty(color=2)", "[]#2",
-                                                  {"empty_color": 2})
+        assert (repr(a), a.to_json()) == ("ColoredEmpty(color=2)", {"empty_color": 2})
+
+    def test_colored_empty_str_is_its_repr(self):
+        # no output path prints a colored empty: the CLI writes to_json()
+        assert str(ColoredEmpty(2)) == repr(ColoredEmpty(2)) == "ColoredEmpty(color=2)"
 
     def test_fields_in_order(self):
         steps = (P([2, 1]), 1, (), None)

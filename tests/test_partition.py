@@ -52,10 +52,14 @@ class TestConstruction:
         assert lam.multiplicity(4) == 0
 
     def test_empty(self):
-        assert EMPTY.is_empty
+        assert EMPTY.parts == ()
         assert EMPTY.weight == 0
         assert EMPTY.num_parts == 0
         assert EMPTY.largest == 0
+
+    def test_no_is_empty(self):
+        # emptiness is read off the parts (or the pairs), as everywhere else
+        assert not hasattr(Partition, "is_empty")
 
     def test_rejects_bad_parts(self):
         with pytest.raises(PartitionError):

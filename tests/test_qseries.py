@@ -2,16 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainex import qseries
 from chainex.partition import chain_maex, chain_mex, partitions, smallest_repeating
 from chainex.qseries import (
     PowerSeries,
     SeriesError,
+    _const,
+    _poch,
     gaussian_binomial,
     maex_bivariate,
     maex_bivariate_double_sum,
     poch_finite,
     poch_inf,
-    poch_inverse,
     q_binomial_product,
     q_binomial_sum,
     series_bottom_multiplicity_count,
@@ -60,9 +62,22 @@ class TestPowerSeriesArithmetic:
         a = PowerSeries([1, 1], order=1)
         assert (a * 3).coeffs == [3, 3]
         assert (2 * a).coeffs == [2, 2]
-        assert (a + 1).coeffs == [2, 1]
-        assert (1 + a).coeffs == [2, 1]
-        assert (a - 1).coeffs == [0, 1]
+        one = PowerSeries([1], order=1)
+        assert (a + one).coeffs == [2, 1]
+        assert (one + a).coeffs == [2, 1]
+        assert (a - one).coeffs == [0, 1]
+
+    def test_int_sums_raise(self):
+        # an int only scales; a sum or difference takes two series
+        a = PowerSeries([1, 1], order=1)
+        with pytest.raises(AttributeError):
+            a + 1
+        with pytest.raises(TypeError):
+            1 + a
+        with pytest.raises(AttributeError):
+            a - 1
+        with pytest.raises(TypeError):
+            1 - a
 
     def test_mul(self):
         a = PowerSeries([1, 1], order=3)
@@ -137,6 +152,35 @@ class TestRingLaws:
         assert_same((a * b).invert(), a.invert() * b.invert())
 
 
+class TestValueContract:
+    """Equality is agreement up to the smaller truncation order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(series(), st.integers(0, 60), st.lists(COEFFS, max_size=20))
+    def test_agreeing_series_are_equal_and_hash_equal(self, a, cut, tail):
+        cut = min(cut, a.order)
+        shorter = PowerSeries(a.coeffs[:cut + 1], cut)
+        longer = PowerSeries(a.coeffs + tail, a.order + len(tail))
+        for x, y in ((a, shorter), (a, longer), (shorter, longer)):
+            assert x == y and y == x and not x != y
+            assert hash(x) == hash(y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(series(), series())
+    def test_equality_is_symmetric(self, a, b):
+        order = min(a.order, b.order)
+        agree = a.coeffs[:order + 1] == b.coeffs[:order + 1]
+        assert (a == b) is (b == a) is agree
+        assert (a != b) is (b != a) is (not agree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(series())
+    def test_never_equals_its_coefficients_or_an_int(self, a):
+        for other in (a.coeffs, tuple(a.coeffs), a.coeffs[0], 0, 1):
+            assert a != other and other != a
+            assert not a == other and not other == a
+
+
 class TestPochhammer:
     def test_finite_small(self):
         # (q;q)_2 = (1-q)(1-q^2)
@@ -172,7 +216,12 @@ class TestPochhammer:
         with pytest.raises(SeriesError):
             poch_finite(1, 1, -1, 5)
         with pytest.raises(SeriesError):
-            poch_inverse(0, 1, 5)
+            _poch(_const(5, 1), 0, 1, divide=True)
+
+    def test_one_inverse_spelling(self):
+        # 1/(q^first;q^step)_inf is the kernel's divide pass, as every
+        # builder runs it
+        assert not hasattr(qseries, "poch_inverse")
 
 
 class TestGaussianBinomial:
