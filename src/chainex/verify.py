@@ -172,8 +172,8 @@ def _series_rows(spec, report, r_values, j_values, n_max, top):
     by_n = tallies(n_max, max(r_values))
     for r in r_values:
         series = builder(r, top) if "r" in spec.takes else builder(top)
-        for n, t in enumerate(by_n):
-            report.add(r, None, n, spec.stat(t, r), series.coeff(n))
+        for n in range(n_max + 1):
+            report.add(r, None, n, spec.stat(by_n[n], r), series.coeff(n))
         if spec.product is not None:
             other = getattr(qs, spec.product)(r, top)
             for n in range(top + 1):
@@ -191,10 +191,11 @@ def _family_rows(spec, report, r_values, j_values, n_max, top):
             # the closed-form series counts the smallest-repeating
             # family, so it cross-checks the thm-1.10 triple only
             series = None if spec.series is None else getattr(qs, spec.series)(r, j, top)
-            for n, t in enumerate(by_n):
-                ref = t.families[families[0], r][j]
+            for n in range(n_max + 1):
+                counts = by_n[n].families
+                ref = counts[families[0], r][j]
                 for fam in families[1:]:
-                    report.add(r, j, n, t.families[fam, r][j], ref, fam)
+                    report.add(r, j, n, counts[fam, r][j], ref, fam)
                 if series is not None:
                     report.add(r, j, n, ref, series.coeff(n), "series")
 
@@ -218,10 +219,10 @@ def _maex_distribution_rows(spec, report, r_values, j_values, n_max, top):
         series = qs.maex_bivariate(r, z_top, n_max)
         other = qs.maex_bivariate_double_sum(r, z_top, n_max)
         for m in range(z_top + 1):
-            for n, t in enumerate(by_n):
+            for n in range(n_max + 1):
                 # maex 0 marks the gap-bounded class, which the
                 # bivariate series leave out
-                count = t.maex_counts(r)[m] if m else 0
+                count = by_n[n].maex_counts(r)[m] if m else 0
                 report.add(r, m, n, count, series[m].coeff(n), "enumeration")
                 report.add(r, m, n, series[m].coeff(n), other[m].coeff(n), "double-sum")
 

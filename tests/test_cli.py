@@ -72,9 +72,10 @@ class TestEnumerate:
         assert code == 0
         # by Euler as many as the 2-strict partitions, so only the list
         # tells the two filters apart
-        assert json.loads(out) == {"schema": 1, "n": 10, "count": 10, "partitions": [
+        assert out == json.dumps({"schema": 1, "n": 10, "count": 10, "partitions": [
             "[9,1]", "[7,3]", "[7,1,1,1]", "[5,5]", "[5,3,1,1]", "[5,1,1,1,1,1]",
-            "[3,3,3,1]", "[3,3,1,1,1,1]", "[3,1,1,1,1,1,1,1]", "[1,1,1,1,1,1,1,1,1,1]"]}
+            "[3,3,3,1]", "[3,3,1,1,1,1]", "[3,1,1,1,1,1,1,1]", "[1,1,1,1,1,1,1,1,1,1]"]},
+            indent=2) + "\n"
 
     @pytest.mark.parametrize("argv,message", [
         (("--regular", "0"), "--regular must be >= 1, got 0"),
@@ -359,8 +360,10 @@ class TestVerify:
         assert "r must be >= 1, got 0" in err
         # a partition map's whole r range is checked before any partition is listed
         with mock.patch("chainex.verify.partitions", side_effect=AssertionError("listed")):
-            for vid in ("glaisher", "multiples-repeats", "top-multiple"):
-                code, out, err = call(capsys, "verify", vid, "--r", "1..3", "--n", "40")
+            for argv in (("glaisher", "--r", "1", "--n", "60"),
+                         *((vid, "--r", "1..3", "--n", "40")
+                           for vid in ("glaisher", "multiples-repeats", "top-multiple"))):
+                code, out, err = call(capsys, "verify", *argv)
                 assert (code, out, err) == (2, "", "error: r must be >= 2, got 1\n")
 
     def test_bijection_bad_range_exits_2(self, capsys):
@@ -374,6 +377,20 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == (f"error: --{option} must be an integer or a range LO..HI, "
                        f"got {text!r}\n")
+
+    def test_csv_and_text_reports_hold_their_pinned_texts(self, capsys):
+        argv = ("verify", "thm-1.6", "--r", "1..2", "--n", "3", "--format")
+        assert call(capsys, *argv, "csv") == (0, (
+            "theorem,r,j,n,lhs,rhs,match\n"
+            "thm-1.6,1,,0,1,1,True\n"
+            "thm-1.6,1,,1,2,2,True\n"
+            "thm-1.6,1,,2,3,3,True\n"
+            "thm-1.6,1,,3,6,6,True\n"
+            "thm-1.6,2,,0,2,2,True\n"
+            "thm-1.6,2,,1,3,3,True\n"
+            "thm-1.6,2,,2,7,7,True\n"
+            "thm-1.6,2,,3,9,9,True\n"), "")
+        assert call(capsys, *argv, "text") == (0, "thm-1.6: PASS (8 checks)\n", "")
 
     def test_csv_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
@@ -481,6 +498,7 @@ class TestVerifyArguments:
     def test_j_and_order_on_a_bijection(self, capsys, name):
         self.rejects(capsys, [name, "--r", "2", "--n", "4", "--j", "1"], "--j", name)
         self.rejects(capsys, [name, "--r", "2", "--n", "4", "--order", "4"], "--order", name)
+        self.rejects(capsys, [name, "--r", "2", "--order", "5"], "--order", name)
 
     def test_taken_arguments_still_run(self, capsys):
         assert call(capsys, "verify", "thm-1.10", "--r", "2", "--j", "1", "--n", "5",
@@ -596,7 +614,9 @@ def test_huge_r_maex_distribution_finishes():
     # vacuous: a partition of n <= 5 has maex at most 4, so no row is
     # nonzero; the rows stop at maex 4 instead of 10^8
     command, env = cli_command("verify", "maex-distribution", "--r", "100000000", "--n", "5")
-    assert subprocess.run(command, env=env, capture_output=True, timeout=20).returncode == 1
+    proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "maex-distribution: FAIL (60 checks)\n  no row compares a nonzero value\n", "")
 
 
 @pytest.mark.parametrize("argv", [

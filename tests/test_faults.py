@@ -9,7 +9,9 @@ thm-1.5 and thm-1.10, wrong on [25] or on [22,1,1,1], which the engine
 builds from a head and its 1s, and the component series that the thm-1.7
 builder and the thm-1.11 product form multiply by the strict count, which
 fail only the rows that read them, and a kernel fault above the enumerated
-range, which only thm-1.11's two series forms can see.
+range, which only thm-1.11's two series forms can see.  An engine that
+drops the tally of the largest n must make every id that reads the
+tallies raise rather than pass on fewer rows.
 
 ``TestFaultyMap`` plants faults in the bijection side: each map's forward
 and inverse wrong on one object, at weight 10 and at the largest weight of
@@ -176,6 +178,21 @@ def test_a_kernel_fault_past_the_enumerated_range_fails_the_thm_1_11_forms(capsy
     assert code == 1 and mismatches
     assert all(" sum-vs-product lhs=" in line and int(line.split()[3][2:]) >= 40
                for line in mismatches)
+
+
+# every id whose rows read the engine's tallies
+TALLY_IDS = [vid for vid in vf.THEOREMS if vid != "q-binomial"]
+
+
+@pytest.mark.parametrize("vid", TALLY_IDS)
+def test_a_short_engine_fails_every_tally_reading_id(vid):
+    # the rows are laid out by the n range asked for, so an engine that
+    # drops the tally of the largest n raises instead of passing on
+    # fewer rows
+    honest = vf.tallies
+    with mock.patch.object(vf, "tallies", lambda *args: honest(*args)[:-1]):
+        with pytest.raises(IndexError):
+            vf.check_theorem(vid)
 
 
 class TestFaultyMap:

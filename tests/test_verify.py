@@ -244,7 +244,8 @@ class TestTallyAgainstReference:
         (("multiples",), "family cell ('multiples',) is not a (family, r) pair"),
         (("multiples", 2, 3), "family cell ('multiples', 2, 3) is not a (family, r) pair"),
         (5, "family cell 5 is not a (family, r) pair"),
-        ((["x"], 2), "unknown family ['x']")])
+        ((["x"], 2), "unknown family ['x']"),
+        (("above-mex", 5), "family cell ('above-mex', 5) needs r in 2..3")])
     def test_rejects_malformed_family_cells_before_any_walk(self, cell, message):
         with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -406,7 +407,7 @@ class TestReport:
         # the rows are written from one template, not by json; the bytes
         # must stay those of indent=2
         if vid in BIJECTIONS:
-            rep = run_check(vid, range(2, 4), 6)
+            rep = run_check(vid, range(_BIJECTIONS[vid].least_r, 4), 6)
         else:
             rep = run_check(vid, n_max=None if vid == "q-binomial" else 6)
         assert rep.rows
@@ -672,7 +673,7 @@ class TestBijectionCertification:
                 return super().__new__(cls, color)
 
         with mock.patch.object(bijections, "ColoredEmpty", Counted):
-            report = certify_bijection("gamma", [10**6], 2)
+            report = certify_bijection("gamma", [10**9], 2)
         assert report.passed
         assert len(built) <= 2
 
