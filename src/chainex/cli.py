@@ -5,6 +5,10 @@ Exit codes: 0 all requested checks pass, 1 a verification mismatch,
 2 malformed input, out-of-contract arguments or a request too large to
 allocate, 141 (128 + SIGPIPE) when the reader closes stdout before the
 output is written.
+
+Each command imports the modules it reads when it runs, so a start that
+builds the parser loads no other chainex module, and ``series`` pays for
+``qseries`` alone.
 """
 
 from __future__ import annotations
@@ -13,22 +17,6 @@ import argparse
 import json
 import os
 import sys
-
-from . import bijections as bij
-from . import qseries as qs
-from . import verify as vf
-from .partition import (
-    Partition,
-    chain_maex,
-    chain_mex,
-    in_gap_class,
-    is_regular,
-    is_strict,
-    maex_offset,
-    mex_offset,
-    parts_above_mex,
-    partitions,
-)
 
 SERIES_BUILDERS = {
     # name: (qseries builder, the options it reads before --order)
@@ -83,6 +71,16 @@ def _emit(text: str, out_path):
 
 
 def cmd_stats(args) -> int:
+    from .partition import (
+        Partition,
+        chain_maex,
+        chain_mex,
+        in_gap_class,
+        maex_offset,
+        mex_offset,
+        parts_above_mex,
+    )
+
     lam = Partition.parse(args.partition, sort=args.sort)
     r = args.r
     record = {
@@ -111,6 +109,8 @@ def _check_positive(option: str, value: int) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    from .partition import in_gap_class, is_regular, is_strict, partitions
+
     preds = []
     if args.regular is not None:
         _check_positive("--regular", args.regular)
@@ -136,6 +136,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import qseries as qs
+
     if args.name not in SERIES_BUILDERS:
         raise ValueError(f"unknown series {args.name!r}; choose from "
                          + ", ".join(sorted(SERIES_BUILDERS)))
@@ -143,10 +145,11 @@ def cmd_series(args) -> int:
     for name in reads:
         if getattr(args, name) is None:
             raise ValueError(f"series {args.name!r} requires --{name}")
-    if args.order < 0:
-        raise ValueError(f"--order must be >= 0, got {args.order}")
+    order = qs.DEFAULT_ORDER if args.order is None else args.order
+    if order < 0:
+        raise ValueError(f"--order must be >= 0, got {order}")
     # --r and --j are accepted, and left unread, by builders without them
-    series = getattr(qs, builder)(*(getattr(args, name) for name in reads), args.order)
+    series = getattr(qs, builder)(*(getattr(args, name) for name in reads), order)
     if args.format == "json":
         _emit(json.dumps(series.to_json()), args.out)
     elif args.format == "csv":
@@ -158,6 +161,10 @@ def cmd_series(args) -> int:
 
 
 def cmd_bijection(args) -> int:
+    from . import bijections as bij
+    from . import verify as vf
+    from .partition import Partition
+
     lam = Partition.parse(args.lam, sort=args.sort)
     r = args.r
     # an id names its forward map and, for a partition map, the id plus
@@ -184,6 +191,8 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
+
     # the id and the options it reads are checked before a range is parsed
     vf.check_arguments(args.id, r=args.r, j=args.j, n=args.n, order=args.order)
     r_values = None if args.r is None else _parse_range("r", args.r)
@@ -191,6 +200,19 @@ def cmd_verify(args) -> int:
     report = vf.run_check(args.id, r_values, args.n, j_values, args.order)
     _emit(vf.report_to_format(report, args.format), args.out)
     return 0 if report.passed else 1
+
+
+class _VerifyHelp(argparse.HelpFormatter):
+    """Fills the ids into the verify id's help when the help is printed, so
+    that building the parser loads no verify module."""
+
+    def _get_help_string(self, action):
+        if action.dest != "id":
+            return action.help
+        from . import verify as vf
+
+        return action.help.format(theorems=", ".join(vf.THEOREMS),
+                                  bijections=", ".join(vf.BIJECTIONS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
-    p.add_argument("--order", type=int, default=qs.DEFAULT_ORDER)
+    p.add_argument("--order", type=int, default=None)
     common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_series)
 
@@ -244,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("json",))
     p.set_defaults(func=cmd_bijection)
 
-    p = sub.add_parser("verify", help="run an identity or bijection check")
-    p.add_argument("id", help="a theorem (" + ", ".join(vf.THEOREMS)
-                   + ") or a bijection (" + ", ".join(vf.BIJECTIONS) + ")")
+    p = sub.add_parser("verify", help="run an identity or bijection check",
+                       formatter_class=_VerifyHelp)
+    p.add_argument("id", help="a theorem ({theorems}) or a bijection ({bijections})")
     p.add_argument("--r", default=None, help="single value or range like 1..3")
     p.add_argument("--j", default=None, help="single value or range")
     p.add_argument("--n", type=int, default=None)
@@ -266,10 +288,10 @@ def run(argv=None) -> int:
     """Run one command line and return its exit code.
 
     In-process callers share one parser per process, built on the first
-    call. The command functions and the ``--order`` default are bound into
-    it then, so a test that replaces a command's work patches the
-    ``qseries``, ``verify`` or ``bijections`` attribute it reads, not
-    ``cli.cmd_*``.
+    call. The command functions are bound into it then, so a test that
+    replaces a command's work patches the ``qseries``, ``verify`` or
+    ``bijections`` attribute it reads, not ``cli.cmd_*``.  ``series``
+    reads its ``--order`` default, ``qseries.DEFAULT_ORDER``, per run.
     """
     global _parser
     if _parser is None:

@@ -165,11 +165,21 @@ def _resolve_n(n_max, default, order):
     return n_max, max(n_max, 1) if order is None else order
 
 
+def _tallies_to(report, n_max, *args):
+    """The engine's tallies of every n <= n_max; an engine that returns
+    fewer is at fault, named with the id and the first n it left out."""
+    by_n = tallies(n_max, *args)
+    if len(by_n) <= n_max:
+        raise ValueError(f"{report.theorem}: the brute-force engine returned "
+                         f"no tally for n = {len(by_n)}")
+    return by_n
+
+
 def _series_rows(spec, report, r_values, j_values, n_max, top):
     """The statistic sum of every tally against the series coefficient, for
     every r, and the series against its product form if it has one."""
     builder = getattr(qs, spec.series)
-    by_n = tallies(n_max, max(r_values))
+    by_n = _tallies_to(report, n_max, max(r_values))
     for r in r_values:
         series = builder(r, top) if "r" in spec.takes else builder(top)
         for n in range(n_max + 1):
@@ -184,8 +194,8 @@ def _family_rows(spec, report, r_values, j_values, n_max, top):
     """Every family's count of partitions with statistic j against the
     first family's, for every r and j, and against the series if any."""
     families = spec.families
-    by_n = tallies(n_max, max(r_values) - 1,
-                   [(fam, r) for r in r_values for fam in families])
+    by_n = _tallies_to(report, n_max, max(r_values) - 1,
+                       [(fam, r) for r in r_values for fam in families])
     for r in r_values:
         for j in j_values:
             # the closed-form series counts the smallest-repeating
@@ -211,7 +221,7 @@ def _q_binomial_rows(spec, report, r_values, j_values, n_max, top):
 
 
 def _maex_distribution_rows(spec, report, r_values, j_values, n_max, top):
-    by_n = tallies(n_max, max(r_values))
+    by_n = _tallies_to(report, n_max, max(r_values))
     for r in r_values:
         # a partition of n <= n_max has maex below its largest part, so at
         # most n_max - 1, whatever r

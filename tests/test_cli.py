@@ -141,6 +141,13 @@ class TestSeries:
         assert code == 2
         assert "unknown series" in err
 
+    def test_order_default_is_read_per_run(self, capsys):
+        code, out, _ = call(capsys, "series", "partitions", "--format", "csv")
+        assert (code, out.splitlines()[-1]) == (0, "60,966467")
+        with mock.patch("chainex.qseries.DEFAULT_ORDER", 5):
+            assert call(capsys, "series", "partitions") == (
+                0, str(qs.series_partition_count(5)) + "\n", "")
+
 
 class TestBijection:
     def test_glaisher(self, capsys):
@@ -392,6 +399,18 @@ class TestVerify:
             "thm-1.6,2,,3,9,9,True\n"), "")
         assert call(capsys, *argv, "text") == (0, "thm-1.6: PASS (8 checks)\n", "")
 
+    @pytest.mark.parametrize("argv, head", [
+        # 4 r x 6 j x 33 n, two families against the first
+        (("thm-1.5", "--n", "32"), "thm-1.5: PASS (1584 checks)"),
+        # 4 r x 5 j x 33 n, two families and the series against the first
+        (("thm-1.10", "--n", "32"), "thm-1.10: PASS (1980 checks)"),
+        # 6 statistic rows, and the sum against the product to order 400
+        (("thm-1.11", "--r", "3", "--n", "5", "--order", "400"),
+         "thm-1.11: PASS (407 checks)"),
+    ], ids=["thm-1.5", "thm-1.10", "thm-1.11"])
+    def test_ranges_past_the_defaults(self, capsys, argv, head):
+        assert call(capsys, "verify", *argv) == (0, head + "\n", "")
+
     def test_csv_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, out, _ = call(capsys, "verify", "thm-1.8", "--n", "6",
@@ -548,6 +567,77 @@ def test_import_leaves_out_dataclasses_typing_and_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_building_the_parser_loads_no_command_module():
+    _, env = cli_command()
+    code = ("import sys, chainex.cli; chainex.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.startswith('chainex')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['chainex', 'chainex.cli']\n", "")
+
+
+VERIFY_MODULES = {"verify", "brute", "bijections", "qseries", "partition"}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("--help",), set()),
+    (("series", "partitions", "--order", "5"), {"qseries"}),
+    (("series", "--help"), set()),
+    (("stats", "[3,1]", "--r", "1"), {"partition"}),
+    (("enumerate", "--n", "4"), {"partition"}),
+    (("verify", "thm-1.4", "--n", "5"), VERIFY_MODULES),
+    (("verify", "--help"), VERIFY_MODULES),
+    (("bijection", "glaisher", "--lambda", "[3]", "--r", "2"), VERIFY_MODULES),
+])
+def test_each_command_loads_only_its_modules(argv, loads):
+    # -X importtime lists on stderr every module a fresh run imports; the
+    # CLI module itself runs as __main__
+    command, env = cli_command(*argv)
+    proc = subprocess.run([command[0], "-S", "-X", "importtime", *command[1:]], env=env,
+                          capture_output=True, text=True, timeout=20)
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert proc.returncode == 0
+    assert {name for name in imported if name.split(".")[0] == "chainex"} == \
+        {"chainex"} | {f"chainex.{name}" for name in loads}
+
+
+# `chainex verify --help` at 80 columns
+VERIFY_HELP = """\
+usage: chainex verify [-h] [--r R] [--j J] [--n N] [--order ORDER]
+                      [--format {text,json,csv}] [--out OUT]
+                      id
+
+positional arguments:
+  id                    a theorem (thm-1.4, thm-1.5, thm-1.6, thm-1.7,
+                        thm-1.8, thm-1.10, thm-1.11, q-binomial, maex-
+                        distribution) or a bijection (glaisher, multiples-
+                        repeats, top-multiple, gamma, gamma-star, delta)
+
+options:
+  -h, --help            show this help message and exit
+  --r R                 single value or range like 1..3
+  --j J                 single value or range
+  --n N
+  --order ORDER
+  --format {text,json,csv}
+  --out OUT             write output to a file
+"""
+
+
+class TestVerifyHelp:
+    def test_lists_every_id_in_table_order(self, capsys):
+        code, out, _ = call(capsys, "verify", "--help")
+        listed = out.split("\n  id ", 1)[1].split("\n\n", 1)[0]
+        ids = f"a theorem ({', '.join(vf.THEOREMS)}) or a bijection ({', '.join(vf.BIJECTIONS)})"
+        # wrapped at spaces and after hyphens, so compared without whitespace
+        assert (code, "".join(listed.split())) == (0, "".join(ids.split()))
+
+    def test_holds_its_pinned_bytes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert call(capsys, "verify", "--help") == (0, VERIFY_HELP, "")
 
 
 class TestParserReuse:

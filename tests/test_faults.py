@@ -11,7 +11,8 @@ builder and the thm-1.11 product form multiply by the strict count, which
 fail only the rows that read them, and a kernel fault above the enumerated
 range, which only thm-1.11's two series forms can see.  An engine that
 drops the tally of the largest n must make every id that reads the
-tallies raise rather than pass on fewer rows.
+tallies raise a ``ValueError`` naming the id and that n, so that
+``chainex verify`` exits 2, rather than pass on fewer rows.
 
 ``TestFaultyMap`` plants faults in the bijection side: each map's forward
 and inverse wrong on one object, at weight 10 and at the largest weight of
@@ -24,6 +25,7 @@ accepts must print something else once the map it calls is patched in
 ``chainex.bijections``, since the command looks its maps up per call.
 """
 
+import re
 from unittest import mock
 
 import pytest
@@ -187,12 +189,20 @@ TALLY_IDS = [vid for vid in vf.THEOREMS if vid != "q-binomial"]
 @pytest.mark.parametrize("vid", TALLY_IDS)
 def test_a_short_engine_fails_every_tally_reading_id(vid):
     # the rows are laid out by the n range asked for, so an engine that
-    # drops the tally of the largest n raises instead of passing on
-    # fewer rows
+    # drops the tally of the largest n raises, naming the id and that n,
+    # instead of passing on fewer rows
+    honest = vf.tallies
+    message = f"{vid}: the brute-force engine returned no tally for n = {vf._THEOREMS[vid].n}"
+    with mock.patch.object(vf, "tallies", lambda *args: honest(*args)[:-1]):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vf.check_theorem(vid)
+
+
+def test_a_short_engine_exits_2_with_one_error_line(capsys):
     honest = vf.tallies
     with mock.patch.object(vf, "tallies", lambda *args: honest(*args)[:-1]):
-        with pytest.raises(IndexError):
-            vf.check_theorem(vid)
+        assert call(capsys, "verify", "thm-1.4", "--n", "5") == (
+            2, "", "error: thm-1.4: the brute-force engine returned no tally for n = 5\n")
 
 
 class TestFaultyMap:
