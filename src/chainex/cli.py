@@ -171,7 +171,7 @@ def cmd_bijection(args) -> int:
     # -inv its inverse; looked up per call, as certification does
     name = ALIASES.get(args.name, args.name)
     vid = name.removesuffix("-inv")
-    spec = vf._BIJECTIONS.get(vid)
+    spec = vf._IDS.get(vid)
     if isinstance(spec, vf._Pairing) and name == vid:
         if args.i is None:
             raise ValueError(f"bijection {name!r} requires --i")

@@ -1,5 +1,5 @@
-"""The identity verification harness: the theorem and bijection tables,
-the checks they run, and the report.
+"""The identity verification harness: one table of every verification id,
+the checks its entries run, and the report.
 
 Everything here compares exact integers.  The brute-force side is the
 engine ``tallies`` of ``brute``, which uses only the partition core; it
@@ -35,6 +35,7 @@ from .bijections import DomainError
 from .brute import _STAT_SUMS, FAMILIES, STATISTICS, tallies
 from .partition import (
     EMPTY,
+    _is_count,
     chain_maex,
     chain_mex,
     count_multiples,
@@ -63,7 +64,7 @@ def count_family(n: int, r: int, j: int, family: str) -> int:
     _resolve([r], None, "r", 2)
     _check_ints("j", [j])
     # the least j is that of the theorem comparing the family
-    least = next(spec.j.start for spec in _THEOREMS.values() if family in spec.families)
+    least = next(_IDS[vid].j.start for vid in THEOREMS if family in _IDS[vid].families)
     if j < least:
         raise ValueError(f"family {family!r} needs j >= {least}")
     return tallies(n, r - 1, [(family, r)])[n].families[family, r][j]
@@ -124,7 +125,7 @@ class VerificationReport:
 
 def _check_ints(name, values):
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_count(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -247,53 +248,7 @@ class _Theorem(namedtuple("_Theorem", "rows takes n r j series stat product fami
     rows compare the qseries builder named ``series`` with the statistic
     sum ``stat`` of a tally and with the builder named ``product``, or the
     counts of the ``families``, the first being the reference."""
-
-
-_THEOREMS = {
-    "thm-1.4": _Theorem(_series_rows, ("n", "order"), n=40,
-                        series="series_sigma_mex", stat=_STAT_SUMS["mex"]),
-    "thm-1.5": _Theorem(_family_rows, ("r", "j", "n"), n=25, r=range(2, 6), j=range(0, 6),
-                        families=("multiples", "largest-repeating", "above-mex")),
-    "thm-1.6": _Theorem(_series_rows, ("r", "n", "order"), n=30, r=range(1, 7),
-                        series="series_chain_mex_shifted", stat=_STAT_SUMS["mex+r-1"]),
-    "thm-1.7": _Theorem(_series_rows, ("r", "n", "order"), n=30, r=range(1, 7),
-                        series="series_chain_mex_offset_sum", stat=_STAT_SUMS["mex+offset"]),
-    "thm-1.8": _Theorem(_series_rows, ("n", "order"), n=30, series="series_maex_defect",
-                        stat=lambda t, r: t.largest - t.maex_sum(r)),
-    "thm-1.10": _Theorem(_family_rows, ("r", "j", "n", "order"), n=25, r=range(2, 6),
-                         j=range(1, 6), series="series_parts_above",
-                         families=("top-multiple", "smallest-repeating", "above-maex")),
-    "thm-1.11": _Theorem(_series_rows, ("r", "n", "order"), n=30, r=range(1, 7),
-                         series="series_chain_maex_sum", stat=_STAT_SUMS["largest-maex+offset"],
-                         product="series_chain_maex_product"),
-    "q-binomial": _Theorem(_q_binomial_rows, ("order",)),
-    "maex-distribution": _Theorem(_maex_distribution_rows, ("r", "n"), n=20, r=range(1, 4)),
-}
-
-THEOREMS = tuple(_THEOREMS)
-
-
-def check_theorem(theorem: str, r_values=None, n_max: int = None,
-                  j_values=None, order: int = None) -> VerificationReport:
-    """Run the brute-force vs series comparison for one identity.
-
-    Malformed arguments, and an argument the theorem does not read, raise
-    ``ValueError`` before any work starts; mismatches are recorded in the
-    report, not raised.
-    """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem id {theorem!r}")
-    check_arguments(theorem, r=r_values, j=j_values, n=n_max, order=order)
-    spec = _THEOREMS[theorem]
-    start = time.monotonic()
-    report = VerificationReport(theorem)
-    n_max, top = _resolve_n(n_max, spec.n, order)
-    r_values = _resolve(r_values, spec.r, "r", spec.r.start)
-    if spec.j is not None:
-        j_values = _resolve(j_values, spec.j, "j", spec.j.start)
-    spec.rows(spec, report, r_values, j_values, n_max, top)
-    report.wall_time = time.monotonic() - start
-    return report
+    least_r = property(lambda self: self.r.start)
 
 
 # ---------------------------------------------------------------------------
@@ -314,33 +269,35 @@ class _Map(namedtuple("_Map", "domain codomain forward inverse fiber")):
     domain and codomain membership tests (None: every partition), the
     names of the map and its inverse in bijections, and the fiber test,
     whether the image carries the input's statistic (None: no fiber).
-    All maps share their options, default n and least r (they raise below 2)."""
-    takes, n, least_r = ("r", "n"), 16, 2
+    All maps share their options, default n and least r (they raise below
+    2), read no j and have no default r: a certification names its r."""
+    takes, n, r, j, least_r = ("r", "n"), 16, None, None, 2
 
-    def certify(self, report, r_values, n_max):
+    @staticmethod
+    def rows(spec, report, r_values, j_values, n_max, top):
         # looked up per call so that a patched module attribute is used
-        forward, inverse = getattr(bij, self.forward), getattr(bij, self.inverse)
+        forward, inverse = getattr(bij, spec.forward), getattr(bij, spec.inverse)
         for r in r_values:
             for n in range(n_max + 1):
                 domain_size = codomain_size = 0
                 ok = fibers = True
                 for lam in partitions(n):
-                    codomain_size += self.codomain is None or self.codomain(lam, r)
-                    if self.domain is not None and not self.domain(lam, r):
+                    codomain_size += spec.codomain is None or spec.codomain(lam, r)
+                    if spec.domain is not None and not spec.domain(lam, r):
                         continue
                     domain_size += 1
                     out = forward(lam, r)
-                    if self.fiber is not None:
-                        fibers &= self.fiber(lam, out, r)
+                    if spec.fiber is not None:
+                        fibers &= spec.fiber(lam, out, r)
                     ok &= _round_trips(inverse, out, r, lam)
-                    ok &= out.weight == n and (self.codomain is None or self.codomain(out, r))
+                    ok &= out.weight == n and (spec.codomain is None or spec.codomain(out, r))
                 # injective into a codomain of the same size, so onto
                 ok &= domain_size == codomain_size
                 # between all partitions of n the cardinalities agree trivially
-                if self.domain is not None:
+                if spec.domain is not None:
                     report.add(r, None, n, domain_size, codomain_size, "cardinality")
                 report.add(r, None, n, int(ok), 1, "roundtrip")
-                if self.fiber is not None:
+                if spec.fiber is not None:
                     report.add(r, None, n, int(fibers), 1, "fiber")
 
 
@@ -349,7 +306,7 @@ class _Pairing(namedtuple("_Pairing", "bound forward inverse checker untraced",
     """An index-to-pair map: the index bound of lambda at r, the names of
     the forward map, its inverse and its codomain checker in bijections,
     and the keys of its trace that ``chainex bijection`` prints without
-    --trace; options and default n as for ``_Map``, at any r >= 1.  The
+    --trace; options and defaults as for ``_Map``, at any r >= 1.  The
     codomain is whatever the checker accepts among candidates it picks
     itself: the betas (and the colored empties 1..bound(EMPTY, r) + 1, one
     past the domain of weight 0) it accepts next to the empty alpha, and the
@@ -358,19 +315,20 @@ class _Pairing(namedtuple("_Pairing", "bound forward inverse checker untraced",
     weight a <= n and its beta one of weight n - a, as long as the checker
     tests alpha and beta separately, as all three do, and so accepts every
     candidate pair; a weight where it does not fails."""
-    takes, n, least_r = ("r", "n"), 16, 1
+    takes, n, r, j, least_r = ("r", "n"), 16, None, None, 1
 
-    def certify(self, report, r_values, n_max):
+    @staticmethod
+    def rows(spec, report, r_values, j_values, n_max, top):
         # looked up per call so that a patched module attribute is used
-        forward, inverse = getattr(bij, self.forward), getattr(bij, self.inverse)
-        checker, pair = getattr(bij, self.checker), bij.PartitionPair
+        forward, inverse = getattr(bij, spec.forward), getattr(bij, spec.inverse)
+        checker, pair = getattr(bij, spec.checker), bij.PartitionPair
         for r in r_values:
             # colors up to one past the size of the weight-0 domain, r for
             # gamma-star but 1 for gamma and delta, so a huge r lists no
             # huge color list, and a checker that accepts one color too
             # many or a bound one too low at EMPTY still fails at n = 0
             colored = [bij.ColoredEmpty(color)
-                       for color in range(1, self.bound(EMPTY, r) + 2)]
+                       for color in range(1, spec.bound(EMPTY, r) + 2)]
             alphas, betas = [], []
             for n in range(n_max + 1):
                 weight_n = list(partitions(n))
@@ -390,7 +348,7 @@ class _Pairing(namedtuple("_Pairing", "bound forward inverse checker untraced",
                                           for a in range(n + 1))
                 domain_size = 0
                 for lam in weight_n:
-                    for i in range(1, self.bound(lam, r) + 1):
+                    for i in range(1, spec.bound(lam, r) + 1):
                         domain_size += 1
                         image = forward(lam, i, r)
                         ok &= _round_trips(inverse, image, r, (lam, i))
@@ -402,7 +360,29 @@ class _Pairing(namedtuple("_Pairing", "bound forward inverse checker untraced",
                 report.add(r, None, n, int(ok), 1, "roundtrip")
 
 
-_BIJECTIONS = {
+# ---------------------------------------------------------------------------
+# Any verification id
+# ---------------------------------------------------------------------------
+
+_IDS = {
+    "thm-1.4": _Theorem(_series_rows, ("n", "order"), n=40,
+                        series="series_sigma_mex", stat=_STAT_SUMS["mex"]),
+    "thm-1.5": _Theorem(_family_rows, ("r", "j", "n"), n=25, r=range(2, 6), j=range(0, 6),
+                        families=("multiples", "largest-repeating", "above-mex")),
+    "thm-1.6": _Theorem(_series_rows, ("r", "n", "order"), n=30, r=range(1, 7),
+                        series="series_chain_mex_shifted", stat=_STAT_SUMS["mex+r-1"]),
+    "thm-1.7": _Theorem(_series_rows, ("r", "n", "order"), n=30, r=range(1, 7),
+                        series="series_chain_mex_offset_sum", stat=_STAT_SUMS["mex+offset"]),
+    "thm-1.8": _Theorem(_series_rows, ("n", "order"), n=30, series="series_maex_defect",
+                        stat=lambda t, r: t.largest - t.maex_sum(r)),
+    "thm-1.10": _Theorem(_family_rows, ("r", "j", "n", "order"), n=25, r=range(2, 6),
+                         j=range(1, 6), series="series_parts_above",
+                         families=("top-multiple", "smallest-repeating", "above-maex")),
+    "thm-1.11": _Theorem(_series_rows, ("r", "n", "order"), n=30, r=range(1, 7),
+                         series="series_chain_maex_sum", stat=_STAT_SUMS["largest-maex+offset"],
+                         product="series_chain_maex_product"),
+    "q-binomial": _Theorem(_q_binomial_rows, ("order",)),
+    "maex-distribution": _Theorem(_maex_distribution_rows, ("r", "n"), n=20, r=range(1, 4)),
     "glaisher": _Map(lambda lam, r: is_regular(lam, r), lambda lam, r: is_strict(lam, r),
                      "glaisher_merge", "glaisher_split", None),
     "multiples-repeats": _Map(
@@ -421,7 +401,39 @@ _BIJECTIONS = {
                       "maex_pairing", "maex_pairing_inv", "in_maex_codomain"),
 }
 
-BIJECTIONS = tuple(_BIJECTIONS)
+THEOREMS = tuple(vid for vid, spec in _IDS.items() if isinstance(spec, _Theorem))
+BIJECTIONS = tuple(vid for vid in _IDS if vid not in THEOREMS)
+
+
+def _run(name, spec, r_values, n_max, j_values=None, order=None) -> VerificationReport:
+    """The report ``name`` of any table entry ``spec``: each argument checked
+    and, if unset, set to the entry's n, r or j before its rows are run."""
+    if r_values is None and spec.r is None:
+        raise ValueError("bijection verification requires --r")
+    n_max, top = _resolve_n(n_max, spec.n, order)
+    r_values = _resolve(r_values, spec.r, "r", spec.least_r)
+    if spec.j is not None:
+        j_values = _resolve(j_values, spec.j, "j", spec.j.start)
+    start = time.monotonic()
+    report = VerificationReport(name)
+    # a theorem's rows is a field and a map's a static method; both take the entry
+    spec.rows(spec, report, r_values, j_values, n_max, top)
+    report.wall_time = time.monotonic() - start
+    return report
+
+
+def check_theorem(theorem: str, r_values=None, n_max: int = None,
+                  j_values=None, order: int = None) -> VerificationReport:
+    """Run the brute-force vs series comparison for one identity.
+
+    Malformed arguments, and an argument the theorem does not read, raise
+    ``ValueError`` before any work starts; mismatches are recorded in the
+    report, not raised.
+    """
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    check_arguments(theorem, r=r_values, j=j_values, n=n_max, order=order)
+    return _run(theorem, _IDS[theorem], r_values, n_max, j_values, order)
 
 
 def certify_bijection(name: str, r_values, n_max: int = None) -> VerificationReport:
@@ -432,29 +444,16 @@ def certify_bijection(name: str, r_values, n_max: int = None) -> VerificationRep
     independently counted domain and codomain cardinalities agree."""
     if name not in BIJECTIONS:
         raise ValueError(f"unknown bijection id {name!r}")
-    spec = _BIJECTIONS[name]
-    if r_values is None:
-        raise ValueError("bijection verification requires --r")
-    r_values = _resolve(r_values, None, "r", spec.least_r)
-    n_max, _ = _resolve_n(n_max, spec.n, None)
-    start = time.monotonic()
-    report = VerificationReport(f"bijection:{name}")
-    spec.certify(report, r_values, n_max)
-    report.wall_time = time.monotonic() - start
-    return report
+    return _run(f"bijection:{name}", _IDS[name], r_values, n_max)
 
-
-# ---------------------------------------------------------------------------
-# Any verification id
-# ---------------------------------------------------------------------------
 
 def check_arguments(vid: str, *, r=None, j=None, n=None, order=None) -> None:
     """Raise ``ValueError`` for an unknown verification id, or for an option
     it does not read (None means unset), named as the CLI options."""
-    if vid not in THEOREMS + BIJECTIONS:
+    if vid not in THEOREMS and vid not in BIJECTIONS:
         raise ValueError(f"unknown verification id {vid!r}; theorems: "
                          + ", ".join(THEOREMS) + "; bijections: " + ", ".join(BIJECTIONS))
-    takes = {**_THEOREMS, **_BIJECTIONS}[vid].takes
+    takes = _IDS[vid].takes
     for name, value in (("r", r), ("j", j), ("n", n), ("order", order)):
         if value is not None and name not in takes:
             raise ValueError(f"verify {vid} does not take --{name}; it takes "

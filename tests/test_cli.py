@@ -411,6 +411,22 @@ class TestVerify:
     def test_ranges_past_the_defaults(self, capsys, argv, head):
         assert call(capsys, "verify", *argv) == (0, head + "\n", "")
 
+    @pytest.mark.parametrize("vid, entry", [("thm-1.6", "check_theorem"),
+                                            ("gamma", "certify_bijection")])
+    def test_each_caller_reaches_the_entry_point_once(self, capsys, vid, entry):
+        # the benchmark's tracer counts report rows by wrapping these two
+        # module attributes, so a report made past them would go uncounted
+        callers = {"run_check": lambda: vf.run_check(vid, range(1, 3), 3),
+                   "cli.run": lambda: call(capsys, "verify", vid, "--r", "1..2", "--n", "3")}
+        for caller, make_report in callers.items():
+            with mock.patch.object(vf, "check_theorem", wraps=vf.check_theorem) as theorem, \
+                    mock.patch.object(vf, "certify_bijection",
+                                      wraps=vf.certify_bijection) as bijection:
+                make_report()
+            calls = {"check_theorem": theorem.call_count,
+                     "certify_bijection": bijection.call_count}
+            assert calls == {name: int(name == entry) for name in calls}, caller
+
     def test_csv_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, out, _ = call(capsys, "verify", "thm-1.8", "--n", "6",

@@ -192,7 +192,7 @@ def test_a_short_engine_fails_every_tally_reading_id(vid):
     # drops the tally of the largest n raises, naming the id and that n,
     # instead of passing on fewer rows
     honest = vf.tallies
-    message = f"{vid}: the brute-force engine returned no tally for n = {vf._THEOREMS[vid].n}"
+    message = f"{vid}: the brute-force engine returned no tally for n = {vf._IDS[vid].n}"
     with mock.patch.object(vf, "tallies", lambda *args: honest(*args)[:-1]):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             vf.check_theorem(vid)
@@ -326,7 +326,7 @@ class TestFaultyMap:
 
         with mock.patch.object(bijections, checker, faulty):
             code, out, err = call(capsys, "verify", vid, "--r", "3", "--n", "4")
-        domain = vf._BIJECTIONS[vid].bound(vf.EMPTY, 3)
+        domain = vf._IDS[vid].bound(vf.EMPTY, 3)
         assert (code, err) == (1, "")
         assert out.splitlines()[1] == (
             f"  MISMATCH r=3 j=None n=0 cardinality lhs={domain} rhs={domain + 1}")
@@ -334,9 +334,9 @@ class TestFaultyMap:
     def test_bound_one_too_low_on_the_empty_partition(self, capsys):
         # gamma-star's domain of weight 0 loses its last color, which the
         # checker still accepts, so the codomain there is one too large
-        spec = vf._BIJECTIONS["gamma-star"]
+        spec = vf._IDS["gamma-star"]
         low = spec._replace(bound=lambda lam, r: spec.bound(lam, r) - (lam == vf.EMPTY))
-        with mock.patch.dict(vf._BIJECTIONS, {"gamma-star": low}):
+        with mock.patch.dict(vf._IDS, {"gamma-star": low}):
             code, out, err = call(capsys, "verify", "gamma-star", "--r", "3", "--n", "4")
         assert (code, err) == (1, "")
         assert out.splitlines()[1] == "  MISMATCH r=3 j=None n=0 cardinality lhs=2 rhs=3"
@@ -361,7 +361,7 @@ class TestFaultyMap:
     def test_map_wrong_on_one_object(self, capsys, side, vid, r, objects):
         # at weight 10 under --n 10, and at the entry's default n, the
         # largest weight certified when --n is left out
-        spec = vf._BIJECTIONS[vid]
+        spec = vf._IDS[vid]
         forward, inverse = getattr(bijections, spec.forward), getattr(bijections, spec.inverse)
         for weight, size in ((10, ["--n", "10"]), (spec.n, [])):
             target, other = objects(weight)
@@ -399,14 +399,14 @@ class TestFaultyMap:
 
 # Faults on one object of weight 16, the default n of every map, certified
 # with --n left out: in a pairing's codomain checker, and in each membership
-# test of a partition map, which the verify._BIJECTIONS lambdas read from
+# test of a partition map, which the verify._IDS lambdas read from
 # verify per call.  Both mismatches are at n = 16.
 
 
 @pytest.mark.parametrize("vid, r", [("gamma", 1), ("gamma-star", 2), ("delta", 2)])
 def test_checker_that_rejects_a_member_of_the_largest_weight(capsys, vid, r):
     # the image of [16] is read as outside the codomain
-    spec = vf._BIJECTIONS[vid]
+    spec = vf._IDS[vid]
     honest = getattr(bijections, spec.checker)
     member = getattr(bijections, spec.forward)(Partition([spec.n]), 1, r)
     assert member.weight == spec.n and honest(member, r)
@@ -429,7 +429,7 @@ MEMBERSHIP = [("glaisher", "domain", "is_regular"), ("glaisher", "codomain", "is
 
 def test_membership_covers_every_test():
     assert [case[:2] for case in MEMBERSHIP] == [
-        (vid, side) for vid, spec in vf._BIJECTIONS.items() if isinstance(spec, vf._Map)
+        (vid, side) for vid, spec in vf._IDS.items() if isinstance(spec, vf._Map)
         for side in ("domain", "codomain") if getattr(spec, side) is not None]
 
 
@@ -438,7 +438,7 @@ def test_membership_covers_every_test():
 def test_membership_wrong_on_one_partition_of_the_largest_weight(capsys, vid, side, name):
     # a member is read as outside the domain or codomain; a partition let
     # into a domain instead would be refused by the map, which exits 2
-    spec = vf._BIJECTIONS[vid]
+    spec = vf._IDS[vid]
     test, honest = getattr(spec, side), getattr(vf, name)
     member = next(lam for lam in partitions(spec.n) if test(lam, 2))
 
@@ -472,7 +472,7 @@ BIJECTION_NAMES = {
 
 
 def test_every_bijection_name_has_a_planted_map():
-    inverses = [vid + "-inv" for vid, spec in vf._BIJECTIONS.items()
+    inverses = [vid + "-inv" for vid, spec in vf._IDS.items()
                 if isinstance(spec, vf._Map)]
     assert sorted(BIJECTION_NAMES) == sorted([*vf.BIJECTIONS, *inverses, *ALIASES])
 

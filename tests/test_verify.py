@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from chainex import bijections, brute
 from chainex import partition as pt
+from chainex import qseries as qs
 from chainex import verify as vf
 from chainex.bijections import ColoredEmpty, PartitionPair
 from chainex.brute import STATISTICS, Tally
 from chainex.partition import chain_mex, partitions, walk_scans
 from chainex.verify import (
-    _BIJECTIONS,
+    _IDS,
     _resolve,
     BIJECTIONS,
     FAMILIES,
@@ -158,6 +159,47 @@ class TestEngineAgainstOracles:
                 expected = Counter(linear_maex(parts, r) for parts in recursive_partitions(n))
                 assert t.maex_counts(r) == expected
                 assert t.count == sum(expected.values())
+
+
+class TestClosingArgument:
+    """Why a finite range of r covers every r at a weight n: from r = n on,
+    both sides of each r-reading sum are affine in r, no partition has a
+    maex above 0, and a family statistic j at r has j * r <= n."""
+    N_MAX = 20
+    SPAN = 40
+
+    @pytest.mark.parametrize("theorem", ["thm-1.6", "thm-1.7", "thm-1.11"])
+    def test_both_sides_are_affine_in_r_from_r_equals_n(self, theorem):
+        spec = vf._IDS[theorem]
+        builder = getattr(qs, spec.series)
+        r_top = self.N_MAX + self.SPAN
+        by_n = tallies(self.N_MAX, r_top)
+        series = {r: builder(r, self.N_MAX) for r in range(1, r_top + 1)}
+        for n in range(self.N_MAX + 1):
+            for side in (lambda r: spec.stat(by_n[n], r), lambda r: series[r].coeff(n)):
+                low = max(n, 1)
+                at, slope = side(low), side(low + 1) - side(low)
+                assert [side(r) for r in range(low, n + self.SPAN + 1)] == [
+                    at + slope * (r - low) for r in range(low, n + self.SPAN + 1)], n
+
+    def test_no_maex_above_0_from_r_equals_n(self):
+        by_n = tallies(self.N_MAX, self.N_MAX + self.SPAN)
+        for n in range(self.N_MAX + 1):
+            for r in range(max(n, 1), n + self.SPAN + 1):
+                assert all(m == 0 for m, c in by_n[n].maex_counts(r).items() if c), (n, r)
+            # and not from any smaller r: [n] has maex n - 1 at r = n - 1
+            if n >= 2:
+                assert by_n[n].maex_counts(n - 1)[n - 1] >= 1, n
+
+    def test_family_counts_vanish_past_j_times_r_equals_n(self):
+        n_max, r_max = 16, 20
+        by_n = tallies(n_max, r_max - 1, [(fam, r) for fam in FAMILIES
+                                          for r in range(2, r_max + 1)])
+        for n in range(n_max + 1):
+            for (fam, r), counts in by_n[n].families.items():
+                assert all(j * r <= n for j, c in counts.items() if j >= 1 and c), (n, fam, r)
+                # the bound is met: some partition has the largest j it allows
+                assert r > n or counts[n // r], (n, fam, r)
 
 
 class TestTallyAgainstReference:
@@ -407,7 +449,7 @@ class TestReport:
         # the rows are written from one template, not by json; the bytes
         # must stay those of indent=2
         if vid in BIJECTIONS:
-            rep = run_check(vid, range(_BIJECTIONS[vid].least_r, 4), 6)
+            rep = run_check(vid, range(_IDS[vid].least_r, 4), 6)
         else:
             rep = run_check(vid, n_max=None if vid == "q-binomial" else 6)
         assert rep.rows
@@ -611,7 +653,7 @@ class TestBijectionCertification:
     @pytest.mark.parametrize("name", BIJECTIONS)
     def test_one_report_holds_the_rows_of_every_r(self, name):
         # r = 1..3, or 2..4 for the partition maps, which start at 2
-        least = _BIJECTIONS[name].least_r
+        least = _IDS[name].least_r
         r_values = range(least, least + 3)
         report = certify_bijection(name, r_values, 10)
         assert report.theorem == f"bijection:{name}" and report.passed
@@ -681,15 +723,20 @@ class TestBijectionCertification:
 class TestGeneratedCodomain:
     """The codomain size that certification counts from the candidates it
     generates, against the checker run over every (alpha, beta) pair of
-    each weight: every alpha, every beta and the colored empties."""
+    each weight: every alpha, every beta and the colored empties; and each
+    counted size against the series of the theorem the map proves."""
     N_MAX = 14
+    # the theorem series whose n-th coefficient counts each codomain of weight n
+    SERIES = {"gamma": qs.series_chain_mex_offset_sum, "gamma-star": qs.series_chain_mex_shifted,
+              "delta": qs.series_chain_maex_sum}
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", ["gamma", "gamma-star", "delta"])
     def test_generated_equals_the_full_filter(self, name, r):
-        checker = getattr(bijections, _BIJECTIONS[name].checker)
+        checker = getattr(bijections, _IDS[name].checker)
         by_weight = [list(partitions(w)) for w in range(self.N_MAX + 1)]
         colored = [ColoredEmpty(color) for color in range(1, r + 1)]
+        series = self.SERIES[name](r, self.N_MAX)
         report = certify_bijection(name, [r], self.N_MAX)
         counted = [row.rhs for row in report.rows if row.label == "cardinality"]
         assert len(counted) == self.N_MAX + 1
@@ -697,5 +744,20 @@ class TestGeneratedCodomain:
             full = sum(checker(PartitionPair(alpha, beta), r) for a in range(n + 1)
                        for alpha in by_weight[a]
                        for beta in by_weight[n - a] + (colored if a == n else []))
-            assert size == full, n
+            assert size == full == series.coeff(n), n
+        assert report.passed
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["glaisher", "top-multiple"])
+    def test_partition_map_sizes_equal_the_series(self, name, r):
+        # Glaisher maps the r-regular partitions onto the r-strict ones, and
+        # top-multiple maps the rest onto the rest
+        strict = qs.series_strict_count(r, self.N_MAX)
+        count = qs.series_partition_count(self.N_MAX)
+        report = certify_bijection(name, [r], self.N_MAX)
+        sizes = [(row.lhs, row.rhs) for row in report.rows if row.label == "cardinality"]
+        assert len(sizes) == self.N_MAX + 1
+        for n, (domain, codomain) in enumerate(sizes):
+            size = strict.coeff(n) if name == "glaisher" else count.coeff(n) - strict.coeff(n)
+            assert domain == codomain == size, n
         assert report.passed
