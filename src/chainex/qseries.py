@@ -10,16 +10,24 @@ differences take two series; an int operand only scales a product.
 
 Every product side of the paper's identities is a ratio of q-Pochhammer
 products, so the builders run a sparse kernel over coefficient lists.
-Each pass is O(order) additions, and its per-coefficient loop runs inside
-C builtins (``map`` over ``operator.add``/``sub``, ``itertools.accumulate``),
-so the Python-level work is one slice assignment per call or per block:
+Each single-factor pass is O(order) additions, and its per-coefficient
+loop runs inside C builtins (``map`` over ``operator.add``/``sub``,
+``itertools.accumulate``), so the Python-level work is one slice
+assignment per call or per block:
 - multiplying by one factor (1 + s*q^e) is one ``map`` over the list and
   the list shifted by e;
-- dividing by (1 - q^e), the only division, is a prefix sum along each
-  residue class mod e.  With e^2 < len it runs as e strided
-  ``accumulate`` calls, otherwise as len/e blocks of e coefficients, each
-  ``map``-ed from the block before; the threshold picks the shape with
-  fewer Python-level steps.
+- dividing by one factor (1 - q^e) is a prefix sum along each residue
+  class mod e.  With e^2 < len it runs as e strided ``accumulate`` calls,
+  otherwise as len/e blocks of e coefficients, each ``map``-ed from the
+  block before; the threshold picks the shape with fewer Python-level
+  steps.
+A complete Euler product (q^s;q^s)_inf, which nearly every product side
+multiplies or divides by, is not run factor by factor: by Euler's
+pentagonal number theorem it has only about 2*sqrt(2*len/(3s)) nonzero
+terms below q^len, against len/s factors.  Multiplying by it is one
+``map`` per term; dividing is a Python-level recurrence over those terms,
+about len*sqrt(len/s) additions against the len^2/s of the factor passes.
+(q^(a*s);q^s)_inf runs as that pass and a - 1 single factors.
 A builder that sums over n grows the n-th term from the (n-1)-th with one
 or two such steps, and a builder that multiplies a series by a Pochhammer
 ratio runs the ratio as passes over that series' coefficients.  The dense
@@ -203,12 +211,53 @@ def _add_shifted(acc: list[int], c: list[int], shift: int) -> None:
     acc[shift:end] = map(add, acc[shift:end], c)
 
 
+def _euler(c: list[int], s: int, divide: bool = False) -> None:
+    """c *= (q^s;q^s)_inf, or c /= it when ``divide``, in place, for s >= 1.
+
+    By Euler's pentagonal number theorem the product is
+    sum_k (-1)^k q^(s*k(3k-1)/2) over all integers k, so below q^len it has
+    about 2*sqrt(2*len/(3*s)) nonzero terms.  Multiplying adds or subtracts
+    the list shifted by each of those exponents, one ``map`` from a copy per
+    term; dividing runs c[n] -= sum of (-1)^k c[n - e] over ascending n,
+    reading each c[n - e] already divided."""
+    terms = []   # (exponent, the coefficient is -1), ascending
+    k = 1
+    while s * k * (3 * k - 1) // 2 < len(c):
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if s * g < len(c):
+                terms.append((s * g, k % 2 == 1))
+        k += 1
+    if not divide:
+        old = c[:]
+        for e, minus in terms:
+            c[e:] = map(sub if minus else add, c[e:], old)
+        return
+    for n in range(s, len(c)):
+        t = c[n]
+        for e, minus in terms:
+            if e > n:
+                break
+            if minus:
+                t += c[n - e]
+            else:
+                t -= c[n - e]
+        c[n] = t
+
+
 def _poch(c: list[int], first: int, step: int, count=None, sign: int = -1,
           divide: bool = False) -> list[int]:
     """c *= prod (1 + sign*q^e), or c /= it when ``divide``, in place, over
     e = first, first+step, ...: ``count`` factors, or every e up to the
     order when None (later factors are 1 + O(q^(order+1))).  Only factors
-    1 - q^e divide, so ``divide`` with any sign but -1 raises."""
+    1 - q^e divide, so ``divide`` with any sign but -1 raises.
+
+    The complete product (q^first;q^step)_inf with first = a*step, a >= 1,
+    is (q^s;q^s)_inf / (q^s;q^s)_(a-1) with s = step.  It runs as one
+    pentagonal pass (``_euler``) and a - 1 single factors when those a
+    passes are no more than its factors below q^len; at a = 1 that is one
+    pass for len/s.  Finite products, plus signs and a first exponent off
+    the multiples of the step have no sparse expansion of this kind, so
+    they run one pass per factor."""
     if first < 0 or step < 1 or (count is not None and count < 0):
         raise SeriesError("need first exponent >= 0, step >= 1 and count >= 0, "
                           f"got {first}, {step}, {count}")
@@ -219,6 +268,15 @@ def _poch(c: list[int], first: int, step: int, count=None, sign: int = -1,
     if sign != 1 and sign != -1:
         raise SeriesError(f"a factor's sign must be 1 or -1, got {sign!r}")
     stop = len(c) if count is None else min(len(c), first + count * step)
+    a, rest = divmod(first, step)
+    if count is None and sign == -1 and not rest and 0 < a <= len(range(first, stop, step)):
+        _euler(c, step, divide)
+        for e in range(step, first, step):
+            if divide:
+                _mul_factor(c, e, -1)
+            else:
+                _div_factor(c, e)
+        return c
     for e in range(first, stop, step):
         if divide:
             _div_factor(c, e)

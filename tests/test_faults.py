@@ -161,19 +161,19 @@ def test_a_component_fault_fails_only_the_rows_that_read_it(capsys, vid):
 
 
 def test_a_kernel_fault_past_the_enumerated_range_fails_the_thm_1_11_forms(capsys):
-    # dividing by 1 - q also adds c[39] into c[40]: a linear fault above
-    # n = 30, where only the two series forms are compared.  Had the product
-    # run the strict ratio as passes over the bottom-multiplicity builder,
-    # it would cancel that builder's division and meet the sum form
-    # whatever the kernel does; the dense product must not.
-    honest = qs._div_factor
+    # dividing by (q;q)_inf also adds c[39] into c[40]: a linear fault
+    # above n = 30, where only the two series forms are compared.  Had the
+    # product run the strict ratio as passes over the bottom-multiplicity
+    # builder, it would cancel that builder's division and meet the sum
+    # form whatever the kernel does; the dense product must not.
+    honest = qs._euler
 
-    def faulty(c, e):
-        honest(c, e)
-        if e == 1 and len(c) > 40:
+    def faulty(c, s, divide=False):
+        honest(c, s, divide)
+        if divide and s == 1 and len(c) > 40:
             c[40] += c[39]
 
-    with mock.patch.object(qs, "_div_factor", faulty):
+    with mock.patch.object(qs, "_euler", faulty):
         code = run(["verify", "thm-1.11", "--order", "60"])
     out = capsys.readouterr().out
     mismatches = [line for line in out.splitlines() if "MISMATCH" in line]

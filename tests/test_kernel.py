@@ -2,6 +2,14 @@
 
 Every builder is compared with its dense reference in ``oracles``; the two
 in-place primitives are checked as properties on random series.
+
+The kernel runs each complete Euler product by the pentagonal number
+theorem, and ``oracles.partition_count`` and ``oracles.pentagonal_signs``
+read that theorem too, so the order-1000 p(n) check and
+``test_euler_product_matches_pentagonal_oracle`` compare two computations
+of one theorem.  The independent references for that pass are
+``oracles.dense_poch``, a product of dense factors, and the property that
+``_poch`` equals the same product run factor by factor.
 """
 
 import pytest
@@ -98,8 +106,9 @@ def test_bivariate_matches_dense_reference(r):
 
 
 def test_pochhammer_products_match_dense_reference():
-    for first in (0, 1, 2, 5):
-        for step in (1, 2, 3):
+    # first = a*step runs the pentagonal pass and a - 1 single factors
+    for step in (1, 2, 3):
+        for first in sorted({0, 1, 2, 5} | {a * step for a in range(1, 5)}):
             for sign in (-1, 1):
                 negate = sign == 1
                 assert qs.poch_finite(first, step, 7, TOP, negate) == \
@@ -153,6 +162,39 @@ def test_divide_agrees_with_dense_inverse(c, e):
     assert_divide_matches_dense_inverse(c, e)
 
 
+@st.composite
+def products(draw):
+    """(c, first, step, sign, divide) for ``_poch``; first = a*step, the
+    shape that runs the pentagonal pass, is drawn half the time."""
+    c = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=400))
+    step = draw(st.integers(1, 8))
+    first = draw(st.one_of(st.integers(0, len(c) + 2),
+                           st.integers(1, 4).map(lambda a: a * step)))
+    sign = draw(signs)
+    divide = sign == -1 and first >= 1 and draw(st.booleans())
+    return c, first, step, sign, divide
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+@example(([1] + [0] * 399, 1, 1, -1, True))
+@example(([1] + [0] * 399, 4, 1, -1, False))
+@example(([3, -1] * 200, 24, 8, -1, True))
+def test_complete_product_equals_its_factors(args):
+    # the route count=None may take against the factor loop of an explicit
+    # count, which runs one pass per factor below q^len
+    c, first, step, sign, divide = args
+    count = len(range(first, len(c), step))
+    expected = qs._poch(list(c), first, step, count, sign, divide)
+    assert qs._poch(list(c), first, step, None, sign, divide) == expected
+
+
+def test_a_first_exponent_past_the_list_runs_nothing():
+    c = [1, 2, 3]
+    assert qs._poch(c, 10 ** 9, 1, divide=True) is c
+    assert c == [1, 2, 3]
+
+
 @pytest.mark.parametrize("sign", (-1, 1))
 def test_every_factor_shape_agrees_with_dense_reference(sign):
     # every exponent below, at and above sqrt(len) and len: division by
@@ -189,8 +231,8 @@ def test_dividing_by_one_plus_q_to_the_e_raises():
 
 
 def test_partition_count_at_order_1000():
-    # 1/(q;q)_inf divides by 1 - q^e for e = 1..1000: e <= 31 sums residue
-    # classes, the rest sweep blocks
+    # 1/(q;q)_inf is one pentagonal divide pass, and the oracle runs the
+    # same recurrence: this checks the pass at length 1001, not the theorem
     assert qs.series_partition_count(1000).coeffs == \
         [oracles.partition_count(n) for n in range(1001)]
 
