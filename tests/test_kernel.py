@@ -106,7 +106,8 @@ def test_bivariate_matches_dense_reference(r):
 
 
 def test_pochhammer_products_match_dense_reference():
-    # first = a*step runs the pentagonal pass and a - 1 single factors
+    # first = a*step with 5*first <= TOP + 1 runs the pentagonal pass and
+    # a - 1 single factors; 9 and 12 at step 3 run one pass per factor
     for step in (1, 2, 3):
         for first in sorted({0, 1, 2, 5} | {a * step for a in range(1, 5)}):
             for sign in (-1, 1):
@@ -165,7 +166,8 @@ def test_divide_agrees_with_dense_inverse(c, e):
 @st.composite
 def products(draw):
     """(c, first, step, sign, divide) for ``_poch``; first = a*step, the
-    shape that runs the pentagonal pass, is drawn half the time."""
+    shape that runs the pentagonal pass when 5*first <= len(c), is drawn
+    half the time."""
     c = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=400))
     step = draw(st.integers(1, 8))
     first = draw(st.one_of(st.integers(0, len(c) + 2),
@@ -180,6 +182,8 @@ def products(draw):
 @example(([1] + [0] * 399, 1, 1, -1, True))
 @example(([1] + [0] * 399, 4, 1, -1, False))
 @example(([3, -1] * 200, 24, 8, -1, True))
+@example(([1] + [0] * 399, 80, 1, -1, True))    # the last first on the pentagonal route
+@example(([1] + [0] * 399, 81, 1, -1, False))   # the first past it
 def test_complete_product_equals_its_factors(args):
     # the route count=None may take against the factor loop of an explicit
     # count, which runs one pass per factor below q^len
