@@ -1,34 +1,32 @@
 """The brute-force engine, ``tallies``: exact statistic sums and family
 counts over every partition of every n <= n_max.
 
-It uses only the partition core: the walk (``walk_scans``), the chain scan
-(``scan_start``, ``scan_step``) and the family statistics; no series
-builder and no bijection code.  One walk over the partitions of n_max
-tallies every n <= n_max through a bijection: each partition of n splits
-uniquely as mu + 1^j, where the head mu has no part 1 and |mu| + j = n,
-and the heads of weight w are exactly the partitions of n_max with their
-n_max - w 1s removed.  So the pairs (lambda of n_max, j up to lambda's
-number of 1s) list every partition of every n <= n_max exactly once.
+It uses only the partition core: the chain scan (``scan_start``,
+``scan_step``) and the family statistics; no enumerator, no series
+builder and no bijection code.  Each partition of n splits uniquely as
+mu + 1^j, where the head mu has no part 1 and |mu| + j = n.  So one walk
+over the heads, the partitions with no part 1 and weight <= n_max,
+tallies every n <= n_max: the pairs (head mu, j up to n_max - |mu|) list
+every partition of every n <= n_max exactly once.
 
-The walk carries the chain scan state of every r on the enumerator's
-stack, so a pushed value pays one scan step and a partition pays none, and
-a head's state is the stack level under the walked partition's 1s.
-Each walked partition is counted once, under its head's key (state,
-smallest part) at the head's weight.  Every head below n_max is walked
-exactly once with its 1s, and mu + 1^j has one key for all j >= 1: the
-head's state after a 1 is scanned under its smallest part, and 1.  So the
-heads of weight w enter every larger weight under their 1s keys, each
-derived once per distinct head key, not read off the walk's stack.  Each
-distinct key is closed into the chain mex and maex once, and every
-requested (statistic, r) cell is filled from these counts.  The walk
-builds every partition mu + 1^j for the (family, r) cells and puts it,
-with its closed key, in a batch of its weight; each cell of that weight
-maps its statistic over a full batch, and over what is left at the end of
-the walk, in one call, so every partition reaches every cell once.  The
-bijection side reads the chain excludants through ``chain_mex_maex``, a
-one-r loop that shares no scan code with the walk.  This module imports
-nothing of chainex but ``partition``, and ``tests/test_routes.py`` checks
-which of its names it reads.
+The walk (``_walk_heads``) recurses over a head's distinct values from
+the largest down.  For each prefix of larger values and each smaller
+value s >= 2 it takes one scan step, and every multiplicity of s shares
+the key (state, s) that step gives, so each head is counted with one
+increment, under its key at its weight.  mu + 1^j has one key for all
+j >= 1: the head's state after a 1 is scanned under its smallest part,
+and 1.  So the heads of weight w enter every larger weight under their
+1s keys, each derived once per distinct head key; the walk never places
+a 1.  Each distinct key is closed into the chain mex and maex once, and
+every requested (statistic, r) cell is filled from these counts.  For
+the (family, r) cells, each walked head builds every partition mu + 1^j
+and puts it, with its closed key, in a batch of its weight; each cell of
+that weight maps its statistic over a full batch, and over what is left
+at the end of the walk, in one call, so every partition reaches every
+cell once.  The bijection side reads the chain excludants through
+``chain_mex_maex``, a one-r loop that shares no scan code with the walk.
+This module imports nothing of chainex but ``partition``, and
+``tests/test_routes.py`` checks which of its names it reads.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from . import partition as pt
-from .partition import EMPTY, Partition, _is_count, scan_start, scan_step, walk_scans
+from .partition import Partition, _is_count, scan_start, scan_step
 
 
 class Tally(namedtuple("Tally", "count largest mex maex families r_max")):
@@ -118,11 +116,40 @@ STATISTICS = tuple(_STAT_SUMS)
 FAMILIES = tuple(_FAMILY_VALUES)
 
 
+def _walk_heads(pairs, state, weight, n_max, depth, heads, largest, put):
+    """Count every head of weight <= n_max that extends the head ``pairs``
+    (of weight ``weight``, its values' scan state ``state``; ``()`` and
+    None for the empty head) by values below its smallest: for each such
+    value s >= 2, one scan step gives the key (state, s) that every
+    multiplicity m of s shares, and each mu = pairs + (s, m) adds 1 to
+    ``heads[|mu|][key]``, its largest part to ``largest[|mu|]``, and calls
+    ``put(mu, |mu|, key)`` if ``put`` is not None.  It descends from mu
+    when a smaller value s' >= 2 still fits, so at most as deep as a head
+    has distinct values.  It is a module-level function: a closure that
+    called itself would be a reference cycle and keep every counter alive
+    until the cyclic collector ran."""
+    above = pairs[-1][0] if pairs else n_max + 1
+    top = pairs[0][0] if pairs else 0
+    for s in range(min(above - 1, n_max - weight), 1, -1):
+        state_s = scan_step(state, s, above, depth) if pairs else scan_start(s, depth)
+        key = state_s, s
+        big = top or s
+        for w in range(weight + s, n_max + 1, s):
+            heads[w][key] += 1
+            largest[w] += big
+        if put is not None:
+            for m, w in enumerate(range(weight + s, n_max + 1, s), 1):
+                put(pairs + ((s, m),), w, key)
+        if s > 2:
+            for m, w in enumerate(range(weight + s, n_max - 1, s), 1):
+                _walk_heads(pairs + ((s, m),), state_s, w, n_max, depth, heads, largest, put)
+
+
 def tallies(n_max: int, r_max: int, family_cells=()) -> list:
-    """The tally of every n = 0..n_max from one walk over the partitions of
-    n_max: chain mex/maex for every r = 1..r_max and every (family, r) cell
-    in ``family_cells``, which need 2 <= r <= r_max + 1.  Partitions are
-    streamed, not stored.
+    """The tally of every n = 0..n_max from one walk over the heads of
+    weight <= n_max: chain mex/maex for every r = 1..r_max and every
+    (family, r) cell in ``family_cells``, which need 2 <= r <= r_max + 1.
+    Partitions are streamed, not stored.
 
     Each partition mu + 1^j of n is counted through its head mu (the parts
     above 1; see the module docstring), and the walk counts each head once,
@@ -206,31 +233,20 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
             flush(n)
 
     from_pairs = Partition._from_pairs
-    for pairs, states in walk_scans(n_max, depth):
-        if not pairs:           # the partition of 0, the empty head: counted below
-            continue
-        smallest, k = pairs[-1]
-        if smallest == 1:
-            w = n_max - k
-            head_key = (states[-2], pairs[-2][0]) if w else empty_key
-        else:
-            w, k = n_max, 0
-            head_key = states[-1], smallest
-        if w:
-            heads[w][head_key] += 1
-            heads_largest[w] += pairs[0][0]
-        if specs:
-            head = tuple(pairs[:-1] if k else pairs)
-            if w:
-                put(from_pairs(head), w, close(head_key))
-            if k:
-                ex = close(ones_of(head_key))
-                for j in range(1, k + 1):
-                    put(from_pairs(head + ((1, j),)), w + j, ex)
+
+    def put_head(head, w, key):
+        # mu, then mu + 1^j for every j that fits, under mu's 1s key
+        put(from_pairs(head), w, close(key))
+        if w < n_max:
+            ex = close(ones_of(key))
+            for j in range(1, n_max - w + 1):
+                put(from_pairs(head + ((1, j),)), w + j, ex)
+
     # the one head of weight 0: the empty partition
     heads[0][empty_key] += 1
     if specs:
-        put(EMPTY, 0, close(empty_key))
+        put_head((), 0, empty_key)
+    _walk_heads((), None, 0, n_max, depth, heads, heads_largest, put_head if specs else None)
     for n, (lams, _) in enumerate(batches):
         if lams:
             flush(n)

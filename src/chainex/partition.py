@@ -332,7 +332,7 @@ def top_multiple_multiplicity(lam: Partition, r: int) -> int:
     return 0
 
 
-# -- enumeration with the chain scan ------------------------------------------
+# -- the chain scan ---------------------------------------------------------
 #
 # The chain scan state of the distinct values v_1 > ... > v_k, read from the
 # largest down, is one flat tuple of 2 * depth entries: for r = 1..depth,
@@ -368,30 +368,24 @@ def scan_step(state: tuple, w: int, above: int, depth: int) -> tuple:
     return (w + 1,) * k + state[k:depth] + high
 
 
-def walk_scans(n: int, depth: int) -> Iterator[tuple]:
-    """Yield ``(pairs, states)`` for every partition of n exactly once, in
-    decreasing lexicographic order of the parts list: the (value,
-    multiplicity) pairs, values strictly decreasing, and for each level i
-    the scan state of the values down to ``pairs[i][0]`` at chain lengths
-    1..depth (laid out as described above ``scan_start``), so
-    ``states[-1]`` is the partition's own state (the empty partition has
-    no pairs and the one state of its empty scan).
+# -- enumeration ------------------------------------------------------------
 
-    ``pairs`` and ``states`` are the walk's own stacks, valid until the
-    next step; copy them to keep them.  The successor is computed on the
-    stack in O(1) steps (Zoghbi and Stojmenovic's ZS1 on the multiplicity
-    encoding): drop the run of 1s, take one copy of the smallest part
-    v > 1, and refill the freed weight greedily with parts v - 1 and one
-    remainder.  Each stack level keeps the state of the values down to its
-    own, so a change of multiplicity keeps the state and a pushed value pays
-    one scan step.
+def partitions(n: int) -> Iterator[Partition]:
+    """Yield every partition of n exactly once, in decreasing lexicographic
+    order of the parts list.
+
+    The successor is computed on a stack of (value, multiplicity) pairs,
+    values strictly decreasing, in O(1) steps (Zoghbi and Stojmenovic's
+    ZS1 on the multiplicity encoding): drop the run of 1s, take one copy
+    of the smallest part v > 1, and refill the freed weight greedily with
+    parts v - 1 and one remainder.
     """
     if n < 0:
         raise PartitionError("cannot partition a negative integer")
+    from_pairs = Partition._from_pairs
     pairs = [(n, 1)] if n else []
-    states = [scan_start(n, depth)]     # states[i]: the values down to pairs[i]
     while True:
-        yield pairs, states
+        yield from_pairs(tuple(pairs))
         if not pairs:
             return
         v, m = pairs[-1]
@@ -400,28 +394,13 @@ def walk_scans(n: int, depth: int) -> Iterator[tuple]:
             if len(pairs) == 1:
                 return
             pairs.pop()
-            states.pop()
             freed = m
             v, m = pairs[-1]
         if m > 1:
             pairs[-1] = (v, m - 1)
-            state = states[-1]          # v - 1 goes right under v
         else:
             pairs.pop()
-            states.pop()
-            state = (scan_step(states[-1], v - 1, pairs[-1][0], depth) if pairs
-                     else scan_start(v - 1, depth))
         q, rem = divmod(freed + v, v - 1)
         pairs.append((v - 1, q))
-        states.append(state)
         if rem:
             pairs.append((rem, 1))
-            states.append(scan_step(state, rem, v - 1, depth))
-
-
-def partitions(n: int) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, in decreasing lexicographic
-    order of the parts list (``walk_scans`` at depth 0)."""
-    from_pairs = Partition._from_pairs
-    for pairs, _ in walk_scans(n, 0):
-        yield from_pairs(tuple(pairs))

@@ -6,7 +6,7 @@ engine ``tallies`` of ``brute``, which uses only the partition core; it
 never calls the series builders or bijection code paths it is checking, so
 each comparison really is two independent routes to the same number.  Each
 statistic sum is read off the tally of its n, so ``check_theorem`` walks
-the partitions of n_max once, whatever the r range.
+the heads of weight <= n_max once, whatever the r range.
 
 Bijection certification fills one report for every r of its range.  At
 each r it lists every partition of each weight up to n once and counts: a

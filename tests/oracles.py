@@ -17,9 +17,10 @@ Glaisher maps.
 
 ``scan_state`` and ``folded_excludants`` are the one place that calls the
 library's chain scan: they fold ``scan_start`` and ``scan_step`` from
-scratch over a partition's values, as the reference for the state that
-``walk_scans`` carries on its stack.  The fold's closed values are checked
-against ``linear_mex`` and ``linear_maex`` in the partition tests.
+scratch over a partition's values, as the reference for the keys that
+the engine's head walk carries down its recursion.  The fold's closed
+values are checked against ``linear_mex`` and ``linear_maex`` in the
+partition tests.
 
 The ``dense_*`` functions are a reference for the q-series builders: the
 same generating functions written the slow way, every Pochhammer factor a

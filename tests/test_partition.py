@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chainex.brute import _walk_heads, tallies
 from chainex.partition import (
     EMPTY,
     Partition,
@@ -21,7 +24,6 @@ from chainex.partition import (
     partitions,
     smallest_repeating,
     top_multiple_multiplicity,
-    walk_scans,
 )
 
 from oracles import (
@@ -339,26 +341,37 @@ class TestEnumeration:
     def test_negative_n(self):
         with pytest.raises(PartitionError):
             list(partitions(-1))
-        with pytest.raises(PartitionError):
-            list(walk_scans(-1, 3))
+        with pytest.raises(ValueError):
+            tallies(-1, 3)
 
 
 class TestWalkScans:
     def test_order_and_carried_state_to_22(self):
-        # the state at every level of the stack equals the scan folded from
-        # scratch over the values down to that level; the empty partition
-        # has the one level of its empty scan
+        # partitions(n) lists the partitions of n in decreasing
+        # lexicographic order; the head walk visits every head (a partition
+        # with no part 1) of weight w <= n once, under the key of the scan
+        # folded from scratch over its values and its smallest part, and
+        # counts that key and its largest part at w
         for n in range(23):
-            expected = list(recursive_partitions(n))
-            for depth in range(1, 9):
-                seen = []
-                for pairs, states in walk_scans(n, depth):
-                    pairs = tuple(pairs)
-                    assert len(states) == max(len(pairs), 1), (pairs, depth)
-                    for i, state in enumerate(states):
-                        assert state == scan_state(pairs[:i + 1], depth), (pairs, i, depth)
-                    seen.append(P._from_pairs(pairs).parts)
-                assert seen == expected, (n, depth)
+            assert [lam.parts for lam in partitions(n)] == list(recursive_partitions(n)), n
+        every = [(w, P(parts).pairs) for w in range(1, 23)
+                 for parts in recursive_partitions(w) if parts[-1] > 1]
+        for depth in range(1, 9):
+            keyed = sorted((w, pairs, (scan_state(pairs, depth), pairs[-1][0]))
+                           for w, pairs in every)
+            for n in range(23):
+                visits = []
+                heads = [Counter() for _ in range(n + 1)]
+                largest = [0] * (n + 1)
+                _walk_heads((), None, 0, n, depth, heads, largest,
+                            lambda head, w, key: visits.append((w, head, key)))
+                expected = [visit for visit in keyed if visit[0] <= n]
+                assert sorted(visits) == expected, (n, depth)
+                assert heads[1:] == [Counter(key for v, _, key in expected if v == w)
+                                     for w in range(1, n + 1)], (n, depth)
+                assert largest[1:] == [sum(pairs[0][0] for v, pairs, _ in expected if v == w)
+                                       for w in range(1, n + 1)], (n, depth)
+                assert not heads[0] and not largest[0]
 
     def test_state_layout(self):
         # [12, 11, 7, 3, 3] above its smallest part: the runs 8..10 and 4..6

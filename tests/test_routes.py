@@ -37,14 +37,14 @@ SRC = Path(chainex.__file__).parent
 # read, the partition names those must never reach)
 ROUTES = {
     "brute": ({"partition"},
-              {"EMPTY", "Partition", "_is_count", "walk_scans", "scan_start", "scan_step",
+              {"Partition", "_is_count", "scan_start", "scan_step",
                "count_multiples", "largest_repeating", "top_multiple_multiplicity",
                "smallest_repeating", "parts_above"},
               {"chain_mex_maex"}),
     "bijections": ({"partition"},
                    {"Partition", "_conjugate_pairs", "_cut_pairs", "_merge_pairs",
                     "chain_mex_maex", "is_regular", "is_strict"},
-                   {"walk_scans", "scan_start", "scan_step"}),
+                   {"scan_start", "scan_step"}),
     "qseries": (set(), set(), set()),
 }
 
@@ -176,9 +176,9 @@ def test_partition_names_read_never_reach_the_other_route(module):
 
 
 def test_reads_follow_both_import_forms():
-    tree = ast.parse("from . import partition as pt\nfrom .partition import walk_scans\n"
+    tree = ast.parse("from . import partition as pt\nfrom .partition import partitions\n"
                      "x = pt.parts_above(lam, 3)\ny = getattr(pt, name)\n")
     assert chainex_imports(tree) == {"partition"}
-    assert partition_reads(tree) == {"walk_scans", "parts_above", "*"}
-    assert "scan_step" in reach({"walk_scans"})
+    assert partition_reads(tree) == {"partitions", "parts_above", "*"}
+    assert {"Partition", "PartitionError"} <= reach({"partitions"})
     assert "chain_mex_maex" in reach({"parts_above_mex"})

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from collections import Counter
@@ -12,8 +13,8 @@ from chainex import partition as pt
 from chainex import qseries as qs
 from chainex import verify as vf
 from chainex.bijections import ColoredEmpty, PartitionPair
-from chainex.brute import STATISTICS, Tally
-from chainex.partition import chain_mex, partitions, walk_scans
+from chainex.brute import STATISTICS, Tally, _walk_heads
+from chainex.partition import chain_mex, partitions
 from chainex.verify import (
     _IDS,
     _resolve,
@@ -257,7 +258,7 @@ class TestTallyAgainstReference:
         (3, True, "^r must be an integer, got True$"),
         (3, 0, "^r must be >= 1, got 0$")])
     def test_rejects_bad_arguments_before_any_walk(self, n, r_max, message):
-        with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")):
+        with mock.patch("chainex.brute._walk_heads", side_effect=AssertionError("walked")):
             with pytest.raises(ValueError, match=message):
                 tallies(n, r_max)
 
@@ -289,7 +290,7 @@ class TestTallyAgainstReference:
         ((["x"], 2), "unknown family ['x']"),
         (("above-mex", 5), "family cell ('above-mex', 5) needs r in 2..3")])
     def test_rejects_malformed_family_cells_before_any_walk(self, cell, message):
-        with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")):
+        with mock.patch("chainex.brute._walk_heads", side_effect=AssertionError("walked")):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 tallies(8, 2, [("multiples", 2), cell])
         t = tallies(8, 2)[8]
@@ -313,7 +314,7 @@ class TestTallyAgainstReference:
         ids=["cells-str", "cells-int", "stat-list", "id-list", "theorem-list", "bijection-list"])
     def test_rejects_malformed_cell_lists_statistics_and_ids_before_any_walk(self, call,
                                                                              message):
-        with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")), \
+        with mock.patch("chainex.brute._walk_heads", side_effect=AssertionError("walked")), \
                 mock.patch("chainex.verify.partitions", side_effect=AssertionError("listed")):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
                 call()
@@ -342,14 +343,17 @@ class TestFamilyBatches:
                 return statistic(lam, arg)
             return wrapper
 
-        def walk(*args):
-            yield from walk_scans(*args)
-            ended.append(True)
+        def walk(pairs, *args):
+            # the walk recurses through the patched name; only the call
+            # from the empty head is the whole walk
+            _walk_heads(pairs, *args)
+            if not pairs:
+                ended.append(True)
 
         with mock.patch("chainex.partition.count_multiples",
                         counting("multiples", pt.count_multiples)), \
                 mock.patch("chainex.partition.parts_above", counting("above", pt.parts_above)), \
-                mock.patch("chainex.brute.walk_scans", walk):
+                mock.patch("chainex.brute._walk_heads", walk):
             by_n = tallies(self.N_MAX, 3, [*self.MULTIPLES, cell])
         assert False in walked and True in walked
         fam, r = cell
@@ -371,30 +375,49 @@ class TestFamilyBatches:
 
 
 class TestOnesKeys:
-    """A walked partition mu + 1^k is counted once, under its head's key,
-    and the key of mu + 1^j for j >= 1 is derived from that key, never
-    read off the walk's state under the 1s."""
+    """A partition mu + 1^j is counted through its head mu, and the key of
+    mu + 1^j for j >= 1 is derived from mu's key, never read off a walked
+    1: the head walk never places a part 1."""
     CELLS = [(fam, r) for fam in FAMILIES for r in (2, 4, 7)]
 
     def test_every_top_tallies_each_smaller_n_alike(self):
-        # each n_max walks different heads, with different numbers of 1s
+        # each n_max walks different heads and gives them different numbers of 1s
         by_n = tallies(26, 6, self.CELLS)
         for n in range(27):
             assert tallies(n, 6, self.CELLS)[n] == by_n[n], n
 
     def test_no_read_of_the_state_under_the_ones(self):
-        def walk(*args):
-            for pairs, states in walk_scans(*args):
-                if pairs and pairs[-1][0] == 1:
-                    states = [*states[:-1], None]
-                yield pairs, states
+        def walk(pairs, state, weight, n_max, depth, heads, largest, put):
+            assert all(v > 1 for v, _ in pairs), pairs
+
+            def checked(head, w, key):
+                assert head[-1][0] == key[1] > 1, head
+                put(head, w, key)
+
+            _walk_heads(pairs, state, weight, n_max, depth, heads, largest,
+                        put if put is None or pairs else checked)
+            if not pairs:   # the whole walk: every key it counted ends above 1
+                assert all(s > 1 for counts in heads[1:] for _, s in counts)
 
         for r_max in range(1, 7):
             cells = [(fam, r) for fam in FAMILIES for r in range(2, r_max + 2)]
             for n in range(19):
                 honest = tallies(n, r_max, cells)
-                with mock.patch("chainex.brute.walk_scans", walk):
+                with mock.patch("chainex.brute._walk_heads", walk):
                     assert tallies(n, r_max, cells) == honest, (n, r_max)
+
+    def test_tallies_leave_no_reference_cycle(self):
+        # every counter is freed when tallies returns, not when the cyclic
+        # collector next runs: a walk that kept itself alive through a
+        # closure cell would hold them all
+        gc.collect()
+        gc.disable()
+        try:
+            tallies(20, 4, [(fam, r) for fam in FAMILIES for r in range(2, 6)])
+            tallies(30, 6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestReport:
@@ -562,7 +585,7 @@ class TestTheoremHarness:
         ("gamma", {"r_values": 2}, "^r must be a range or a list of integers, got 2$"),
     ])
     def test_bad_arguments_rejected_up_front(self, theorem, kwargs, message):
-        with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")), \
+        with mock.patch("chainex.brute._walk_heads", side_effect=AssertionError("walked")), \
                 mock.patch("chainex.verify.partitions", side_effect=AssertionError("listed")):
             with pytest.raises(ValueError, match=message):
                 run_check(theorem, **kwargs)
@@ -579,25 +602,25 @@ class TestTheoremHarness:
         ("thm-1.10", 0, "^j must be >= 1, got 0$"),
     ])
     def test_j_below_the_least_rejected_before_any_walk(self, theorem, j, message):
-        with mock.patch("chainex.brute.walk_scans", side_effect=AssertionError("walked")):
+        with mock.patch("chainex.brute._walk_heads", side_effect=AssertionError("walked")):
             with pytest.raises(ValueError, match=message):
                 check_theorem(theorem, j_values=[j])
 
     @pytest.mark.parametrize("theorem, n_max", [("thm-1.4", 40), ("thm-1.5", 25)])
     def test_one_walk_of_the_top_weight(self, theorem, n_max):
-        # every n <= n_max is tallied from the partitions of n_max alone:
-        # 37,338 at n = 40 and 1,958 at n = 25, not the sum over all n
-        walked = 0
+        # every n <= n_max is tallied from one walk over the heads of weight
+        # <= n_max, one per partition of n_max: 37,338 at n = 40 and 1,958
+        # at n = 25, the empty head included, not the sum over all n
+        walks = []      # the heads each whole walk counted
 
-        def counted(n, depth):
-            nonlocal walked
-            for step in walk_scans(n, depth):
-                walked += 1
-                yield step
+        def counted(pairs, state, weight, top, depth, heads, *rest):
+            _walk_heads(pairs, state, weight, top, depth, heads, *rest)
+            if not pairs:
+                walks.append(sum(counts.total() for counts in heads))
 
-        with mock.patch("chainex.brute.walk_scans", counted):
+        with mock.patch("chainex.brute._walk_heads", counted):
             assert check_theorem(theorem, n_max=n_max).passed
-        assert walked == partition_count(n_max) == {40: 37338, 25: 1958}[n_max]
+        assert walks == [partition_count(n_max)] == [{40: 37338, 25: 1958}[n_max]]
 
     @pytest.mark.parametrize("theorem, kwargs, message", [
         ("thm-1.4", {"r_values": [5]},
