@@ -179,15 +179,13 @@ def _to_multiple_form(nu: Partition, r: int) -> Partition:
 def multiples_to_repeats(lam: Partition, r: int) -> Partition:
     """Send a partition with j multiples of r (any j >= 0) to one whose
     largest r-repeating part is j, preserving weight."""
-    if r < 2:
-        raise DomainError("r must be >= 2")
+    _check_r(r, 2)
     return _to_repeat_form(lam, r)
 
 
 def repeats_to_multiples(nu: Partition, r: int) -> Partition:
     """Inverse of multiples_to_repeats."""
-    if r < 2:
-        raise DomainError("r must be >= 2")
+    _check_r(r, 2)
     return _to_multiple_form(nu, r)
 
 
@@ -195,8 +193,7 @@ def top_multiple_to_repeats(lam: Partition, r: int) -> Partition:
     """Send a partition whose largest multiple of r occurs exactly j times
     to one whose smallest r-repeating part is j.  Requires at least one
     part divisible by r."""
-    if r < 2:
-        raise DomainError("r must be >= 2")
+    _check_r(r, 2)
     if is_regular(lam, r):
         raise DomainError(f"input has no part divisible by {r}")
     return _to_repeat_form(lam, r)
@@ -204,8 +201,7 @@ def top_multiple_to_repeats(lam: Partition, r: int) -> Partition:
 
 def repeats_to_top_multiple(nu: Partition, r: int) -> Partition:
     """Inverse of top_multiple_to_repeats.  Requires an r-repeating part."""
-    if r < 2:
-        raise DomainError("r must be >= 2")
+    _check_r(r, 2)
     if is_strict(nu, r):
         raise DomainError(f"input has no {r}-repeating part")
     return _to_multiple_form(nu, r)
@@ -287,9 +283,9 @@ def in_maex_codomain(pair: PartitionPair, r: int) -> bool:
     return True
 
 
-def _check_r(r: int):
-    if r < 1:
-        raise DomainError("r must be >= 1")
+def _check_r(r: int, least: int = 1):
+    if r < least:
+        raise DomainError(f"r must be >= {least}")
 
 
 def _check_index(i: int, bound: int, lam: Partition):

@@ -305,7 +305,7 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print("error: not enough memory for this request", file=sys.stderr)
         return 2
 

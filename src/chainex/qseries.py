@@ -31,9 +31,9 @@ about len*sqrt(len/s) additions against the len^2/s of the factor passes.
 first exponent a*s is at most len/5; past that the pentagonal pass and
 the a - 1 factors take longer than the factors they replace (measured,
 see ``_poch``).
-A builder that sums over n grows the n-th term from the (n-1)-th with one
-or two such steps, and a builder that multiplies a series by a Pochhammer
-ratio runs the ratio as passes over that series' coefficients.  The dense
+Each fixed product of a builder is one ``_poch`` or ``_strict`` call over
+its coefficients; single-factor passes only grow running terms, the n-th
+term of a sum over n from the (n-1)-th in one or two steps.  The dense
 ``PowerSeries.__mul__`` (series by series) has two library callers:
 ``series_maex_defect``, and ``series_chain_maex_product``, whose factor
 ``series_bottom_multiplicity_count`` divides by (q^(r+1);q^(r+1))_inf, so
@@ -399,8 +399,7 @@ def series_chain_mex_shifted(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
         _add_shifted(acc, _poch(_const(order, 1), m, r + 1, divide=True), 0)
     # for m > order every factor is 1 + O(q^(order+1)), so the term is 1
     acc[0] += r - min(r, order)
-    _poch(acc, r + 1, r + 1)
-    return PowerSeries(_poch(acc, 1, 1, divide=True), order)
+    return PowerSeries(_strict(acc, r + 1), order)
 
 
 def series_chain_mex_sum(r: int, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -509,21 +508,18 @@ def series_parts_above(r: int, j: int, order: int = DEFAULT_ORDER) -> PowerSerie
     whose largest multiple of r occurs j times, or gap-class partitions with
     j parts above the (r-1)-chain maex).
 
-    q^(jr)/(1-q^j) * 1/(q^(j+1);q)_inf * prod_{n<j} (1+q^n+...+q^(n(r-1))).
+    q^(jr)/(1-q^j) * 1/(q^(j+1);q)_inf * prod_{n<j} (1+q^n+...+q^(n(r-1))),
+    run as q^(jr) (q^r;q^r)_(j-1) / ((q^j;q)_inf (q;q)_(j-1)), since
+    1 + q^n + ... + q^(n(r-1)) = (1 - q^(nr)) / (1 - q^n).
     """
     if r < 2 or j < 1:
         raise SeriesError("need r >= 2 and j >= 1")
     c = _const(order, 0)
     if j * r <= order:
         c[j * r] = 1
-    _div_factor(c, j)
-    _poch(c, j + 1, 1, divide=True)
-    # for n > order the factor is 1 + O(q^(order+1))
-    for n in range(1, min(j, order + 1)):
-        # 1 + q^n + ... + q^(n(r-1)) = (1 - q^(nr)) / (1 - q^n)
-        _mul_factor(c, n * r, -1)
-        _div_factor(c, n)
-    return PowerSeries(c, order)
+    _poch(c, j, 1, divide=True)
+    _poch(c, r, r, j - 1)
+    return PowerSeries(_poch(c, 1, 1, j - 1, divide=True), order)
 
 
 # ---------------------------------------------------------------------------

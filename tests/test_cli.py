@@ -742,6 +742,22 @@ def test_a_request_too_large_to_allocate_exits_2(argv):
     assert proc.stderr == "error: not enough memory for this request\n"
 
 
+HUGE = "100000000000000000000"   # past 2**63, so no list can be indexed or sized by it
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "sigma-mex", "--order", HUGE),
+    ("verify", "q-binomial", "--order", HUGE),
+    ("verify", "thm-1.4", "--n", "3", "--order", HUGE),
+    ("bijection", "gamma", "--lambda", f"[{HUGE}]", "--i", "1", "--r", "1"),
+    ("bijection", "multiples-repeats", "--lambda", f"[{HUGE}]", "--r", "2"),
+])
+def test_a_size_past_the_index_range_exits_2(capsys, argv):
+    # Python raises OverflowError, not MemoryError, for a list size or
+    # index that does not fit in a machine word
+    assert call(capsys, *argv) == (2, "", "error: not enough memory for this request\n")
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     command, env = cli_command("enumerate", "--n", "40")
     proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -757,7 +773,8 @@ def test_closed_stdout_exits_141_without_a_traceback():
 # ---------------------------------------------------------------------------
 
 # small values only: n <= 10, order <= 30 and |r|, |j| <= 8 keep each run
-# short
+# short.  A huge --order or --lambda part ends at once; a huge --n or --r
+# range would run, so none is drawn
 MALFORMED = st.sampled_from(["", "x", "1.5", "0x3", "..", "1..", "..3", "1..x", "--n"])
 
 
@@ -775,9 +792,11 @@ RANGES = st.one_of(VALUES, st.tuples(st.integers(-8, 8), st.integers(-8, 8))
                    .map(lambda ends: f"{ends[0]}..{ends[1]}"),
                    st.just("-1..100000000000"))
 SIZES = values(-2, 10)
-ORDERS = values(-2, 30)
+ORDERS = st.one_of(values(-2, 30), st.just(HUGE))
 PARTS = st.one_of(st.lists(st.integers(1, 4), max_size=4).map(lambda ps: sorted(ps, reverse=True)),
-                  st.lists(st.integers(-1, 4), max_size=4))
+                  st.lists(st.integers(-1, 4), max_size=4),
+                  st.lists(st.sampled_from([1, 2, int(HUGE)]), min_size=1, max_size=3)
+                  .map(lambda ps: sorted(ps, reverse=True)))
 LAMBDAS = st.one_of(PARTS.map(lambda ps: "[" + ",".join(map(str, ps)) + "]"),
                     st.sampled_from(["[", "[1,,2]", "3,1", "[a]", "[2.5]", "(2,1)"]))
 FORMATS = st.sampled_from(["text", "json", "csv", "xml"])

@@ -67,7 +67,9 @@ def test_builder_matches_dense_reference(name, r):
 
 @pytest.mark.parametrize("r", range(2, 7))
 def test_parts_above_matches_dense_reference(r):
-    for j in range(1, 4):
+    # at order TOP, (q^j;q)_inf runs by the pentagonal pass for j <= 8
+    # (5*j <= TOP + 1) and factor by factor for j >= 9
+    for j in range(1, 12):
         assert_every_order(lambda order: qs.series_parts_above(r, j, order),
                            oracles.dense_parts_above(r, j, TOP))
 
