@@ -116,16 +116,16 @@ STATISTICS = tuple(_STAT_SUMS)
 FAMILIES = tuple(_FAMILY_VALUES)
 
 
-def _walk_heads(pairs, state, weight, n_max, depth, heads, largest, put):
+def _walk_heads(pairs, state, weight, n_max, depth, heads, largest, put_head):
     """Count every head of weight <= n_max that extends the head ``pairs``
     (of weight ``weight``, its values' scan state ``state``; ``()`` and
     None for the empty head) by values below its smallest: for each such
     value s >= 2, one scan step gives the key (state, s) that every
     multiplicity m of s shares, and each mu = pairs + (s, m) adds 1 to
     ``heads[|mu|][key]``, its largest part to ``largest[|mu|]``, and calls
-    ``put(mu, |mu|, key)`` if ``put`` is not None.  It descends from mu
-    when a smaller value s' >= 2 still fits, so at most as deep as a head
-    has distinct values.  It is a module-level function: a closure that
+    ``put_head(mu, |mu|, key)`` if ``put_head`` is not None.  It descends
+    from mu when a smaller value s' >= 2 still fits, so at most as deep as
+    a head has distinct values.  It is a module-level function: a closure that
     called itself would be a reference cycle and keep every counter alive
     until the cyclic collector ran."""
     above = pairs[-1][0] if pairs else n_max + 1
@@ -137,12 +137,12 @@ def _walk_heads(pairs, state, weight, n_max, depth, heads, largest, put):
         for w in range(weight + s, n_max + 1, s):
             heads[w][key] += 1
             largest[w] += big
-        if put is not None:
+        if put_head is not None:
             for m, w in enumerate(range(weight + s, n_max + 1, s), 1):
-                put(pairs + ((s, m),), w, key)
+                put_head(pairs + ((s, m),), w, key)
         if s > 2:
             for m, w in enumerate(range(weight + s, n_max - 1, s), 1):
-                _walk_heads(pairs + ((s, m),), state_s, w, n_max, depth, heads, largest, put)
+                _walk_heads(pairs + ((s, m),), state_s, w, n_max, depth, heads, largest, put_head)
 
 
 def tallies(n_max: int, r_max: int, family_cells=()) -> list:
@@ -159,12 +159,12 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     heads of weight n - 1 enter the running sums at n.  Each distinct key
     is closed once, at every chain length the walk carries; an entry for r
     does not depend on how many chain lengths the state carries, so each
-    tally keeps its entries up to its own n.  Each mu + 1^j is built once
-    for the family cells and put, with its closed key (through the same 1s
-    key for j >= 1), in a batch of up to ``_BATCH`` partitions of its
-    weight; when a batch fills, and once more after the walk, every cell
-    of that weight counts the values of its statistic over the batch from
-    one ``map`` call.
+    tally keeps its entries up to its own n.  For the family cells, each
+    walked head appends mu and every mu + 1^j, built once, with its closed
+    key (through the same 1s key for j >= 1), to the batch of its weight;
+    when a batch reaches ``_BATCH`` partitions, and once more after the
+    walk, each cell counts the values of its statistic over the batch from
+    one ``map`` call into that weight's tally.
 
     n_max >= 0 and r_max >= 1 must be ints (not bools), and each cell a
     (family, r) pair of a known family at an int r; anything else raises
@@ -196,7 +196,6 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
         i = min(r - 1, depth) - 1
         specs[fam, r] = _FAMILY_VALUES[fam], r, itemgetter(i), itemgetter(depth + i)
     families = [{cell: Counter() for cell in specs} for _ in range(n_max + 1)]
-    cells = [[(fams[cell], *spec) for cell, spec in specs.items()] for fams in families]
     # the partitions of each weight, and their closed keys, not yet
     # evaluated by the family cells
     batches = [([], []) for _ in range(n_max + 1)] if specs else ()
@@ -220,27 +219,25 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
 
     def flush(n):
         lams, exs = batches[n]
-        for counts, values, r, mex, maex in cells[n]:
-            counts.update(values(lams, exs, r, mex, maex))
+        for cell, (values, r, mex, maex) in specs.items():
+            families[n][cell].update(values(lams, exs, r, mex, maex))
         lams.clear()
         exs.clear()
-
-    def put(lam, n, ex):
-        lams, exs = batches[n]
-        lams.append(lam)
-        exs.append(ex)
-        if len(lams) == _BATCH:
-            flush(n)
 
     from_pairs = Partition._from_pairs
 
     def put_head(head, w, key):
-        # mu, then mu + 1^j for every j that fits, under mu's 1s key
-        put(from_pairs(head), w, close(key))
-        if w < n_max:
-            ex = close(ones_of(key))
-            for j in range(1, n_max - w + 1):
-                put(from_pairs(head + ((1, j),)), w + j, ex)
+        # mu, then mu + 1^j for every j that fits, under mu's 1s key, each
+        # into the batch of its weight; a full batch is evaluated at once
+        ex = close(key)
+        ones_ex = close(ones_of(key)) if w < n_max else None
+        for j in range(n_max - w + 1):
+            lams, exs = batches[w + j]
+            lams.append(from_pairs(head + ((1, j),) if j else head))
+            exs.append(ex)
+            if len(lams) == _BATCH:
+                flush(w + j)
+            ex = ones_ex
 
     # the one head of weight 0: the empty partition
     heads[0][empty_key] += 1

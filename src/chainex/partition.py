@@ -88,17 +88,15 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         pairs = []
-        prev = None
         for p in parts:
             if not _is_count(p) or p < 1:
                 raise PartitionError(f"parts must be positive integers, got {p!r}")
-            if prev is not None and p > prev:
-                raise PartitionError("parts must be weakly decreasing")
-            if pairs and pairs[-1][0] == p:
+            if not pairs or p < pairs[-1][0]:
+                pairs.append([p, 1])
+            elif p == pairs[-1][0]:
                 pairs[-1][1] += 1
             else:
-                pairs.append([p, 1])
-            prev = p
+                raise PartitionError("parts must be weakly decreasing")
         self._pairs = tuple((v, m) for v, m in pairs)
 
     @staticmethod
@@ -227,9 +225,10 @@ def chain_mex_maex(lam: Partition, r: int) -> tuple:
     the smallest value up: the first run of >= r missing values gives the
     mex, the last one below the largest part the maex (0 when there is
     none, exactly on the gap-bounded class).  Nothing is sized by r, so a
-    huge r costs no more than r = 1."""
-    if r < 1:
-        raise PartitionError("chain length r must be >= 1")
+    huge r costs no more than r = 1.  r must be an int (not a bool)."""
+    # a plain int skips the call: the maps run this check on every object
+    if (type(r) is not int and not _is_count(r)) or r < 1:
+        raise PartitionError(f"chain length r must be an integer >= 1, got {r!r}")
     mex = maex = 0
     below = 0      # the part just below the current run; 0 at the bottom
     for v, _ in reversed(lam._pairs):

@@ -131,13 +131,11 @@ class PowerSeries:
             out[n] = -c0 * acc
         return PowerSeries(out, self.order)
 
-    def matches(self, other: "PowerSeries") -> bool:
-        """Exact agreement over the common truncation range."""
-        order = min(self.order, other.order)
-        return self.coeffs[: order + 1] == other.coeffs[: order + 1]
-
     def __eq__(self, other):
-        return isinstance(other, PowerSeries) and self.matches(other)
+        """Exact agreement over the common truncation range, each side cut
+        at the other's order; a series equals no other type."""
+        return (isinstance(other, PowerSeries)
+                and self.coeffs[: other.order + 1] == other.coeffs[: self.order + 1])
 
     def __hash__(self):
         # equality ignores everything past the shorter truncation, so only
@@ -299,9 +297,9 @@ def _strict(c: list[int], k: int) -> list[int]:
     return _poch(_poch(c, k, k), 1, 1, divide=True)
 
 
-def _check_r(r: int) -> None:
-    if r < 1:
-        raise SeriesError(f"r must be >= 1, got {r}")
+def _check_r(r: int, least: int = 1) -> None:
+    if r < least:
+        raise SeriesError(f"r must be >= {least}, got {r}")
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +463,7 @@ def series_top_multiplicity_count(r: int, order: int = DEFAULT_ORDER) -> PowerSe
 
     The modulus r is the explicit parameter (r >= 2).
     """
-    if r < 2:
-        raise SeriesError("modulus must be >= 2")
+    _check_r(r, 2)
     acc, inv = _const(order, 1), _const(order, 1)   # inv: 1/(q^r;q^r)_n
     for n in range(1, order + 1):
         _div_factor(inv, r * n)
@@ -481,8 +478,7 @@ def series_bottom_multiplicity_count(r: int, order: int = DEFAULT_ORDER) -> Powe
     """Counts partitions where only the smallest part may have multiplicity
     not divisible by r (modulus explicit, r >= 2):
     1 + 1/(q^r;q^r)_inf * sum_n q^n (q^r;q^r)_n / (1-q^n)."""
-    if r < 2:
-        raise SeriesError("modulus must be >= 2")
+    _check_r(r, 2)
     acc, poch = _const(order, 0), _const(order, 1)
     for n in range(1, order + 1):
         _mul_factor(poch, r * n, -1)
@@ -512,8 +508,9 @@ def series_parts_above(r: int, j: int, order: int = DEFAULT_ORDER) -> PowerSerie
     run as q^(jr) (q^r;q^r)_(j-1) / ((q^j;q)_inf (q;q)_(j-1)), since
     1 + q^n + ... + q^(n(r-1)) = (1 - q^(nr)) / (1 - q^n).
     """
-    if r < 2 or j < 1:
-        raise SeriesError("need r >= 2 and j >= 1")
+    _check_r(r, 2)
+    if j < 1:
+        raise SeriesError(f"j must be >= 1, got {j}")
     c = _const(order, 0)
     if j * r <= order:
         c[j * r] = 1
@@ -527,6 +524,15 @@ def series_parts_above(r: int, j: int, order: int = DEFAULT_ORDER) -> PowerSerie
 # power of z
 # ---------------------------------------------------------------------------
 
+def _zero_rows(r: int, z_order: int, q_order: int) -> list[list[int]]:
+    """The z_order + 1 zero rows of a bivariate series truncated at q_order,
+    once r and both orders are checked; both builders start from it."""
+    _check_r(r)
+    if z_order < 0:
+        raise SeriesError(f"z truncation order must be >= 0, got {z_order}")
+    return [_const(q_order, 0) for _ in range(z_order + 1)]
+
+
 def maex_bivariate(r: int, z_order: int, q_order: int) -> list[PowerSeries]:
     """The series in z and q whose coefficient of z^m q^n counts partitions
     of n with r-chain maex m, as the z_order + 1 rows ``series[m]``, each
@@ -537,8 +543,7 @@ def maex_bivariate(r: int, z_order: int, q_order: int) -> list[PowerSeries]:
     expanding each inverse infinite Pochhammer in z via Euler's series
     1/(z q^(n+1); q)_inf = sum_m z^m q^((n+1)m) / (q;q)_m.
     """
-    _check_r(r)
-    rows = [_const(q_order, 0) for _ in range(z_order + 1)]
+    rows = _zero_rows(r, z_order, q_order)
     base = _const(q_order, 1)   # (q^(r+1);q^(r+1))_n / (q;q)_n
     n = 0
     while (r + 1) * (n + 1) <= q_order:
@@ -559,8 +564,7 @@ def maex_bivariate_double_sum(r: int, z_order: int, q_order: int) -> list[PowerS
     sum_{m>=r} z^m / (q;q)_(m-r) * sum_{l>=1} q^((m+1)l)
     (q^(r+1);q^(r+1))_(l-1) / (q;q)_(l-1), used to cross-check
     maex_bivariate."""
-    _check_r(r)
-    rows = [_const(q_order, 0) for _ in range(z_order + 1)]
+    rows = _zero_rows(r, z_order, q_order)
     outer = _const(q_order, 1)  # 1/(q;q)_(m-r)
     for m in range(r, z_order + 1):
         piece = outer[:]        # outer * (q^(r+1);q^(r+1))_(l-1) / (q;q)_(l-1)

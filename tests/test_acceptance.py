@@ -47,7 +47,7 @@ def test_criterion_5_chain_maex_sum_and_product(capsys):
     report = check_theorem("thm-1.11", r_values=range(1, 7), n_max=30, order=60)
     ok = report.passed
     for r in range(1, 7):
-        ok &= series_chain_maex_sum(r, 60).matches(series_chain_maex_product(r, 60))
+        ok &= series_chain_maex_sum(r, 60) == series_chain_maex_product(r, 60)
     _announce(capsys, "5 chain maex sum r=1..6 n<=30 plus product form to order 60", ok)
 
 

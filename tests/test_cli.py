@@ -135,6 +135,10 @@ class TestSeries:
             assert code == 2, argv
             assert out == ""
             assert "error:" in err
+        # a modulus below 2 reads like every other r bound
+        for name in ("top-mult", "bottom-mult"):
+            assert call(capsys, "series", name, "--r", "1") == (
+                2, "", "error: r must be >= 2, got 1\n")
 
     def test_unknown_name(self, capsys):
         code, _, err = call(capsys, "series", "zeta")

@@ -172,8 +172,9 @@ class TestChainMex:
                         assert chain_mex(lam, r) == lam.largest + 1
 
     def test_rejects_bad_r(self):
-        with pytest.raises(PartitionError):
-            chain_mex(P([1]), 0)
+        for r in (0, 1.5, True):
+            with pytest.raises(PartitionError):
+                chain_mex(P([1]), r)
 
 
 class TestChainMaex:
