@@ -37,15 +37,18 @@ def test_summary_gives_median_and_iqr_per_workload_and_metric():
     assert (one["failed"], one["correct"]) == (1, False)
 
 
-def test_pytest_output_is_parsed():
-    text = ("....\n"
-            "============================= slowest durations =============================\n"
-            "2.84s call     tests/test_acceptance.py::test_criterion_1_sigma_mex\n"
-            "0.00s setup    tests/test_acceptance.py::test_criterion_1_sigma_mex\n"
-            "0.27s call     tests/test_acceptance.py::test_criterion_2_chain_mex\n"
-            "9 passed, 1 failed in 5.61s\n")
-    assert bench_record.parse_durations(text) == {
-        "tests/test_acceptance.py::test_criterion_1_sigma_mex": 2.84,
-        "tests/test_acceptance.py::test_criterion_2_chain_mex": 0.27}
+def test_pytest_output_is_parsed(tmp_path):
+    report = tmp_path / "acceptance.xml"
+    report.write_text(
+        '<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest" '
+        'errors="0" failures="1" skipped="0" tests="2" time="5.610">'
+        '<testcase classname="tests.test_acceptance" name="test_criterion_1_sigma_mex" '
+        'time="2.840" />'
+        '<testcase classname="tests.test_acceptance" name="test_criterion_2_chain_mex" '
+        'time="0.013"><failure message="assert False">...</failure></testcase>'
+        '</testsuite></testsuites>')
+    assert bench_record.parse_junit(str(report)) == {
+        "test_criterion_1_sigma_mex": 2.84, "test_criterion_2_chain_mex": 0.013}
+    text = "....\n9 passed, 1 failed in 5.61s\n"
     assert bench_record.parse_outcome(text) == {"passed": 9, "failed": 1}
     assert bench_record.parse_outcome("") == {}

@@ -1,23 +1,27 @@
 """Record this tree's end-to-end benchmark figures as ``BENCH_<label>.json``.
 
-    python3 tools/bench_record.py LABEL [--seeds 1 2 3] [--seconds S]
+    python3 tools/bench_record.py LABEL
 
 It runs ``bench/run.py --workload W --seed S --seconds T`` for every
-workload of ``BENCHMARK.json`` and every seed, seed by seed, with T the
-file's ``run_seconds`` unless ``--seconds`` is given.  Each run's last line
-is kept as it was printed, and per workload the median and interquartile
-range of each end-to-end metric are computed from them.  ``wall_s`` and
-``setup_s`` are already quoted at the runner's reference host speed.
+workload of ``BENCHMARK.json`` at seeds 1, 2 and 3, seed by seed, with T
+the file's ``run_seconds``.  Each run's last line is kept as it was
+printed, and per workload the median and interquartile range of each
+end-to-end metric are computed from them.  ``wall_s`` and ``setup_s`` are
+already quoted at the runner's reference host speed.
 
-It then times the other end-to-end figures: the tier-1 suite and each
-acceptance test (pytest's ``--durations``).  These are divided by the median
-time of ``run.reference()``, timed around each test run, and multiplied by
+It then times the other end-to-end figures: the tier-1 suite, once, and
+each acceptance test, as the median over ACCEPTANCE_RUNS runs of its call
+time in pytest's ``--junitxml`` report (to the millisecond).  Each run is
+divided by the median time of ``run.reference()`` and multiplied by
 ``run.REF_SECONDS``, as the runner does, so figures from two hosts compare.
-``bench/run.py`` is imported only to read those two names.
+The reference is timed just before each acceptance run and on both sides
+of the tier-1 run, so host speed drift within the 40 s tier-1 run is not
+tracked.  ``bench/run.py`` is imported only to read those two names.
 
-The file goes to the repository root and holds the git sha, the Python
-version and the CPU count.  Only the standard library is used, and nothing
-under ``bench/`` is written.
+The file goes to the repository root and holds the git sha, the files under
+SOURCE_PATHS that differ from it (modified, staged or untracked), the
+Python version and the CPU count.  Only the standard library is used, and
+nothing under ``bench/`` is written.
 """
 
 from __future__ import annotations
@@ -31,15 +35,19 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from collections import Counter
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
-REFERENCE_CALLS = 5          # reference() timings before and after a test run
+REFERENCE_CALLS = 5          # reference() timings before (and after) a test run
+ACCEPTANCE_RUNS = 5          # each acceptance test's time is the median of these
+SOURCE_PATHS = ("src", "bench", "tests", "tools", "pyproject.toml", "BENCHMARK.json")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
-ACCEPTANCE = ["-m", "pytest", "-q", "tests/test_acceptance.py", "--durations=0",
-              "--durations-min=0", "-p", "no:cacheprovider"]
-DURATION = re.compile(r"^([0-9.]+)s call\s+(\S+)$")
+ACCEPTANCE = ["-m", "pytest", "-q", "tests/test_acceptance.py", "-p", "no:cacheprovider",
+              "-o", "junit_duration_report=call"]
 OUTCOME = re.compile(r"(\d+) ([a-z]+)")
 
 
@@ -68,10 +76,11 @@ def summarize(runs) -> dict:
     return out
 
 
-def parse_durations(text: str) -> dict:
-    """Each test's call time in seconds, from pytest's ``--durations`` list."""
-    return {m.group(2): float(m.group(1))
-            for m in map(DURATION.match, text.splitlines()) if m}
+def parse_junit(path: str) -> dict:
+    """Each test's call time in seconds, by test name, from a ``--junitxml``
+    report (pytest writes them to the millisecond)."""
+    return {case.get("name"): float(case.get("time"))
+            for case in ET.parse(path).getroot().iter("testcase")}
 
 
 def parse_outcome(text: str) -> dict:
@@ -90,40 +99,69 @@ def load_runner():
     return module
 
 
-def timed_tests(args, runner) -> tuple:
-    """(pytest's stdout, measured seconds, the median reference time)."""
-    refs = []
+def reference_times(runner) -> list:
+    """REFERENCE_CALLS timings of ``run.reference()``."""
+    times = []
     for _ in range(REFERENCE_CALLS):
         t0 = perf_counter()
         runner.reference()
-        refs.append(perf_counter() - t0)
+        times.append(perf_counter() - t0)
+    return times
+
+
+def pytest_run(args) -> tuple:
+    """(pytest's stdout, its wall seconds), run on this tree's ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
     t0 = perf_counter()
     proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True)
-    seconds = perf_counter() - t0
-    for _ in range(REFERENCE_CALLS):
-        t0 = perf_counter()
-        runner.reference()
-        refs.append(perf_counter() - t0)
-    return proc.stdout, seconds, statistics.median(refs)
+    return proc.stdout, perf_counter() - t0
+
+
+def tier1(runner, scale) -> dict:
+    """One tier-1 run, normalised by the reference timed just before and
+    just after it: drift inside the run is not tracked."""
+    refs = reference_times(runner)
+    text, seconds = pytest_run(TIER1)
+    ref = statistics.median(refs + reference_times(runner))
+    return {"outcome": parse_outcome(text), "measured_s": round(seconds, 2),
+            "ref_s": ref, "normalised_s": round(seconds / ref * scale, 2)}
+
+
+def acceptance(runner, scale) -> dict:
+    """ACCEPTANCE_RUNS runs of the acceptance tests, each normalised by the
+    reference timed just before it; per test the medians over the runs,
+    kept to the millisecond the report gives."""
+    outcome, times = Counter(), {}
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "acceptance.xml")
+        for _ in range(ACCEPTANCE_RUNS):
+            ref = statistics.median(reference_times(runner))
+            text, _ = pytest_run([*ACCEPTANCE, f"--junitxml={report}"])
+            outcome.update(parse_outcome(text))
+            for test, seconds in parse_junit(report).items():
+                times.setdefault(test, []).append((seconds, seconds / ref * scale))
+    return {"runs": ACCEPTANCE_RUNS, "outcome": dict(outcome), "tests": {
+        test: {"measured_s": round(statistics.median(s for s, _ in pairs), 3),
+               "normalised_s": round(statistics.median(n for _, n in pairs), 3)}
+        for test, pairs in times.items()}}
 
 
 def git(*args):
     try:
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                              text=True, check=True).stdout.strip()
+                              text=True, check=True).stdout.rstrip()
     except (OSError, subprocess.CalledProcessError):
         return None
 
 
-def record(label, seeds, seconds) -> dict:
+def record(label) -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = spec["run_seconds"] if seconds is None else seconds
+    seconds = spec["run_seconds"]
     runs = []
-    for seed in seeds:
+    for seed in SEEDS:
         for workload in (w["name"] for w in spec["workloads"]):
             proc = subprocess.run(
                 [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -137,39 +175,32 @@ def record(label, seeds, seconds) -> dict:
             print(f"{workload} seed {seed}: {lines[-1]}", file=sys.stderr)
     runner = load_runner()
     scale = runner.REF_SECONDS
-    text, tier1_s, tier1_ref = timed_tests(TIER1, runner)
-    acc_text, _, acc_ref = timed_tests(ACCEPTANCE, runner)
-    status = git("status", "--porcelain", "--untracked-files=no")
+    status = git("status", "--porcelain", "--untracked-files=all", "--", *SOURCE_PATHS)
     return {
         "schema": 1,
         "label": label,
         "git_sha": git("rev-parse", "HEAD"),
-        "git_dirty": None if status is None else bool(status),
+        # modified, staged or untracked files under SOURCE_PATHS; [] is a clean tree
+        "dirty_paths": None if status is None else [line[3:] for line in status.splitlines()],
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "seconds": seconds,
-        "seeds": list(seeds),
+        "seeds": list(SEEDS),
         "runs": [{key: run[key] for key in ("workload", "seed", "line")} for run in runs],
         "summary": summarize(runs),
         "ref_seconds": scale,
-        "tier1": {"outcome": parse_outcome(text), "measured_s": tier1_s,
-                  "ref_s": tier1_ref, "normalised_s": tier1_s / tier1_ref * scale},
-        "acceptance": {"outcome": parse_outcome(acc_text), "ref_s": acc_ref,
-                       "tests": {test: {"measured_s": s, "normalised_s": s / acc_ref * scale}
-                                 for test, s in parse_durations(acc_text).items()}},
+        "tier1": tier1(runner, scale),
+        "acceptance": acceptance(runner, scale),
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="the file is BENCH_<label>.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         parser.error(f"a label is letters, digits, '.', '_' and '-', got {args.label!r}")
-    doc = record(args.label, args.seeds, args.seconds)
+    doc = record(args.label)
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
