@@ -18,21 +18,25 @@ j >= 1: the head's state after a 1 is scanned under its smallest part,
 and 1.  So the heads of weight w enter every larger weight under their
 1s keys, each derived once per distinct head key; the walk never places
 a 1.  Each distinct key is closed into the chain mex and maex once, and
-every requested (statistic, r) cell is filled from these counts.  For
-the (family, r) cells, each walked head builds every partition mu + 1^j
-and puts it, with its closed key, in a batch of its weight; each cell of
-that weight maps its statistic over a full batch, and over what is left
-at the end of the walk, in one call, so every partition reaches every
-cell once.  The bijection side reads the chain excludants through
-``chain_mex_maex``, a one-r loop that shares no scan code with the walk.
-This module imports nothing of chainex but ``partition``, and
-``tests/test_routes.py`` checks which of its names it reads.
+every requested (statistic, r) cell is filled from these counts.  The
+(family, r) cells read each head three times: at r >= 2 a family value
+of mu + 1^j depends on j only through its bucket, 0 for j = 0, 1 for
+0 < j < r and r for j >= r, since every mu + 1^j with j >= 1 has mu's 1s
+key, 1 is no multiple of r and lies above no mex or maex >= 1, and the
+1s repeat r times exactly when j >= r.  So the walk keeps each head with
+its key by weight, and after it, for each bucket b, each cell maps its
+statistic over the mu + 1^b of each weight in one call and adds the
+counts at every n that the bucket stands for.  The bijection side reads
+the chain excludants through ``chain_mex_maex``, a one-r loop that
+shares no scan code with the walk.  This module imports nothing of
+chainex but ``partition``, and ``tests/test_routes.py`` checks which of
+its names it reads.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain, compress, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from . import partition as pt
@@ -86,15 +90,14 @@ _STAT_SUMS = {
 
 def _above_maex(lams, exs, r, mex, maex):
     # restricted off the gap-bounded class; -1 marks a partition on it
-    maexes = list(map(maex, exs))
-    return chain(map(pt.parts_above, compress(lams, maexes), filter(None, maexes)),
-                 repeat(-1, maexes.count(0)))
+    return [pt.parts_above(lam, m) if m else -1 for lam, m in zip(lams, map(maex, exs))]
 
 
-# Family statistic of each partition of a batch at r >= 2, given their
-# closed keys and the getters of the (r-1)-chain mex and maex, which the
-# above-* families read.  Each maps its partition-core statistic, an
-# attribute of the partition module read per call, over the whole batch.
+# Family statistic of each partition of a list at r >= 2, in input order,
+# given their closed keys and the getters of the (r-1)-chain mex and maex,
+# which the above-* families read.  Each maps its partition-core
+# statistic, an attribute of the partition module read per call, over the
+# whole list.
 _FAMILY_VALUES = {
     "multiples": lambda lams, exs, r, mex, maex: map(pt.count_multiples, lams, repeat(r)),
     "largest-repeating": lambda lams, exs, r, mex, maex: map(pt.largest_repeating, lams,
@@ -106,10 +109,6 @@ _FAMILY_VALUES = {
     "above-mex": lambda lams, exs, r, mex, maex: map(pt.parts_above, lams, map(mex, exs)),
     "above-maex": _above_maex,
 }
-
-# partitions of one weight that wait for the family cells before each
-# cell maps its statistic over them in one call
-_BATCH = 64
 
 STATISTICS = tuple(_STAT_SUMS)
 
@@ -149,7 +148,8 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     """The tally of every n = 0..n_max from one walk over the heads of
     weight <= n_max: chain mex/maex for every r = 1..r_max and every
     (family, r) cell in ``family_cells``, which need 2 <= r <= r_max + 1.
-    Partitions are streamed, not stored.
+    Partitions are streamed, not stored; with family cells the heads are
+    kept by weight until the walk ends.
 
     Each partition mu + 1^j of n is counted through its head mu (the parts
     above 1; see the module docstring), and the walk counts each head once,
@@ -159,12 +159,14 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     heads of weight n - 1 enter the running sums at n.  Each distinct key
     is closed once, at every chain length the walk carries; an entry for r
     does not depend on how many chain lengths the state carries, so each
-    tally keeps its entries up to its own n.  For the family cells, each
-    walked head appends mu and every mu + 1^j, built once, with its closed
-    key (through the same 1s key for j >= 1), to the batch of its weight;
-    when a batch reaches ``_BATCH`` partitions, and once more after the
-    walk, each cell counts the values of its statistic over the batch from
-    one ``map`` call into that weight's tally.
+    tally keeps its entries up to its own n.  For the family cells, the
+    walk lists each head with its key under its weight.  After it, for each
+    bucket b in {0, 1} and every cell's r, the heads of each weight
+    w <= n_max - b give the partitions mu + 1^b, each with its closed key
+    (mu's own at b = 0, its 1s key otherwise), and each cell that reads
+    bucket b counts its statistic over them from one call.  Those counts
+    enter the tally of every n the bucket stands for: n = w at b = 0,
+    w + 1..w + r - 1 at b = 1 and w + r..n_max at b = r.
 
     n_max >= 0 and r_max >= 1 must be ints (not bools), and each cell a
     (family, r) pair of a known family at an int r; anything else raises
@@ -196,9 +198,8 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
         i = min(r - 1, depth) - 1
         specs[fam, r] = _FAMILY_VALUES[fam], r, itemgetter(i), itemgetter(depth + i)
     families = [{cell: Counter() for cell in specs} for _ in range(n_max + 1)]
-    # the partitions of each weight, and their closed keys, not yet
-    # evaluated by the family cells
-    batches = [([], []) for _ in range(n_max + 1)] if specs else ()
+    # the heads of each weight, each with its key, for the family cells
+    by_weight = [[] for _ in range(n_max + 1)] if specs else ()
     closed = {}
     # the key of mu + 1^j, j >= 1, for each distinct head key: 1 goes
     # under mu's smallest part, or alone for the empty head
@@ -217,36 +218,32 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
             ones_key = ones_keys[key] = scan_step(key[0], 1, key[1], depth), 1
         return ones_key
 
-    def flush(n):
-        lams, exs = batches[n]
-        for cell, (values, r, mex, maex) in specs.items():
-            families[n][cell].update(values(lams, exs, r, mex, maex))
-        lams.clear()
-        exs.clear()
-
-    from_pairs = Partition._from_pairs
-
     def put_head(head, w, key):
-        # mu, then mu + 1^j for every j that fits, under mu's 1s key, each
-        # into the batch of its weight; a full batch is evaluated at once
-        ex = close(key)
-        ones_ex = close(ones_of(key)) if w < n_max else None
-        for j in range(n_max - w + 1):
-            lams, exs = batches[w + j]
-            lams.append(from_pairs(head + ((1, j),) if j else head))
-            exs.append(ex)
-            if len(lams) == _BATCH:
-                flush(w + j)
-            ex = ones_ex
+        by_weight[w].append((head, key))
 
     # the one head of weight 0: the empty partition
     heads[0][empty_key] += 1
     if specs:
         put_head((), 0, empty_key)
     _walk_heads((), None, 0, n_max, depth, heads, heads_largest, put_head if specs else None)
-    for n, (lams, _) in enumerate(batches):
-        if lams:
-            flush(n)
+
+    # at a cell r, mu + 1^j takes the value of mu + 1^b for its bucket b:
+    # 0 for j = 0, 1 for 0 < j < r and r for j >= r, the last j of the
+    # bucket being 0, r - 1 and n_max
+    buckets = {}
+    for cell, (_, r, _, _) in specs.items():
+        for b, last in ((0, 0), (1, r - 1), (r, n_max)):
+            buckets.setdefault(b, []).append((cell, last))
+    from_pairs = Partition._from_pairs
+    for b, reads in buckets.items():
+        for w, group in enumerate(by_weight[:max(n_max + 1 - b, 0)]):
+            lams = [from_pairs(head + ((1, b),) if b else head) for head, _ in group]
+            exs = [close(ones_of(key) if b else key) for _, key in group]
+            for cell, last in reads:
+                values, r, mex, maex = specs[cell]
+                counts = Counter(values(lams, exs, r, mex, maex))
+                for n in range(w + b, min(w + last, n_max) + 1):
+                    families[n][cell].update(counts)
 
     def fold(keys, mex, maex):
         for key, count in keys:

@@ -1,7 +1,9 @@
+import contextlib
 import gc
 import json
 import re
 from collections import Counter
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -14,7 +16,7 @@ from chainex import qseries as qs
 from chainex import verify as vf
 from chainex.bijections import ColoredEmpty, PartitionPair
 from chainex.brute import STATISTICS, Tally, _walk_heads
-from chainex.partition import chain_mex, partitions
+from chainex.partition import Partition, chain_mex, partitions
 from chainex.verify import (
     _IDS,
     _resolve,
@@ -321,57 +323,112 @@ class TestTallyAgainstReference:
 
 
 class TestFamilyBatches:
-    """Family cells take the partitions of each weight in batches, each cell
-    mapping its statistic over a batch in one call: every partition of every
-    n <= 14 reaches every cell's statistic exactly once.  p(13) = 101 and
-    p(14) = 135 exceed one batch, so those weights flush during the walk as
-    well as at its end."""
+    """Family cells read each head mu three times: at a cell r, mu + 1^j
+    takes the value of mu at j = 0, of mu + 1 for 0 < j < r and of mu + 1^r
+    for j >= r.  So each cell's statistic is called on exactly mu, mu + 1
+    and mu + 1^r for the heads of weight <= n_max, <= n_max - 1 and
+    <= n_max - r, and still counts every partition of every n <= 14 once."""
     N_MAX = 14
     MULTIPLES = [("multiples", r) for r in (2, 3, 4)]
+
+    @staticmethod
+    def counting(calls, name, statistic):
+        def wrapper(lam, arg):
+            calls[name, arg, lam] += 1
+            return statistic(lam, arg)
+        return wrapper
 
     @pytest.mark.parametrize("cell", [(fam, r) for fam in ("above-mex", "above-maex")
                                       for r in (2, 3, 4)], ids=str)
     def test_every_partition_once_per_cell(self, cell):
         calls = Counter()   # (statistic, its second argument, partition)
-        walked = []         # whether the walk had ended, at each call
-        ended = []
-
-        def counting(name, statistic):
-            def wrapper(lam, arg):
-                calls[name, arg, lam] += 1
-                walked.append(bool(ended))
-                return statistic(lam, arg)
-            return wrapper
-
-        def walk(pairs, *args):
-            # the walk recurses through the patched name; only the call
-            # from the empty head is the whole walk
-            _walk_heads(pairs, *args)
-            if not pairs:
-                ended.append(True)
-
         with mock.patch("chainex.partition.count_multiples",
-                        counting("multiples", pt.count_multiples)), \
-                mock.patch("chainex.partition.parts_above", counting("above", pt.parts_above)), \
-                mock.patch("chainex.brute._walk_heads", walk):
+                        self.counting(calls, "multiples", pt.count_multiples)), \
+                mock.patch("chainex.partition.parts_above",
+                           self.counting(calls, "above", pt.parts_above)):
             by_n = tallies(self.N_MAX, 3, [*self.MULTIPLES, cell])
-        assert False in walked and True in walked
         fam, r = cell
+        # above-maex reads no statistic on the gap-bounded class
+        bound = linear_mex if fam == "above-mex" else linear_maex
+        heads = [lam.parts for n in range(self.N_MAX + 1) for lam in partitions(n)
+                 if 1 not in lam.parts]
         expected = Counter()
+        for parts in heads:
+            for j in range(5):
+                lam = Partition(parts + (1,) * j)
+                if lam.weight > self.N_MAX:
+                    continue
+                expected.update(("multiples", s, lam) for _, s in self.MULTIPLES
+                                if j in (0, 1, s))
+                b = bound(lam.parts, r - 1)
+                if j in (0, 1, r) and (fam == "above-mex" or b):
+                    expected["above", b, lam] += 1
+        assert calls == expected
         for n in range(self.N_MAX + 1):
             lams = list(partitions(n))
-            for _, s in self.MULTIPLES:
-                expected.update(("multiples", s, lam) for lam in lams)
-            # above-maex reads no statistic on the gap-bounded class
-            bound = linear_mex if fam == "above-mex" else linear_maex
-            bounds = [bound(lam.parts, r - 1) for lam in lams]
-            expected.update(("above", b, lam) for b, lam in zip(bounds, lams)
-                            if fam == "above-mex" or b)
             for counted in by_n[n].families.values():
-                assert counted.total() == len(lams)
+                assert counted.total() == len(lams) == partition_count(n)
             if fam == "above-maex":
-                assert by_n[n].families[cell][-1] == bounds.count(0)
-        assert calls == expected
+                assert by_n[n].families[cell][-1] == sum(
+                    1 for lam in lams if not linear_maex(lam.parts, r - 1))
+
+    def test_no_head_past_the_top_weight(self):
+        # at r = 10 > n_max + 1, no mu + 1^r fits: the heads of weight
+        # <= 6 and <= 5 are read, p(6) + p(5) of them
+        calls = Counter()
+        with mock.patch("chainex.partition.count_multiples",
+                        self.counting(calls, "multiples", pt.count_multiples)):
+            by_n = tallies(6, 9, [("multiples", 10)])
+        assert calls.total() == partition_count(6) + partition_count(5) == 18
+        assert [by_n[n].families["multiples", 10] for n in range(7)] == [
+            Counter({0: partition_count(n)}) for n in range(7)]
+
+    @pytest.mark.parametrize("theorem, count", [("thm-1.5", 53_424), ("thm-1.10", 47_562)],
+                             ids=["thm-1.5", "thm-1.10"])
+    def test_statistic_calls_at_the_theorem_defaults(self, theorem, count):
+        calls = Counter()
+        names = ("count_multiples", "largest_repeating", "top_multiple_multiplicity",
+                 "smallest_repeating", "parts_above")
+        with contextlib.ExitStack() as stack:
+            for name in names:
+                stack.enter_context(mock.patch.object(
+                    pt, name, self.counting(calls, name, getattr(pt, name))))
+            assert check_theorem(theorem).passed
+        assert calls.total() == count
+
+
+class TestFamilyBuckets:
+    """The fact the family cells rest on, read off the oracles: at r >= 2,
+    mu + 1^j (mu without part 1) has the family value of mu + 1^b, where
+    the bucket b is 0 for j = 0, 1 for 0 < j < r and r for j >= r; and
+    each engine statistic gives one value per partition, in input order."""
+
+    def test_every_j_has_the_value_of_its_bucket(self):
+        for n in range(21):
+            for parts in recursive_partitions(n):
+                j = parts.count(1)
+                head = parts[:len(parts) - j]
+                for r in range(2, 7):
+                    b = 0 if j == 0 else 1 if j < r else r
+                    for fam, value in FAMILY_VALUES.items():
+                        assert value(parts, r) == value(head + (1,) * b, r), (parts, r, fam)
+
+    @pytest.mark.parametrize("fam", FAMILIES)
+    def test_values_in_input_order(self, fam):
+        # gap-bounded and off-class partitions interleaved, at chain
+        # lengths 1..5 for the cells r = 2..6
+        depth = 5
+        lams = [lam for n in range(10) for lam in partitions(n)]
+        # each closed key: the mex, then the maex, at chain lengths 1..depth
+        exs = [tuple(linear_mex(lam.parts, s) for s in range(1, depth + 1))
+               + tuple(linear_maex(lam.parts, s) for s in range(1, depth + 1)) for lam in lams]
+        for r in range(2, depth + 2):
+            got = list(brute._FAMILY_VALUES[fam](lams, exs, r, itemgetter(r - 2),
+                                                 itemgetter(depth + r - 2)))
+            expected = [FAMILY_VALUES[fam](lam.parts, r) for lam in lams]
+            if fam == "above-maex":   # the list mixes both classes
+                assert None in expected and len(set(expected)) > 1
+            assert got == [-1 if v is None else v for v in expected], (fam, r)
 
 
 class TestOnesKeys:
