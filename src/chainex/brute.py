@@ -18,24 +18,25 @@ j >= 1: the head's state after a 1 is scanned under its smallest part,
 and 1.  So the heads of weight w enter every larger weight under their
 1s keys, each derived once per distinct head key; the walk never places
 a 1.  Each distinct key is closed into the chain mex and maex once, and
-every requested (statistic, r) cell is filled from these counts.  The
-(family, r) cells read each head three times: at r >= 2 a family value
-of mu + 1^j depends on j only through its bucket, 0 for j = 0, 1 for
-0 < j < r and r for j >= r, since every mu + 1^j with j >= 1 has mu's 1s
-key, 1 is no multiple of r and lies above no mex or maex >= 1, and the
-1s repeat r times exactly when j >= r.  So the walk keeps each head with
-its key by weight, and after it, for each bucket b, each cell maps its
-statistic over the mu + 1^b of each weight in one call and adds the
-counts at every n that the bucket stands for.  The bijection side reads
-the chain excludants through ``chain_mex_maex``, a one-r loop that
-shares no scan code with the walk.  This module imports nothing of
-chainex but ``partition``, and ``tests/test_routes.py`` checks which of
-its names it reads.
+every requested (statistic, r) cell is filled from these counts.  A
+(family, r) cell calls its statistic once per head: at r >= 2 the family
+value of mu + 1^j follows from mu's by a rule per family (``_PAST_R``),
+since every mu + 1^j with j >= 1 has mu's 1s key, 1 is no multiple of r
+and lies above no mex or maex >= 1, and the 1s repeat r times exactly
+when j >= r.  The above-* cells also read mu + 1, one more partition
+per head.  So the walk keeps each head with its key by weight, and after
+it each cell maps its statistic over the heads of each weight in one
+call and adds the counts once per range of n that they stand for.  The
+bijection side reads the chain excludants through ``chain_mex_maex``, a
+one-r loop that shares no scan code with the walk.  This module imports
+nothing of chainex but ``partition``, and ``tests/test_routes.py``
+checks which of its names it reads.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import cache
 from itertools import repeat
 from operator import itemgetter
 
@@ -110,6 +111,27 @@ _FAMILY_VALUES = {
     "above-maex": _above_maex,
 }
 
+# The rule beside each family's values, at r >= 2: the value of mu + 1^j
+# (mu a head, so without part 1) follows from mu's.  Every mu + 1^j with
+# j >= 1 has mu's 1s key, 1 is no multiple of r and lies above no mex or
+# maex >= 1, and the 1s repeat r times exactly when j >= r.  So:
+# - multiples and top-multiple take mu's value at every j;
+# - smallest-repeating takes it for j < r and is 1 for j >= r;
+# - largest-repeating takes it for j < r, and for j >= r keeps a nonzero
+#   one and turns 0 into 1;
+# - above-mex and above-maex (None) take mu's value at j = 0 and mu + 1's
+#   at every j >= 1.
+# Each entry maps the counts of mu's values over a list of heads to the
+# counts of their mu + 1^j at any j >= r.
+_PAST_R = {
+    "multiples": lambda counts: counts,
+    "largest-repeating": lambda counts: counts - Counter({0: counts[0]}) + Counter({1: counts[0]}),
+    "top-multiple": lambda counts: counts,
+    "smallest-repeating": lambda counts: Counter({1: counts.total()}),
+    "above-mex": None,
+    "above-maex": None,
+}
+
 STATISTICS = tuple(_STAT_SUMS)
 
 FAMILIES = tuple(_FAMILY_VALUES)
@@ -160,13 +182,16 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     is closed once, at every chain length the walk carries; an entry for r
     does not depend on how many chain lengths the state carries, so each
     tally keeps its entries up to its own n.  For the family cells, the
-    walk lists each head with its key under its weight.  After it, for each
-    bucket b in {0, 1} and every cell's r, the heads of each weight
-    w <= n_max - b give the partitions mu + 1^b, each with its closed key
-    (mu's own at b = 0, its 1s key otherwise), and each cell that reads
-    bucket b counts its statistic over them from one call.  Those counts
-    enter the tally of every n the bucket stands for: n = w at b = 0,
-    w + 1..w + r - 1 at b = 1 and w + r..n_max at b = r.
+    walk lists each head with its key under its weight.  After it, each
+    cell counts its statistic over the heads mu of each weight w in one
+    call, on lists of partitions and closed keys that all cells share, and
+    an above-* cell over their mu + 1 in one more; no mu + 1^j with j >= 2
+    is built.  By the cell's rule (``_PAST_R``), mu's counts hold for the
+    mu + 1^j up to j = r - 1 (only j = 0 for an above-* cell), and the
+    counts that the rule gives replace them from there on.  So each weight's
+    counts enter a cell once per range of n: they are added at the range's
+    first n and taken out after its last, and the tallies keep a running
+    sum per cell.
 
     n_max >= 0 and r_max >= 1 must be ints (not bools), and each cell a
     (family, r) pair of a known family at an int r; anything else raises
@@ -180,6 +205,8 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
         family_cells = list(family_cells)
     except TypeError:
         raise ValueError(f"family cells must be (family, r) pairs, got {family_cells!r}") from None
+    depth = min(r_max, max(n_max, 1))   # longer chains read the last entry
+    specs = {}
     for cell in family_cells:
         try:
             fam, r = cell
@@ -189,61 +216,51 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
             raise ValueError(f"unknown family {fam!r}")
         if not (_is_count(r) and 2 <= r <= r_max + 1):
             raise ValueError(f"family cell ({fam!r}, {r!r}) needs r in 2..{r_max + 1}")
-    depth = min(r_max, max(n_max, 1))   # longer chains read the last entry
-    # heads[w] counts the keys of the heads of weight w, each head once
-    heads = [Counter() for _ in range(n_max + 1)]
-    heads_largest = [0] * (n_max + 1)
-    specs = {}
-    for fam, r in family_cells:
         i = min(r - 1, depth) - 1
-        specs[fam, r] = _FAMILY_VALUES[fam], r, itemgetter(i), itemgetter(depth + i)
-    families = [{cell: Counter() for cell in specs} for _ in range(n_max + 1)]
-    # the heads of each weight, each with its key, for the family cells
-    by_weight = [[] for _ in range(n_max + 1)] if specs else ()
-    closed = {}
-    # the key of mu + 1^j, j >= 1, for each distinct head key: 1 goes
-    # under mu's smallest part, or alone for the empty head
+        specs[fam, r] = _FAMILY_VALUES[fam], _PAST_R[fam], r, itemgetter(i), itemgetter(depth + i)
+    # heads[w] counts the keys of the heads of weight w, each head once; the
+    # empty partition is the one head of weight 0
     empty_key = scan_start(0, depth), 0
-    ones_keys = {empty_key: (scan_start(1, depth), 1)}
+    heads = [Counter({empty_key: 1})] + [Counter() for _ in range(n_max)]
+    heads_largest = [0] * (n_max + 1)
+    # families[n] holds each cell's changes at n, which the final loop sums
+    families = [{cell: Counter() for cell in specs} for _ in range(n_max + 1)]
+    # the closed key of each key, and the key of mu + 1^j, j >= 1, of each
+    # head key: 1 goes under mu's smallest part, or alone for the empty head
+    closed = {}
+    ones = {empty_key: (scan_start(1, depth), 1)}
 
     def close(key):
-        ex = closed.get(key)
-        if ex is None:
-            ex = closed[key] = scan_step(key[0], 0, key[1], depth)
-        return ex
+        return closed.get(key) or closed.setdefault(key, scan_step(key[0], 0, key[1], depth))
 
     def ones_of(key):
-        ones_key = ones_keys.get(key)
-        if ones_key is None:
-            ones_key = ones_keys[key] = scan_step(key[0], 1, key[1], depth), 1
-        return ones_key
+        return ones.get(key) or ones.setdefault(key, (scan_step(key[0], 1, key[1], depth), 1))
 
-    def put_head(head, w, key):
-        by_weight[w].append((head, key))
+    # the family cells read the heads of each weight, each with its key
+    by_weight = [[((), empty_key)]] + [[] for _ in range(n_max)] if specs else ()
+    _walk_heads((), None, 0, n_max, depth, heads, heads_largest,
+                (lambda head, w, key: by_weight[w].append((head, key))) if specs else None)
 
-    # the one head of weight 0: the empty partition
-    heads[0][empty_key] += 1
-    if specs:
-        put_head((), 0, empty_key)
-    _walk_heads((), None, 0, n_max, depth, heads, heads_largest, put_head if specs else None)
-
-    # at a cell r, mu + 1^j takes the value of mu + 1^b for its bucket b:
-    # 0 for j = 0, 1 for 0 < j < r and r for j >= r, the last j of the
-    # bucket being 0, r - 1 and n_max
-    buckets = {}
-    for cell, (_, r, _, _) in specs.items():
-        for b, last in ((0, 0), (1, r - 1), (r, n_max)):
-            buckets.setdefault(b, []).append((cell, last))
     from_pairs = Partition._from_pairs
-    for b, reads in buckets.items():
-        for w, group in enumerate(by_weight[:max(n_max + 1 - b, 0)]):
-            lams = [from_pairs(head + ((1, b),) if b else head) for head, _ in group]
-            exs = [close(ones_of(key) if b else key) for _, key in group]
-            for cell, last in reads:
-                values, r, mex, maex = specs[cell]
-                counts = Counter(values(lams, exs, r, mex, maex))
-                for n in range(w + b, min(w + last, n_max) + 1):
-                    families[n][cell].update(counts)
+    # the mu + 1 of the heads of weight w and their closed keys, built for
+    # the first above-* cell that reads them
+    plus_one = cache(lambda w: ([from_pairs(head + ((1, 1),)) for head, _ in by_weight[w]],
+                                [close(ones_of(key)) for _, key in by_weight[w]]))
+    for w, group in enumerate(by_weight):
+        lams = [from_pairs(head) for head, _ in group]
+        exs = [close(key) for _, key in group]
+        for cell, (values, past, r, mex, maex) in specs.items():
+            counts = Counter(values(lams, exs, r, mex, maex))
+            families[w][cell].update(counts)
+            # from mu + 1^r (mu + 1 for an above-* cell) on, the counts
+            # that the rule gives replace mu's; a rule that keeps mu's
+            # counts changes nothing
+            n = w + (r if past else 1)
+            if n <= n_max:
+                after = past(counts) if past else Counter(values(*plus_one(w), r, mex, maex))
+                if after is not counts:
+                    families[n][cell].update(after)
+                    families[n][cell].subtract(counts)
 
     def fold(keys, mex, maex):
         for key, count in keys:
@@ -267,6 +284,8 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
             # mu + 1^j keeps mu's largest part, and 1^j has largest part 1
             largest += heads_largest[n - 1] + (n == 1)
             heads[n - 1] = None     # folded
+            # the running sums; Counter addition keeps only positive counts
+            families[n] = {cell: d + families[n - 1][cell] for cell, d in families[n].items()}
         cut = min(r_max, max(n, 1))
         mex, maex = mex_sums[:cut], [c[:] for c in maex_counts[:cut]]
         fold(heads[n].items(), mex, maex)

@@ -5,11 +5,14 @@ n of the theorem's default range: the series builder its rows read, or,
 for thm-1.5, which reads no series, one family statistic on one partition
 of that n.  ``chainex verify <id>`` at its defaults must then exit 1 with
 MISMATCH lines, each at that n.  So must every family statistic of
-thm-1.5 and thm-1.10, wrong on [25] or on [22,1,1,1], which the engine
-builds from a head and its 1s, and the component series that the thm-1.7
-builder and the thm-1.11 product form multiply by the strict count, which
-fail only the rows that read them, and a kernel fault above the enumerated
-range, which only thm-1.11's two series forms can see.  An engine that
+thm-1.5 and thm-1.10 wrong on [25], and parts_above wrong on [24,1],
+which the engine builds from the head [24] and one 1.  The engine calls
+no other family statistic on a partition with 1s: each family's rule
+gives those values from the head's, and a rule made wrong must fail
+verify, only at n >= r.  The component series that the thm-1.7 builder
+and the thm-1.11 product form multiply by the strict count must fail
+only the rows that read them, and a kernel fault above the enumerated
+range only thm-1.11's two series forms.  An engine that
 drops the tally of the largest n must make every id that reads the
 tallies raise a ``ValueError`` naming the id and that n, so that
 ``chainex verify`` exits 2, rather than pass on fewer rows.
@@ -26,11 +29,12 @@ accepts must print something else once the map it calls is patched in
 """
 
 import re
+from collections import Counter
 from unittest import mock
 
 import pytest
 
-from chainex import bijections
+from chainex import bijections, brute
 from chainex import partition as pt
 from chainex import qseries as qs
 from chainex import verify as vf
@@ -93,8 +97,13 @@ def test_every_theorem_has_a_fault():
 
 def planted_mismatches(capsys, vid, owner, name, fault, n):
     """The MISMATCH lines of ``chainex verify <vid>`` at its defaults with
-    ``owner.name`` made wrong at n, after checking that it exits 1."""
-    with mock.patch.object(owner, name, fault(getattr(owner, name), n)):
+    ``owner.name`` (``owner[name]`` for a dict) made wrong at n, after
+    checking that it exits 1."""
+    if isinstance(owner, dict):
+        patch = mock.patch.dict(owner, {name: fault(owner[name], n)})
+    else:
+        patch = mock.patch.object(owner, name, fault(getattr(owner, name), n))
+    with patch:
         code = run(["verify", vid])
     out = capsys.readouterr().out
     assert code == 1 and out.startswith(f"{vid}: FAIL")
@@ -123,23 +132,42 @@ def test_a_family_statistic_fault_fails_verify(capsys, vid, name):
 
 
 def ones_partition_plus_one(statistic, n):
-    """``statistic`` one too high on the partition [n-3,1,1,1], which the
-    engine builds from the head [n-3] and three 1s."""
-    lam = Partition([n - 3, 1, 1, 1])
+    """``statistic`` one too high on the partition [n-1,1], which the
+    engine builds from the head [n-1] and one 1 for the above-* cells."""
+    lam = Partition([n - 1, 1])
     return lambda mu, r: statistic(mu, r) + (mu == lam)
 
 
-# all six family statistics, made wrong on a partition with 1s; [2^12,1]
-# or [1^25] would not do for parts_above under thm-1.10, since they lie on
-# the gap-bounded class, where above-maex reads no statistic
+def ones_rule_plus_one(rule, n):
+    """A family rule one too high on every partition mu + 1^j with j >= r:
+    every value it gives moves up by one (n plays no part)."""
+    return lambda counts: Counter({v + 1: m for v, m in rule(counts).items()})
+
+
+# all six family statistics, made wrong on partitions with 1s.  The engine
+# calls parts_above on [24,1] for the above-* cells ([2^12,1] or [1^25]
+# would not do under thm-1.10, since they lie on the gap-bounded class,
+# where above-maex reads no statistic).  It never calls the other four on
+# a partition with 1s: their family's rule in ``brute._PAST_R`` gives
+# those values, so the rule is made wrong instead, and only the n >= r
+# that hold a partition with r 1s can fail.
 ONES_FAULTS = [("thm-1.5", "count_multiples"), *FAMILY_FAULTS]
+RULE_FAMILIES = {"count_multiples": "multiples", "largest_repeating": "largest-repeating",
+                 "top_multiple_multiplicity": "top-multiple",
+                 "smallest_repeating": "smallest-repeating"}
 
 
 @pytest.mark.parametrize("vid, name", ONES_FAULTS,
                          ids=[f"{vid}-{name}" for vid, name in ONES_FAULTS])
 def test_a_family_statistic_fault_on_a_partition_with_ones_fails_verify(capsys, vid, name):
-    mismatches = planted_mismatches(capsys, vid, pt, name, ones_partition_plus_one, 25)
-    assert mismatches and all(" n=25 " in line for line in mismatches)
+    if name not in RULE_FAMILIES:
+        mismatches = planted_mismatches(capsys, vid, pt, name, ones_partition_plus_one, 25)
+        assert mismatches and all(" n=25 " in line for line in mismatches)
+        return
+    mismatches = planted_mismatches(capsys, vid, brute._PAST_R, RULE_FAMILIES[name],
+                                    ones_rule_plus_one, 25)
+    rows = [re.search(r" r=(\d+) j=\d+ n=(\d+) ", line).groups() for line in mismatches]
+    assert rows and all(int(n) >= int(r) for r, n in rows)
 
 
 # the component series a strict-count product reads: its id, the builder,

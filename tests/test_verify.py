@@ -323,11 +323,12 @@ class TestTallyAgainstReference:
 
 
 class TestFamilyBatches:
-    """Family cells read each head mu three times: at a cell r, mu + 1^j
-    takes the value of mu at j = 0, of mu + 1 for 0 < j < r and of mu + 1^r
-    for j >= r.  So each cell's statistic is called on exactly mu, mu + 1
-    and mu + 1^r for the heads of weight <= n_max, <= n_max - 1 and
-    <= n_max - r, and still counts every partition of every n <= 14 once."""
+    """Family cells call their statistic once per head mu: at a cell r,
+    mu + 1^j takes a value that the family's rule reads off mu's, or, for
+    the above-* families at j >= 1, off mu + 1's.  So each cell's statistic
+    is called on exactly the heads of weight <= n_max, and an above-* cell's
+    also on the mu + 1 of weight <= n_max; every partition of every
+    n <= 14 is still counted once."""
     N_MAX = 14
     MULTIPLES = [("multiples", r) for r in (2, 3, 4)]
 
@@ -354,14 +355,11 @@ class TestFamilyBatches:
                  if 1 not in lam.parts]
         expected = Counter()
         for parts in heads:
-            for j in range(5):
-                lam = Partition(parts + (1,) * j)
-                if lam.weight > self.N_MAX:
-                    continue
-                expected.update(("multiples", s, lam) for _, s in self.MULTIPLES
-                                if j in (0, 1, s))
+            mu = Partition(parts)
+            expected.update(("multiples", s, mu) for _, s in self.MULTIPLES)
+            for lam in (mu, Partition(parts + (1,))):
                 b = bound(lam.parts, r - 1)
-                if j in (0, 1, r) and (fam == "above-mex" or b):
+                if lam.weight <= self.N_MAX and (fam == "above-mex" or b):
                     expected["above", b, lam] += 1
         assert calls == expected
         for n in range(self.N_MAX + 1):
@@ -373,17 +371,17 @@ class TestFamilyBatches:
                     1 for lam in lams if not linear_maex(lam.parts, r - 1))
 
     def test_no_head_past_the_top_weight(self):
-        # at r = 10 > n_max + 1, no mu + 1^r fits: the heads of weight
-        # <= 6 and <= 5 are read, p(6) + p(5) of them
+        # the heads of weight <= 6, p(6) of them, are read once each, and
+        # at r = 10 > n_max + 1 no mu + 1^r is in range
         calls = Counter()
         with mock.patch("chainex.partition.count_multiples",
                         self.counting(calls, "multiples", pt.count_multiples)):
             by_n = tallies(6, 9, [("multiples", 10)])
-        assert calls.total() == partition_count(6) + partition_count(5) == 18
+        assert calls.total() == partition_count(6) == 11
         assert [by_n[n].families["multiples", 10] for n in range(7)] == [
             Counter({0: partition_count(n)}) for n in range(7)]
 
-    @pytest.mark.parametrize("theorem, count", [("thm-1.5", 53_424), ("thm-1.10", 47_562)],
+    @pytest.mark.parametrize("theorem, count", [("thm-1.5", 29_796), ("thm-1.10", 25_178)],
                              ids=["thm-1.5", "thm-1.10"])
     def test_statistic_calls_at_the_theorem_defaults(self, theorem, count):
         calls = Counter()
@@ -397,11 +395,40 @@ class TestFamilyBatches:
         assert calls.total() == count
 
 
+@st.composite
+def head_parts(draw):
+    """A head, weakly decreasing parts >= 2, of weight 30..120, its values
+    drawn with multiplicities up to 10 so that repeats reach every r."""
+    weight = draw(st.integers(30, 120))
+    parts = []
+    while weight >= 2:
+        v = draw(st.integers(2, min(weight, 40)))
+        m = draw(st.integers(1, min(10, weight // v)))
+        parts += [v] * m
+        weight -= v * m
+    parts[0] += weight      # a last unit joins a part, so no part is 1
+    return tuple(sorted(parts, reverse=True))
+
+
+def rule_counts(fam, r, heads, j):
+    """The counts of the family values of the head + 1^j over ``heads`` at
+    r, by the engine's rule from the oracle's values of each head and, for
+    the above-* families, of each head + 1."""
+    value = FAMILY_VALUES[fam]
+    past = brute._PAST_R[fam]
+    if j and past is None:
+        return Counter(value(parts + (1,), r) for parts in heads)
+    counts = Counter(value(parts, r) for parts in heads)
+    return past(counts) if j >= r else counts
+
+
 class TestFamilyBuckets:
-    """The fact the family cells rest on, read off the oracles: at r >= 2,
+    """The facts the family cells rest on, read off the oracles: at r >= 2,
     mu + 1^j (mu without part 1) has the family value of mu + 1^b, where
-    the bucket b is 0 for j = 0, 1 for 0 < j < r and r for j >= r; and
-    each engine statistic gives one value per partition, in input order."""
+    the bucket b is 0 for j = 0, 1 for 0 < j < r and r for j >= r; the
+    engine's rule for each family (``brute._PAST_R``) gives that value from
+    the values of mu and mu + 1 alone; and each engine statistic gives one
+    value per partition, in input order."""
 
     def test_every_j_has_the_value_of_its_bucket(self):
         for n in range(21):
@@ -412,6 +439,26 @@ class TestFamilyBuckets:
                     b = 0 if j == 0 else 1 if j < r else r
                     for fam, value in FAMILY_VALUES.items():
                         assert value(parts, r) == value(head + (1,) * b, r), (parts, r, fam)
+
+    def test_the_rule_gives_every_j(self):
+        # each partition mu + 1^j of n <= 20 against the rule applied to
+        # the values of mu and mu + 1
+        for n in range(21):
+            for parts in recursive_partitions(n):
+                j = parts.count(1)
+                head = parts[:len(parts) - j]
+                for r in range(2, 7):
+                    for fam, value in FAMILY_VALUES.items():
+                        assert rule_counts(fam, r, [head], j) == Counter([value(parts, r)]), (
+                            parts, r, fam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(head_parts(), min_size=1, max_size=4), st.integers(2, 8), st.data())
+    def test_the_rule_gives_every_j_past_enumeration(self, heads, r, data):
+        j = data.draw(st.integers(0, 2 * r + 2), label="j")
+        for fam, value in FAMILY_VALUES.items():
+            assert rule_counts(fam, r, heads, j) == Counter(
+                value(parts + (1,) * j, r) for parts in heads), fam
 
     @pytest.mark.parametrize("fam", FAMILIES)
     def test_values_in_input_order(self, fam):
