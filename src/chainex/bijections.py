@@ -129,22 +129,18 @@ def _split_digits(pairs: tuple, r: int) -> tuple:
 def glaisher_merge(lam: Partition, r: int) -> Partition:
     """Merge every r equal copies into a single r-fold part, repeatedly,
     until every multiplicity is below r.  Input must be r-regular."""
-    if r < 2:
-        raise DomainError("merge modulus r must be >= 2")
-    for v, _ in lam._pairs:
-        if v % r == 0:
-            raise DomainError(f"part {v} is divisible by {r}; input must be {r}-regular")
+    _check_r(r, 2)
+    if not is_regular(lam, r):
+        raise DomainError(f"input must be {r}-regular")
     return Partition._from_pairs(_merge_digits(lam._pairs, r))
 
 
 def glaisher_split(lam: Partition, r: int) -> Partition:
     """Split every part divisible by r into r equal copies, repeatedly,
     until no part is divisible by r.  Input must be r-strict."""
-    if r < 2:
-        raise DomainError("split modulus r must be >= 2")
-    for v, m in lam._pairs:
-        if m >= r:
-            raise DomainError(f"part {v} has multiplicity {m}; input must be {r}-strict")
+    _check_r(r, 2)
+    if not is_strict(lam, r):
+        raise DomainError(f"input must be {r}-strict")
     return Partition._from_pairs(_split_digits(lam._pairs, r))
 
 
@@ -163,16 +159,24 @@ def _to_repeat_form(lam: Partition, r: int) -> Partition:
     return Partition._from_pairs(_merge_pairs(_merge_digits(other, r), _conjugate_pairs(mult)))
 
 
-def _to_multiple_form(nu: Partition, r: int) -> Partition:
-    # Extract the largest multiple of r from each multiplicity; what stays
-    # behind is r-strict, what leaves has all multiplicities divisible by r.
-    rest, repeated = [], []
-    for v, m in nu._pairs:
-        h = m % r
+def _split_residues(pairs: tuple, k: int) -> tuple:
+    """Write each multiplicity m of pairs as qk + h with 0 <= h < k.
+    Returns the pair tuples of the h leftover copies of each value that
+    has any, and of the qk remaining copies of each value that has any."""
+    rest, whole = [], []
+    for v, m in pairs:
+        h = m % k
         if h:
             rest.append((v, h))
         if m > h:
-            repeated.append((v, m - h))
+            whole.append((v, m - h))
+    return tuple(rest), tuple(whole)
+
+
+def _to_multiple_form(nu: Partition, r: int) -> Partition:
+    # what stays behind is r-strict, what leaves has all multiplicities
+    # divisible by r
+    rest, repeated = _split_residues(nu._pairs, r)
     return Partition._from_pairs(_merge_pairs(_split_digits(rest, r), _conjugate_pairs(repeated)))
 
 
@@ -227,18 +231,10 @@ def _shift_residues(lp: tuple, cut: int, r: int, keep: str):
     """
     upper, lower = _cut_pairs(lp, cut)
     gamma = keep == "largest"
-    shifted = lower[1:] if gamma else upper[:-1]
-    stay, moved = [], []
-    for v, m in shifted:
-        h = m % (r + 1)
-        if h:
-            moved.append((v, h))
-        if m > h:
-            stay.append((v, m - h))
-    moved = tuple(moved)
+    moved, stay = _split_residues(lower[1:] if gamma else upper[:-1], r + 1)
     if gamma:
-        return upper + moved, lower[:1] + tuple(stay), moved
-    return moved + lower, tuple(stay) + upper[-1:], moved
+        return upper + moved, lower[:1] + stay, moved
+    return moved + lower, stay + upper[-1:], moved
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +281,7 @@ def in_maex_codomain(pair: PartitionPair, r: int) -> bool:
 
 def _check_r(r: int, least: int = 1):
     if r < least:
-        raise DomainError(f"r must be >= {least}")
+        raise DomainError(f"r must be >= {least}, got {r}")
 
 
 def _check_index(i: int, bound: int, lam: Partition):

@@ -3,6 +3,7 @@ result lines written by hand: no benchmark or test run is started."""
 
 import importlib.util
 import os
+from unittest import mock
 
 import pytest
 
@@ -52,3 +53,10 @@ def test_pytest_output_is_parsed(tmp_path):
     text = "....\n9 passed, 1 failed in 5.61s\n"
     assert bench_record.parse_outcome(text) == {"passed": 9, "failed": 1}
     assert bench_record.parse_outcome("") == {}
+
+
+def test_tier1_is_quoted_as_measured():
+    # no reference is timed around the run, and nothing scales its seconds
+    run = ("..\n9 passed in 5.61s\n", 5.678)
+    with mock.patch.object(bench_record, "pytest_run", return_value=run):
+        assert bench_record.tier1() == {"outcome": {"passed": 9}, "measured_s": 5.68}

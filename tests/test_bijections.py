@@ -123,13 +123,13 @@ class TestTopMultipleToRepeats:
 
 @pytest.mark.parametrize("r", [1, 0])
 @pytest.mark.parametrize("map_", [glaisher_split, repeats_to_multiples,
-                                  top_multiple_to_repeats, repeats_to_top_multiple],
+                                  top_multiple_to_repeats, repeats_to_top_multiple,
+                                  glaisher_merge],
                          ids=lambda f: f.__name__)
 def test_partition_maps_refuse_r_below_two(map_, r):
     # the modulus is checked before the input, which [2,2,1] would fail
-    # for glaisher_split at r = 1 with a different message
-    prefix = "split modulus " if map_ is glaisher_split else ""
-    with pytest.raises(DomainError, match=f"^{prefix}r must be >= 2$"):
+    # for both Glaisher maps at r = 1 with a different message
+    with pytest.raises(DomainError, match=f"^r must be >= 2, got {r}$"):
         map_(P([2, 2, 1]), r)
 
 

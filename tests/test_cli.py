@@ -572,6 +572,12 @@ class TestBijectionError:
         assert out == ""
         assert err == "error: index 9 outside 1..6 for [5,3,1]\n"
 
+    @pytest.mark.parametrize("name, lam, kind", [("glaisher", "[6,1]", "regular"),
+                                                 ("glaisher-inv", "[2,2,2]", "strict")])
+    def test_glaisher_domain_error_text(self, capsys, name, lam, kind):
+        assert call(capsys, "bijection", name, "--lambda", lam, "--r", "3") == (
+            2, "", f"error: input must be 3-{kind}\n")
+
 
 def cli_command(*argv):
     """A command line and environment that run this checkout's chainex."""

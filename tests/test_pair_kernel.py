@@ -372,9 +372,9 @@ def test_multiples_repeats_match_flat_reference(data):
     (lambda: bij.maex_pairing(P([5, 3, 1]), 7, 2), "index 7 outside 1..6 for [5,3,1]"),
     (lambda: bij.pairing_trace(P([]), 2, 1, bij.maex_pairing(P([]), 2, 1)),
      "index 2 outside 1..1 for []"),
-    (lambda: bij.mex_pairing(P([1]), 1, 0), "r must be >= 1"),
-    (lambda: bij.mex_pairing_colored(P([1]), 1, 0), "r must be >= 1"),
-    (lambda: bij.maex_pairing(P([1]), 1, 0), "r must be >= 1"),
+    (lambda: bij.mex_pairing(P([1]), 1, 0), "r must be >= 1, got 0"),
+    (lambda: bij.mex_pairing_colored(P([1]), 1, 0), "r must be >= 1, got 0"),
+    (lambda: bij.maex_pairing(P([1]), 1, 0), "r must be >= 1, got 0"),
     (lambda: bij.mex_pairing_inv(PartitionPair(P([1, 1, 1]), P([2])), 2),
      "pair {'alpha': '[1,1,1]', 'beta': '[2]'} violates the codomain constraints"),
     (lambda: bij.mex_pairing_colored_inv(PartitionPair(P([3]), P([])), 2),

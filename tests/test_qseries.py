@@ -8,6 +8,7 @@ from chainex.qseries import (
     PowerSeries,
     SeriesError,
     _const,
+    _mul_factor,
     _poch,
     gaussian_binomial,
     maex_bivariate,
@@ -114,6 +115,9 @@ class TestPowerSeriesArithmetic:
         # a zero constant term is printed, unlike every other zero term
         assert str(PowerSeries([0, 1, 0, 3], order=3)) == "0 + 1*q + 3*q^3"
 
+    def test_repr(self):
+        assert repr(PowerSeries([1, 2, 3])) == "PowerSeries(order=2, coeffs=[1, 2, 3]...)"
+
     def test_json_exact_integers(self):
         blob = PowerSeries([10 ** 40, 1], order=1).to_json()
         assert blob["schema"] == 1
@@ -217,6 +221,8 @@ class TestPochhammer:
             poch_finite(1, 1, -1, 5)
         with pytest.raises(SeriesError):
             _poch(_const(5, 1), 0, 1, divide=True)
+        with pytest.raises(SeriesError, match="^factor exponent must be >= 0, got -1$"):
+            _mul_factor([1, 2, 3], -1, 1)
 
     def test_one_inverse_spelling(self):
         # 1/(q^first;q^step)_inf is the kernel's divide pass, as every

@@ -11,12 +11,13 @@ already quoted at the runner's reference host speed.
 
 It then times the other end-to-end figures: the tier-1 suite, once, and
 each acceptance test, as the median over ACCEPTANCE_RUNS runs of its call
-time in pytest's ``--junitxml`` report (to the millisecond).  Each run is
-divided by the median time of ``run.reference()`` and multiplied by
-``run.REF_SECONDS``, as the runner does, so figures from two hosts compare.
-The reference is timed just before each acceptance run and on both sides
-of the tier-1 run, so host speed drift within the 40 s tier-1 run is not
-tracked.  ``bench/run.py`` is imported only to read those two names.
+time in pytest's ``--junitxml`` report (to the millisecond).  Each
+acceptance run is divided by the median time of ``run.reference()``, timed
+just before it, and multiplied by ``run.REF_SECONDS``, as the runner does,
+so those figures from two hosts compare.  Tier-1 is quoted as measured on
+the recording host: a reference timed around one 40 s pytest run does not
+track its speed, so it compares only between records taken back to back.
+``bench/run.py`` is imported only to read those two names.
 
 The file goes to the repository root and holds the git sha, the files under
 SOURCE_PATHS that differ from it (modified, staged or untracked), the
@@ -42,7 +43,7 @@ from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
-REFERENCE_CALLS = 5          # reference() timings before (and after) a test run
+REFERENCE_CALLS = 5          # reference() timings before each acceptance run
 ACCEPTANCE_RUNS = 5          # each acceptance test's time is the median of these
 SOURCE_PATHS = ("src", "bench", "tests", "tools", "pyproject.toml", "BENCHMARK.json")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
@@ -119,14 +120,10 @@ def pytest_run(args) -> tuple:
     return proc.stdout, perf_counter() - t0
 
 
-def tier1(runner, scale) -> dict:
-    """One tier-1 run, normalised by the reference timed just before and
-    just after it: drift inside the run is not tracked."""
-    refs = reference_times(runner)
+def tier1() -> dict:
+    """One tier-1 run, its outcome and its wall seconds on this host."""
     text, seconds = pytest_run(TIER1)
-    ref = statistics.median(refs + reference_times(runner))
-    return {"outcome": parse_outcome(text), "measured_s": round(seconds, 2),
-            "ref_s": ref, "normalised_s": round(seconds / ref * scale, 2)}
+    return {"outcome": parse_outcome(text), "measured_s": round(seconds, 2)}
 
 
 def acceptance(runner, scale) -> dict:
@@ -189,7 +186,7 @@ def record(label) -> dict:
         "runs": [{key: run[key] for key in ("workload", "seed", "line")} for run in runs],
         "summary": summarize(runs),
         "ref_seconds": scale,
-        "tier1": tier1(runner, scale),
+        "tier1": tier1(),
         "acceptance": acceptance(runner, scale),
     }
 
