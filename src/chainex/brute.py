@@ -13,18 +13,20 @@ The walk (``_walk_heads``) recurses over a head's distinct values from
 the largest down.  For each prefix of larger values and each smaller
 value s >= 2 it takes one scan step, and every multiplicity of s shares
 the key (state, s) that step gives, so each head is counted with one
-increment, under its key at its weight.  mu + 1^j has one key for all
-j >= 1: the head's state after a 1 is scanned under its smallest part,
-and 1.  So the heads of weight w enter every larger weight under their
-1s keys, each derived once per distinct head key; the walk never places
-a 1.  Each distinct key is closed into the chain mex and maex once, and
-every requested (statistic, r) cell is filled from these counts.  A
+increment, under its key at its weight.  The walk interns the keys: each
+distinct key gets a small int id, and the heads are counted by id.
+mu + 1^j has one key for all j >= 1: the head's state after a 1 is
+scanned under its smallest part, and 1.  So the heads of weight w enter
+every larger weight under their 1s keys; the walk never places a 1.
+After the walk, each key and its 1s key are closed into the chain mex
+and maex once, into two lists indexed by id, and every requested
+(statistic, r) cell is filled from the counts by id.  A
 (family, r) cell calls its statistic once per head: at r >= 2 the family
 value of mu + 1^j follows from mu's by a rule per family (``_PAST_R``),
 since every mu + 1^j with j >= 1 has mu's 1s key, 1 is no multiple of r
 and lies above no mex or maex >= 1, and the 1s repeat r times exactly
 when j >= r.  The above-* cells also read mu + 1, one more partition
-per head.  So the walk keeps each head with its key by weight, and after
+per head.  So the walk keeps each head with its key id by weight, and after
 it each cell maps its statistic over the heads of each weight in one
 call and adds the counts once per range of n that they stand for.  The
 bijection side reads the chain excludants through ``chain_mex_maex``, a
@@ -137,23 +139,24 @@ STATISTICS = tuple(_STAT_SUMS)
 FAMILIES = tuple(_FAMILY_VALUES)
 
 
-def _walk_heads(pairs, state, weight, n_max, depth, heads, largest, put_head):
+def _walk_heads(pairs, state, weight, n_max, depth, heads, largest, put_head, ids):
     """Count every head of weight <= n_max that extends the head ``pairs``
     (of weight ``weight``, its values' scan state ``state``; ``()`` and
     None for the empty head) by values below its smallest: for each such
     value s >= 2, one scan step gives the key (state, s) that every
-    multiplicity m of s shares, and each mu = pairs + (s, m) adds 1 to
-    ``heads[|mu|][key]``, its largest part to ``largest[|mu|]``, and calls
-    ``put_head(mu, |mu|, key)`` if ``put_head`` is not None.  It descends
-    from mu when a smaller value s' >= 2 still fits, so at most as deep as
-    a head has distinct values.  It is a module-level function: a closure that
-    called itself would be a reference cycle and keep every counter alive
-    until the cyclic collector ran."""
+    multiplicity m of s shares.  ``ids`` interns the keys: a key new to it
+    takes the next int id, ``len(ids)``.  Each mu = pairs + (s, m) adds 1
+    to ``heads[|mu|][id]``, its largest part to ``largest[|mu|]``, and
+    calls ``put_head(mu, |mu|, id)`` if ``put_head`` is not None.  It
+    descends from mu when a smaller value s' >= 2 still fits, so at most as
+    deep as a head has distinct values.  It is a module-level function: a
+    closure that called itself would be a reference cycle and keep every
+    counter alive until the cyclic collector ran."""
     above = pairs[-1][0] if pairs else n_max + 1
     top = pairs[0][0] if pairs else 0
     for s in range(min(above - 1, n_max - weight), 1, -1):
         state_s = scan_step(state, s, above, depth) if pairs else scan_start(s, depth)
-        key = state_s, s
+        key = ids.setdefault((state_s, s), len(ids))
         big = top or s
         for w in range(weight + s, n_max + 1, s):
             heads[w][key] += 1
@@ -163,7 +166,8 @@ def _walk_heads(pairs, state, weight, n_max, depth, heads, largest, put_head):
                 put_head(pairs + ((s, m),), w, key)
         if s > 2:
             for m, w in enumerate(range(weight + s, n_max - 1, s), 1):
-                _walk_heads(pairs + ((s, m),), state_s, w, n_max, depth, heads, largest, put_head)
+                _walk_heads(pairs + ((s, m),), state_s, w, n_max, depth, heads, largest,
+                            put_head, ids)
 
 
 def tallies(n_max: int, r_max: int, family_cells=()) -> list:
@@ -175,14 +179,16 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
 
     Each partition mu + 1^j of n is counted through its head mu (the parts
     above 1; see the module docstring), and the walk counts each head once,
-    under its key (state, smallest part).  mu itself counts under that key,
+    under the int id of its key (state, smallest part): the walk interns
+    each distinct key as the next id.  mu itself counts under that key,
     and mu + 1^j for j >= 1 under mu's 1s key (the state after a 1 under
-    mu's smallest part, 1), derived once per distinct head key when the
-    heads of weight n - 1 enter the running sums at n.  Each distinct key
-    is closed once, at every chain length the walk carries; an entry for r
-    does not depend on how many chain lengths the state carries, so each
-    tally keeps its entries up to its own n.  For the family cells, the
-    walk lists each head with its key under its weight.  After it, each
+    mu's smallest part, 1), which enters the running sums at n for the
+    heads of weight n - 1.  After the walk, two lists indexed by id hold
+    each key closed and its 1s key closed, each computed once per distinct
+    key, at every chain length the walk carries; an entry for r does not
+    depend on how many chain lengths the state carries, so each tally
+    keeps its entries up to its own n.  For the family cells, the walk
+    lists each head with its key id under its weight.  After it, each
     cell counts its statistic over the heads mu of each weight w in one
     call, on lists of partitions and closed keys that all cells share, and
     an above-* cell over their mu + 1 in one more; no mu + 1^j with j >= 2
@@ -218,37 +224,35 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
             raise ValueError(f"family cell ({fam!r}, {r!r}) needs r in 2..{r_max + 1}")
         i = min(r - 1, depth) - 1
         specs[fam, r] = _FAMILY_VALUES[fam], _PAST_R[fam], r, itemgetter(i), itemgetter(depth + i)
-    # heads[w] counts the keys of the heads of weight w, each head once; the
-    # empty partition is the one head of weight 0
-    empty_key = scan_start(0, depth), 0
-    heads = [Counter({empty_key: 1})] + [Counter() for _ in range(n_max)]
+    # heads[w] counts the key ids of the heads of weight w, each head once;
+    # the empty partition is the one head of weight 0, under id 0
+    ids = {(scan_start(0, depth), 0): 0}
+    heads = [Counter({0: 1})] + [Counter() for _ in range(n_max)]
     heads_largest = [0] * (n_max + 1)
     # families[n] holds each cell's changes at n, which the final loop sums
     families = [{cell: Counter() for cell in specs} for _ in range(n_max + 1)]
-    # the closed key of each key, and the key of mu + 1^j, j >= 1, of each
-    # head key: 1 goes under mu's smallest part, or alone for the empty head
-    closed = {}
-    ones = {empty_key: (scan_start(1, depth), 1)}
-
-    def close(key):
-        return closed.get(key) or closed.setdefault(key, scan_step(key[0], 0, key[1], depth))
-
-    def ones_of(key):
-        return ones.get(key) or ones.setdefault(key, (scan_step(key[0], 1, key[1], depth), 1))
-
-    # the family cells read the heads of each weight, each with its key
-    by_weight = [[((), empty_key)]] + [[] for _ in range(n_max)] if specs else ()
+    # the family cells read the heads of each weight, each with its key id
+    by_weight = [[((), 0)]] + [[] for _ in range(n_max)] if specs else ()
     _walk_heads((), None, 0, n_max, depth, heads, heads_largest,
-                (lambda head, w, key: by_weight[w].append((head, key))) if specs else None)
+                (lambda head, w, key: by_weight[w].append((head, key))) if specs else None,
+                ids)
+    # by id (ids lists its keys in id order, since each took len(ids)), each
+    # key closed into its chain mex and maex, and the closed key of
+    # mu + 1^j, j >= 1: 1 goes under mu's smallest part, or alone for the
+    # empty head
+    closed = [scan_step(state, 0, s, depth) for state, s in ids]
+    ones = [scan_step(scan_step(state, 1, s, depth) if s else scan_start(1, depth), 0, 1, depth)
+            for state, s in ids]
+    del ids     # the lists and the ids now stand for the keys
 
     from_pairs = Partition._from_pairs
     # the mu + 1 of the heads of weight w and their closed keys, built for
     # the first above-* cell that reads them
     plus_one = cache(lambda w: ([from_pairs(head + ((1, 1),)) for head, _ in by_weight[w]],
-                                [close(ones_of(key)) for _, key in by_weight[w]]))
+                                [ones[key] for _, key in by_weight[w]]))
     for w, group in enumerate(by_weight):
         lams = [from_pairs(head) for head, _ in group]
-        exs = [close(key) for _, key in group]
+        exs = [closed[key] for _, key in group]
         for cell, (values, past, r, mex, maex) in specs.items():
             counts = Counter(values(lams, exs, r, mex, maex))
             families[w][cell].update(counts)
@@ -262,9 +266,9 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
                     families[n][cell].update(after)
                     families[n][cell].subtract(counts)
 
-    def fold(keys, mex, maex):
+    def fold(keys, exs, mex, maex):
         for key, count in keys:
-            ex = close(key)
+            ex = exs[key]
             for i in range(len(mex)):
                 mex[i] += count * ex[i]
                 maex[i][ex[depth + i]] += count
@@ -279,7 +283,7 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     for n in range(n_max + 1):
         if n:
             below = heads[n - 1]
-            fold(((ones_of(key), c) for key, c in below.items()), mex_sums, maex_counts)
+            fold(below.items(), ones, mex_sums, maex_counts)
             count += below.total()
             # mu + 1^j keeps mu's largest part, and 1^j has largest part 1
             largest += heads_largest[n - 1] + (n == 1)
@@ -288,7 +292,7 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
             families[n] = {cell: d + families[n - 1][cell] for cell, d in families[n].items()}
         cut = min(r_max, max(n, 1))
         mex, maex = mex_sums[:cut], [c[:] for c in maex_counts[:cut]]
-        fold(heads[n].items(), mex, maex)
+        fold(heads[n].items(), closed, mex, maex)
         maex = [Counter({m: c for m, c in enumerate(counts) if c}) for counts in maex]
         out.append(Tally(count + heads[n].total(), largest + heads_largest[n],
                          mex, maex, families[n], r_max))

@@ -350,9 +350,9 @@ class TestWalkScans:
     def test_order_and_carried_state_to_22(self):
         # partitions(n) lists the partitions of n in decreasing
         # lexicographic order; the head walk visits every head (a partition
-        # with no part 1) of weight w <= n once, under the key of the scan
-        # folded from scratch over its values and its smallest part, and
-        # counts that key and its largest part at w
+        # with no part 1) of weight w <= n once, under the id of the key of
+        # the scan folded from scratch over its values and its smallest
+        # part, and counts that id and its largest part at w
         for n in range(23):
             assert [lam.parts for lam in partitions(n)] == list(recursive_partitions(n)), n
         every = [(w, P(parts).pairs) for w in range(1, 23)
@@ -364,15 +364,42 @@ class TestWalkScans:
                 visits = []
                 heads = [Counter() for _ in range(n + 1)]
                 largest = [0] * (n + 1)
+                ids = {}
                 _walk_heads((), None, 0, n, depth, heads, largest,
-                            lambda head, w, key: visits.append((w, head, key)))
+                            lambda head, w, key: visits.append((w, head, key)), ids)
+                # id i is the i-th key interned
+                assert list(ids.values()) == list(range(len(ids))), (n, depth)
+                keys = list(ids)
                 expected = [visit for visit in keyed if visit[0] <= n]
-                assert sorted(visits) == expected, (n, depth)
-                assert heads[1:] == [Counter(key for v, _, key in expected if v == w)
-                                     for w in range(1, n + 1)], (n, depth)
+                assert sorted((w, head, keys[i]) for w, head, i in visits) == expected, (n, depth)
+                assert [Counter({keys[i]: c for i, c in counts.items()})
+                        for counts in heads[1:]] == [
+                    Counter(key for v, _, key in expected if v == w)
+                    for w in range(1, n + 1)], (n, depth)
                 assert largest[1:] == [sum(pairs[0][0] for v, pairs, _ in expected if v == w)
                                        for w in range(1, n + 1)], (n, depth)
                 assert not heads[0] and not largest[0]
+
+    def test_ids_one_to_one_on_keys_to_22(self):
+        # seeded as tallies seeds it, with the empty head's key under id 0,
+        # the walk's id table maps ids 0, 1, ... one-to-one onto the
+        # distinct keys (scan state, smallest part) of the heads of weight
+        # <= 22, and gives each head the id of its own key
+        every = [P(parts).pairs for w in range(1, 23)
+                 for parts in recursive_partitions(w) if parts[-1] > 1]
+        for depth in range(1, 9):
+            empty = scan_state((), depth), 0
+            ids = {empty: 0}
+            visits = []
+            _walk_heads((), None, 0, 22, depth, [Counter() for _ in range(23)], [0] * 23,
+                        lambda head, w, key: visits.append((head, key)), ids)
+            oracle = {pairs: (scan_state(pairs, depth), pairs[-1][0]) for pairs in every}
+            assert list(ids.values()) == list(range(len(ids))), depth
+            assert set(ids) == set(oracle.values()) | {empty}, depth
+            assert len(ids) == len(set(oracle.values())) + 1, depth
+            assert len(visits) == len(oracle), depth
+            keys = list(ids)
+            assert {head: keys[i] for head, i in visits} == oracle, depth
 
     def test_state_layout(self):
         # [12, 11, 7, 3, 3] above its smallest part: the runs 8..10 and 4..6

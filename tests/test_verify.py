@@ -491,17 +491,21 @@ class TestOnesKeys:
             assert tallies(n, 6, self.CELLS)[n] == by_n[n], n
 
     def test_no_read_of_the_state_under_the_ones(self):
-        def walk(pairs, state, weight, n_max, depth, heads, largest, put):
+        def walk(pairs, state, weight, n_max, depth, heads, largest, put, ids):
             assert all(v > 1 for v, _ in pairs), pairs
+            listed = []     # each head the whole walk lists, with its key id
 
             def checked(head, w, key):
-                assert head[-1][0] == key[1] > 1, head
+                listed.append((head, key))
                 put(head, w, key)
 
             _walk_heads(pairs, state, weight, n_max, depth, heads, largest,
-                        put if put is None or pairs else checked)
+                        put if put is None or pairs else checked, ids)
             if not pairs:   # the whole walk: every key it counted ends above 1
-                assert all(s > 1 for counts in heads[1:] for _, s in counts)
+                assert list(ids.values()) == list(range(len(ids)))
+                keys = list(ids)
+                assert all(head[-1][0] == keys[key][1] > 1 for head, key in listed)
+                assert all(keys[key][1] > 1 for counts in heads[1:] for key in counts)
 
         for r_max in range(1, 7):
             cells = [(fam, r) for fam in FAMILIES for r in range(2, r_max + 2)]
