@@ -10,11 +10,15 @@ tallies every n <= n_max: the pairs (head mu, j up to n_max - |mu|) list
 every partition of every n <= n_max exactly once.
 
 The walk (``_walk_heads``) recurses over a head's distinct values from
-the largest down.  For each prefix of larger values and each smaller
-value s >= 2 it takes one scan step, and every multiplicity of s shares
-the key (state, s) that step gives, so each head is counted with one
-increment, under its key at its weight.  The walk interns the keys: each
-distinct key gets a small int id, and the heads are counted by id.
+the largest down, and interns the keys (scan state, smallest part): each
+distinct key gets a small int id, and the heads are counted by id.  It
+pays once per prefix of larger values and smaller value s >= 2, not once
+per head, by two exact facts.  A key reads a head's values, not their
+multiplicities, so every multiplicity m of s shares the key that one
+step gives: the walk records one start at the first weight, and one pass
+after it runs each start up its progression of weights, step s.  And the
+step from a key to its child under s depends on the key and s alone, so
+the walk memoizes it by id and takes one scan step per distinct step.
 mu + 1^j has one key for all j >= 1: the head's state after a 1 is
 scanned under its smallest part, and 1.  So the heads of weight w enter
 every larger weight under their 1s keys; the walk never places a 1.
@@ -142,32 +146,93 @@ FAMILIES = tuple(_FAMILY_VALUES)
 def _walk_heads(pairs, state, weight, n_max, depth, heads, largest, put_head, ids):
     """Count every head of weight <= n_max that extends the head ``pairs``
     (of weight ``weight``, its values' scan state ``state``; ``()`` and
-    None for the empty head) by values below its smallest: for each such
-    value s >= 2, one scan step gives the key (state, s) that every
-    multiplicity m of s shares.  ``ids`` interns the keys: a key new to it
-    takes the next int id, ``len(ids)``.  Each mu = pairs + (s, m) adds 1
-    to ``heads[|mu|][id]``, its largest part to ``largest[|mu|]``, and
-    calls ``put_head(mu, |mu|, id)`` if ``put_head`` is not None.  It
-    descends from mu when a smaller value s' >= 2 still fits, so at most as
-    deep as a head has distinct values.  It is a module-level function: a
-    closure that called itself would be a reference cycle and keep every
-    counter alive until the cyclic collector ran."""
+    None for the empty head) by values below its smallest.  ``ids`` interns
+    the keys (scan state, smallest part): a key new to it takes the next
+    int id, ``len(ids)``, in the order a depth-first walk meets it.  Each
+    such head mu adds 1 to ``heads[|mu|][id]`` and its largest part to
+    ``largest[|mu|]``, and ``put_head(mu, |mu|, id)`` is called once per
+    head if ``put_head`` is not None.
+
+    Two exact facts make the walk pay once per (prefix, value s), not once
+    per head:
+    - A key reads only which values a head has: the scan steps over values
+      and never sees a multiplicity.  So the heads prefix + (s, m), m >= 1,
+      share one id, their weights run |prefix| + m*s, and their largest
+      part is the prefix's (s for the empty prefix).  The recursion
+      (``_walk_starts``) records one start per (prefix, s) at weight
+      |prefix| + s, and the pass below adds each weight's counts into
+      weight + s, in ascending order, s being the id's smallest part.  So
+      the count at w is the starts at w plus the count at w - s, which
+      counts every m once.  The largest-part sums are kept by (weight, s)
+      and run the same way.
+    - From a key (state, s), the next value s' < s gives the key
+      (``scan_step(state, s', s, depth)``, s'), which depends on the key,
+      so on its id, and on s' alone.  So each id keeps a dict from s' to
+      the child's id, and each distinct transition takes one scan step and
+      one intern.  The dicts hold ints only; a state is read from ``keys``,
+      the interned keys in id order.
+
+    These are module-level functions: a closure that called itself would
+    be a reference cycle and keep every counter alive until the cyclic
+    collector ran."""
+    keys = list(ids)
+    nexts = [None] * len(keys)      # by id: {s': the child's id}, made on first use
+    starts = [{} for _ in range(n_max + 1)]
+    tops = [{} for _ in range(n_max + 1)]
+    _walk_starts(pairs, state, weight, {}, n_max, depth, starts, tops, put_head, ids, keys,
+                 nexts)
+    steps = [s for _, s in keys]
+    del keys, nexts     # freed before the pass below fills heads
+    for w in range(weight + 1, n_max + 1):
+        counts, sums = starts[w], tops[w]
+        for i, c in counts.items():
+            v = w + steps[i]
+            if v <= n_max:
+                later = starts[v]
+                later[i] = later.get(i, 0) + c
+        for s, t in sums.items():
+            if w + s <= n_max:
+                later = tops[w + s]
+                later[s] = later.get(s, 0) + t
+        heads[w].update(counts)
+        largest[w] += sum(sums.values())
+        starts[w] = tops[w] = None      # merged: only heads keeps the counts
+
+
+def _walk_starts(pairs, state, weight, memo, n_max, depth, starts, tops, put_head, ids, keys,
+                 nexts):
+    """The recursion of ``_walk_heads``.  For each value s below the
+    smallest of the head ``pairs`` (of weight ``weight``), it adds one start
+    of the id of pairs + (s, 1) to ``starts[weight + s]`` and one of its
+    largest part to ``tops[weight + s][s]``, then does the same below each
+    pairs + (s, m).  ``memo`` maps s to that id from the key of ``pairs``,
+    whose state is ``state``."""
     above = pairs[-1][0] if pairs else n_max + 1
     top = pairs[0][0] if pairs else 0
     for s in range(min(above - 1, n_max - weight), 1, -1):
-        state_s = scan_step(state, s, above, depth) if pairs else scan_start(s, depth)
-        key = ids.setdefault((state_s, s), len(ids))
-        big = top or s
-        for w in range(weight + s, n_max + 1, s):
-            heads[w][key] += 1
-            largest[w] += big
+        i = memo.get(s)
+        if i is None:
+            key = scan_step(state, s, above, depth) if pairs else scan_start(s, depth), s
+            i = memo[s] = ids.setdefault(key, len(ids))
+            if i == len(keys):
+                keys.append(key)
+                nexts.append(None)
+        w = weight + s
+        counts = starts[w]
+        counts[i] = counts.get(i, 0) + 1
+        sums = tops[w]
+        sums[s] = sums.get(s, 0) + (top or s)
         if put_head is not None:
-            for m, w in enumerate(range(weight + s, n_max + 1, s), 1):
-                put_head(pairs + ((s, m),), w, key)
-        if s > 2:
-            for m, w in enumerate(range(weight + s, n_max - 1, s), 1):
-                _walk_heads(pairs + ((s, m),), state_s, w, n_max, depth, heads, largest,
-                            put_head, ids)
+            for m, v in enumerate(range(w, n_max + 1, s), 1):
+                put_head(pairs + ((s, m),), v, i)
+        if s > 2 and w < n_max - 1:     # a value s' >= 2 below s still fits
+            memo_i = nexts[i]
+            if memo_i is None:
+                memo_i = nexts[i] = {}
+            child = keys[i][0]
+            for m, v in enumerate(range(w, n_max - 1, s), 1):
+                _walk_starts(pairs + ((s, m),), child, v, memo_i, n_max, depth, starts, tops,
+                             put_head, ids, keys, nexts)
 
 
 def tallies(n_max: int, r_max: int, family_cells=()) -> list:
@@ -180,10 +245,13 @@ def tallies(n_max: int, r_max: int, family_cells=()) -> list:
     Each partition mu + 1^j of n is counted through its head mu (the parts
     above 1; see the module docstring), and the walk counts each head once,
     under the int id of its key (state, smallest part): the walk interns
-    each distinct key as the next id.  mu itself counts under that key,
-    and mu + 1^j for j >= 1 under mu's 1s key (the state after a 1 under
-    mu's smallest part, 1), which enters the running sums at n for the
-    heads of weight n - 1.  After the walk, two lists indexed by id hold
+    each distinct key as the next id.  It pays once per (prefix, value)
+    and takes one scan step per distinct step between keys, not one per
+    head (``_walk_heads`` says why both are exact); the empty head, id 0,
+    is seeded at weight 0 and the walk does not move it.  mu itself
+    counts under its key, and mu + 1^j for j >= 1 under mu's 1s key (the
+    state after a 1 under mu's smallest part, 1), which enters the running
+    sums at n for the heads of weight n - 1.  After the walk, two lists indexed by id hold
     each key closed and its 1s key closed, each computed once per distinct
     key, at every chain length the walk carries; an entry for r does not
     depend on how many chain lengths the state carries, so each tally

@@ -3,6 +3,7 @@ result lines written by hand: no benchmark or test run is started."""
 
 import importlib.util
 import os
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -60,3 +61,32 @@ def test_tier1_is_quoted_as_measured():
     run = ("..\n9 passed in 5.61s\n", 5.678)
     with mock.patch.object(bench_record, "pytest_run", return_value=run):
         assert bench_record.tier1() == {"outcome": {"passed": 9}, "measured_s": 5.68}
+
+
+def test_layers_on_a_stub_timer():
+    # each stub call takes 1 ms per unit of n on a host at half the
+    # reference speed, so every figure is quoted at half its measured time
+    now = [0.0]
+    calls = []
+
+    def tallies(n_max, r_max, cells):
+        calls.append((n_max, r_max, cells))
+        now[0] += 0.001 * n_max
+        return [SimpleNamespace(count=1000 * n + 1) for n in range(n_max + 1)]
+
+    ref = 2 * 0.02
+    out = bench_record.layers(lambda: ref, 0.02, tallies, clock=lambda: now[0])
+    calls_each = bench_record.LAYER_CALLS
+    assert out["calls"] == calls_each
+    assert calls == [args for args in [(n, 1, ()) for n in bench_record.TALLY_RATES]
+                     + list(bench_record.TALLY_SHAPES.values()) for _ in range(calls_each)]
+    metrics = out["metrics"]
+    assert list(metrics) == ([f"tallies.heads_per_s.{n},1" for n in bench_record.TALLY_RATES]
+                             + [f"tallies.ms.{name}" for name in bench_record.TALLY_SHAPES])
+    assert metrics["tallies.heads_per_s.40,1"] == {
+        "value": 2_000_000, "unit": "1/s", "heads": 40_000, "measured": 1_000_000}
+    assert metrics["tallies.ms.25,4+thm-1.5"] == {"value": 12.5, "unit": "ms", "measured": 25.0}
+    # thm-1.5 at its defaults reads three families at r = 2..5 from r_max 4
+    assert bench_record.TALLY_SHAPES["25,4+thm-1.5"] == (25, 4, tuple(
+        (family, r) for r in range(2, 6)
+        for family in ("multiples", "largest-repeating", "above-mex")))

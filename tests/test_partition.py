@@ -401,6 +401,38 @@ class TestWalkScans:
             keys = list(ids)
             assert {head: keys[i] for head, i in visits} == oracle, depth
 
+    @pytest.mark.parametrize("n, depth", [(40, 1), (30, 6)])
+    def test_progressions_and_steps_match_the_visits(self, n, depth):
+        # past 22 the multiplicities of many values run long progressions
+        # and many prefixes reach one key, so most heads are counted by
+        # running a start up its progression and most keys by a memoized
+        # step.  Seeded as tallies seeds it, the walk lists each head once
+        # (p(n) - 1 heads, by weight), its counts and largest-part sums
+        # equal a recount of those visits, and each visit carries the id
+        # of the head's own key (scan state, smallest part)
+        empty = scan_state((), depth), 0
+        ids = {empty: 0}
+        heads = [Counter({0: 1})] + [Counter() for _ in range(n)]
+        largest = [0] * (n + 1)
+        visits = []
+        _walk_heads((), None, 0, n, depth, heads, largest,
+                    lambda head, w, key: visits.append((head, w, key)), ids)
+        assert len({head for head, _, _ in visits}) == len(visits) == partition_count(n) - 1
+        recount = [Counter({0: 1})] + [Counter() for _ in range(n)]
+        tops = [0] * (n + 1)
+        for head, w, i in visits:
+            values = [v for v, _ in head]
+            assert values == sorted(set(values), reverse=True) and values[-1] > 1, head
+            assert sum(v * m for v, m in head) == w, head
+            recount[w][i] += 1
+            tops[w] += head[0][0]
+        assert heads == recount
+        assert largest == tops
+        keys = list(ids)
+        assert keys[0] == empty
+        for head, _, i in visits:
+            assert keys[i] == (scan_state(head, depth), head[-1][0]), head
+
     def test_state_layout(self):
         # [12, 11, 7, 3, 3] above its smallest part: the runs 8..10 and 4..6
         assert scan_state(P([12, 11, 7, 3, 3]).pairs, 4) == (4, 4, 4, 13, 10, 10, 10, 0)

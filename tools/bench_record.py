@@ -19,6 +19,14 @@ the recording host: a reference timed around one 40 s pytest run does not
 track its speed, so it compares only between records taken back to back.
 ``bench/run.py`` is imported only to read those two names.
 
+It also times one layer in process, the tally walk (``chainex.brute.tallies``
+from this tree's ``src``) at the shapes the verify-theorems workload
+calls: heads/s of ``tallies(n, 1)`` at each n of TALLY_RATES, and ms per
+call at each of TALLY_SHAPES.  Each figure is the median of LAYER_CALLS
+calls, each divided by the median time of ``run.reference()`` timed just
+before it and multiplied by ``run.REF_SECONDS``, as the acceptance figures
+are, and goes into ``layers`` beside the per-workload ``summary``.
+
 The file goes to the repository root and holds the git sha, the files under
 SOURCE_PATHS that differ from it (modified, staged or untracked), the
 Python version and the CPU count.  Only the standard library is used, and
@@ -45,6 +53,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 REFERENCE_CALLS = 5          # reference() timings before each acceptance run
 ACCEPTANCE_RUNS = 5          # each acceptance test's time is the median of these
+LAYER_CALLS = 5              # each layer figure is the median of these calls
+TALLY_RATES = (40, 50)       # heads/s of tallies(n, 1) at these n
+THM_1_5_CELLS = tuple((family, r) for r in range(2, 6)
+                      for family in ("multiples", "largest-repeating", "above-mex"))
+# the other tallies calls of the verify-theorems workload: name -> arguments
+TALLY_SHAPES = {"30,6": (30, 6, ()), "30,1": (30, 1, ()),
+                "25,4+thm-1.5": (25, 4, THM_1_5_CELLS), "20,3": (20, 3, ())}
 SOURCE_PATHS = ("src", "bench", "tests", "tools", "pyproject.toml", "BENCHMARK.json")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 ACCEPTANCE = ["-m", "pytest", "-q", "tests/test_acceptance.py", "-p", "no:cacheprovider",
@@ -145,6 +160,43 @@ def acceptance(runner, scale) -> dict:
         for test, pairs in times.items()}}
 
 
+def layers(reference, scale, tallies, clock=perf_counter) -> dict:
+    """The tally walk's figures.  Each is the median over LAYER_CALLS calls
+    of ``tallies``, each call's time divided by ``reference()`` (the host's
+    reference time, taken just before the call) and multiplied by
+    ``scale``.  ``heads`` is p(n) - 1, the heads of weight 1..n, read off
+    the tally of n."""
+    def timed(n_max, r_max, cells):
+        runs = []
+        for _ in range(LAYER_CALLS):
+            ref = reference()
+            t0 = clock()
+            by_n = tallies(n_max, r_max, cells)
+            seconds = clock() - t0
+            runs.append((seconds, seconds / ref * scale))
+        return (statistics.median(s for s, _ in runs), statistics.median(n for _, n in runs),
+                by_n[n_max].count - 1)
+
+    metrics = {}
+    for n in TALLY_RATES:
+        measured, normalised, heads = timed(n, 1, ())
+        metrics[f"tallies.heads_per_s.{n},1"] = {
+            "value": round(heads / normalised), "unit": "1/s", "heads": heads,
+            "measured": round(heads / measured)}
+    for name, args in TALLY_SHAPES.items():
+        measured, normalised, _ = timed(*args)
+        metrics[f"tallies.ms.{name}"] = {"value": round(normalised * 1e3, 3), "unit": "ms",
+                                         "measured": round(measured * 1e3, 3)}
+    return {"calls": LAYER_CALLS, "metrics": metrics}
+
+
+def load_tallies():
+    """``tallies`` from this tree's ``src``."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from chainex.brute import tallies
+    return tallies
+
+
 def git(*args):
     try:
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
@@ -185,6 +237,8 @@ def record(label) -> dict:
         "seeds": list(SEEDS),
         "runs": [{key: run[key] for key in ("workload", "seed", "line")} for run in runs],
         "summary": summarize(runs),
+        "layers": layers(lambda: statistics.median(reference_times(runner)), scale,
+                         load_tallies()),
         "ref_seconds": scale,
         "tier1": tier1(),
         "acceptance": acceptance(runner, scale),
