@@ -29,8 +29,8 @@ are, and goes into ``layers`` beside the per-workload ``summary``.
 
 The file goes to the repository root and holds the git sha, the files under
 SOURCE_PATHS that differ from it (modified, staged or untracked), the
-Python version and the CPU count.  Only the standard library is used, and
-nothing under ``bench/`` is written.
+Python version and the CPU count.  Only the standard library and this
+tree's ``chainex`` are imported, and nothing under ``bench/`` is written.
 """
 
 from __future__ import annotations
